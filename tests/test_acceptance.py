@@ -1,10 +1,13 @@
 """Acceptance suite: one test per shipped guarantee, one printed line each.
 
 Every test runs the real pipeline (no mocks) and asserts exact equality;
-sweep tests additionally assert their wall-clock budget.
+sweep tests additionally assert their wall-clock budget.  Sweeps 03, 04, 05
+and 07 also compare their canonical JSON report byte for byte with the frozen
+report under tests/golden/, so a refactor that changes any row shows here.
 """
 
 import time
+from pathlib import Path
 
 from theta_forms.curves import (
     LegendreCurve,
@@ -20,6 +23,7 @@ from theta_forms.harness import (
     cmd_verify_identities,
     cmd_verify_theta_hex,
     cmd_verify_theta_z,
+    render_json,
 )
 from theta_forms.hyperpoly import (
     admissible_vanishing_primes,
@@ -46,6 +50,13 @@ def _run(num, name, body):
 def _no_failures(reports):
     bad = [r for r in reports if r.status == "fail"]
     assert not bad, bad[:5]
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _matches_golden(reports, name):
+    assert render_json(reports) == (GOLDEN / name).read_text(), f"report differs from {name}"
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +130,7 @@ def test_03_integer_theta_sweep():
         t0 = time.perf_counter()
         reports = cmd_verify_theta_z(SweepConfig(p_min=7, p_max=199, jobs=1))
         _no_failures(reports)
+        _matches_golden(reports, "acceptance_03_theta_z.json")
 
         target = {p for p in primes_in_range(7, 199) if p % 4 == 3}
         for cid in ("theta_z_congruence", "theta_z_splits"):
@@ -137,6 +149,7 @@ def test_04_hex_theta_sweep():
         t0 = time.perf_counter()
         reports = cmd_verify_theta_hex(SweepConfig(p_min=5, p_max=197, jobs=1))
         _no_failures(reports)
+        _matches_golden(reports, "acceptance_04_theta_hex.json")
 
         target = {p for p in primes_in_range(5, 197) if p % 12 in (5, 11)}
         for cid in ("hex_congruence", "hex_splits_fp2", "hex_factor_pattern", "hex_zero_set"):
@@ -152,6 +165,7 @@ def test_05_background_sweep():
         t0 = time.perf_counter()
         reports = cmd_verify_background(SweepConfig(p_min=5, p_max=199, jobs=1))
         _no_failures(reports)
+        _matches_golden(reports, "acceptance_05_background.json")
 
         target = set(primes_in_range(5, 199))
         for cid in ("bg_congruence", "bg_factor_degrees", "bg_extremal_congruence"):
@@ -205,6 +219,7 @@ def test_07_gp_polynomial_properties():
         )
         reports = cmd_verify_identities(cfg)
         _no_failures(reports)
+        _matches_golden(reports, "acceptance_07_gp_properties.json")
         target = {p for p in primes_in_range(7, 199) if p % 4 == 3}
         for cid in ("gp_reciprocal", "gp_root_product", "gp_power_sums", "gp_torsion_product"):
             passed = {r.p for r in reports if r.check_id == cid and r.status == "pass"}
