@@ -238,29 +238,6 @@ def legendre_4torsion_predicted(lam: FpElem, p: int) -> TorsionStructure:
     return TorsionStructure(2, 4)
 
 
-def psi4_roots(lam: FpElem, p: int) -> set[FpElem]:
-    """F_p roots of x^2 - lam, x^2 - 2x + lam, x^2 - 2*lam*x + lam.
-
-    These quadratics carry the x-coordinates of the points of exact order 4
-    on the Legendre curve.
-    """
-    F = Fp(p)
-    lam = F.elem(lam)
-    if not lam or lam == 1:
-        raise ValueError("lambda must avoid 0 and 1")
-    out: set[FpElem] = set()
-    r = F.sqrt(lam)
-    if r is not None:
-        out.update({r, -r})
-    r = F.sqrt(1 - lam)
-    if r is not None:
-        out.update({1 + r, 1 - r})
-    r = F.sqrt(lam * lam - lam)
-    if r is not None:
-        out.update({lam + r, lam - r})
-    return out
-
-
 def j_of_legendre(lam):
     """j = 256 (1 - lam + lam^2)^3 / (lam^2 (lam - 1)^2)."""
     if not lam or lam == 1:
@@ -289,6 +266,21 @@ def curve_from_j(j) -> ShortWeierstrass:
 # j-value sets
 
 
+def two_torsion_only_lambdas(p: int) -> list[FpElem]:
+    """Legendre parameters lam in F_p minus {0, 1}, in increasing order, whose
+    curve has no rational point of order 4, by brute-force 4-torsion.
+
+    Every Legendre curve has full rational 2-torsion, so these are the curves
+    with E[4](F_p) = Z/2 x Z/2.
+    """
+    F = Fp(p)
+    return [
+        lam
+        for lam in (F.elem(v) for v in range(2, p))
+        if n_torsion_structure(LegendreCurve(lam), 4) == TorsionStructure(2, 2)
+    ]
+
+
 def two_torsion_only_j_set(p: int) -> set[FpElem]:
     """j-invariants (excluding 0, 1728) of curves over F_p carrying full
     rational 2-torsion but no rational point of order 4.
@@ -301,15 +293,11 @@ def two_torsion_only_j_set(p: int) -> set[FpElem]:
         raise ValueError(f"p = {p} = 1 mod 4 never yields such curves (rejected)")
     if p > 10**3:
         raise ValueError(f"p = {p} beyond the brute-force bound 10^3")
-    F = Fp(p)
     out: set[FpElem] = set()
-    for v in range(2, p):
-        lam = F.elem(v)
-        E = LegendreCurve(lam)
-        if n_torsion_structure(E, 4) == TorsionStructure(2, 2):
-            j = E.j()
-            if j and j != 1728:
-                out.add(j)
+    for lam in two_torsion_only_lambdas(p):
+        j = j_of_legendre(lam)
+        if j and j != 1728:
+            out.add(j)
     return out
 
 
@@ -395,6 +383,9 @@ def hex_zero_set(p: int) -> set[Fp2Elem]:
 # Hessian cubics
 
 
+HESSIAN_CAP = 200  # largest p for which check_hessian_matches_hex runs
+
+
 def hessian_j(b):
     """j-invariant of X^3 + Y^3 + 1 = 3b XY: 27 b^3 (b^3 + 8)^3 / (b^3 - 1)^3.
 
@@ -437,8 +428,8 @@ def check_hessian_matches_hex(p: int, torsion_samples: int = 3) -> bool:
     """
     if p % 12 not in (5, 11):
         raise ValueError(f"p = {p} not in the 5, 11 mod 12 classes")
-    if p > 200:
-        raise ValueError(f"p = {p} beyond the stated bound 200")
+    if p > HESSIAN_CAP:
+        raise ValueError(f"p = {p} beyond the stated bound {HESSIAN_CAP}")
     if hessian_norm_condition_j_set(p) != hex_zero_set(p):
         return False
     K = Fp2(p)

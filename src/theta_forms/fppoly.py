@@ -1,4 +1,4 @@
-"""Dense univariate polynomial algebra over F_p, plus a minimal F_{p^2} layer.
+"""Dense univariate polynomial algebra over F_p, evaluated over F_{p^2}.
 
 Coefficients are stored as plain ints in [0, p), lowest degree first, with no
 trailing zeros (the zero polynomial is the empty list).  This mirrors how the
@@ -14,9 +14,6 @@ from fractions import Fraction
 
 from .exact_arith import Fp, Fp2, Fp2Elem, FpElem, rat_mod
 
-_KARATSUBA_CUTOFF = 64
-
-
 def _normalize(coeffs: list[int]) -> list[int]:
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
@@ -26,37 +23,12 @@ def _normalize(coeffs: list[int]) -> list[int]:
 def _mul_lists(a: list[int], b: list[int], p: int) -> list[int]:
     if not a or not b:
         return []
-    if min(len(a), len(b)) > _KARATSUBA_CUTOFF:
-        return _karatsuba(a, b, p)
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
                 if bj:
                     out[i + j] += ai * bj
-    return _normalize([c % p for c in out])
-
-
-def _karatsuba(a: list[int], b: list[int], p: int) -> list[int]:
-    n = max(len(a), len(b))
-    h = n // 2
-    a0, a1 = a[:h], a[h:]
-    b0, b1 = b[:h], b[h:]
-    z0 = _mul_lists(a0, b0, p)
-    z2 = _mul_lists(a1, b1, p)
-    s1 = [x + y for x, y in zip(a0, a1)] + (a1[len(a0):] or a0[len(a1):])
-    s2 = [x + y for x, y in zip(b0, b1)] + (b1[len(b0):] or b0[len(b1):])
-    z1 = _mul_lists([c % p for c in s1], [c % p for c in s2], p)
-    out = [0] * (len(a) + len(b) - 1)
-    for i, c in enumerate(z0):
-        out[i] += c
-        out[i + h] -= c
-    for i, c in enumerate(z1):
-        out[i + h] += c
-    for i, c in enumerate(z2):
-        if i + h < len(out):
-            out[i + h] -= c
-        out[i + 2 * h] += c
     return _normalize([c % p for c in out])
 
 
@@ -322,24 +294,8 @@ class FactorPattern:
     def from_counter(cls, c: Counter) -> "FactorPattern":
         return cls(tuple(sorted(c.items())))
 
-    def counter(self) -> Counter:
-        return Counter(dict(self.pairs))
-
-    def degree_counts(self) -> Counter:
-        """Distinct irreducible factors per degree (multiplicity collapsed)."""
-        out: Counter = Counter()
-        for (d, _m), cnt in self.pairs:
-            out[d] += cnt
-        return out
-
     def degrees(self) -> set[int]:
         return {d for (d, _m), _ in self.pairs}
-
-    def total_degree(self) -> int:
-        return sum(d * m * cnt for (d, m), cnt in self.pairs)
-
-    def is_squarefree(self) -> bool:
-        return all(m == 1 for (_d, m), _ in self.pairs)
 
 
 def _distinct_degree_counts(s: FpPoly) -> Counter:
@@ -476,29 +432,6 @@ def power_sums(f: FpPoly, v_max: int) -> list[FpElem]:
     return [F.elem(x) for x in s]
 
 
-def newton_consistency(f: FpPoly, v_max: int | None = None) -> bool:
-    """Cross-check power_sums against brute-force root sums over F_{p^2}.
-
-    Requires f squarefree and split over F_{p^2}, so every root is picked up
-    exactly once by the exhaustive scan.
-    """
-    _require_squarefree(f, "newton_consistency")
-    if not splits_over_fp2(f):
-        raise ValueError("polynomial does not split over F_{p^2}; brute sums would miss roots")
-    if v_max is None:
-        v_max = 2 * f.degree + 3
-    roots = roots_fp2_brute(f)
-    K = Fp2(f.p)
-    sums = power_sums(f, v_max)
-    for v in range(v_max + 1):
-        acc = K.zero
-        for r in roots:
-            acc = acc + r**v
-        if acc != sums[v]:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # reciprocal polynomials
 
@@ -512,93 +445,3 @@ def is_reciprocal(f: FpPoly) -> bool:
         raise ValueError("constant term is zero; reciprocal comparison undefined")
     g = f.monic()
     return g == g.reverse().monic()
-
-
-# ---------------------------------------------------------------------------
-# F_{p^2} polynomials (minimal: products of linears, comparison, lifting)
-
-
-class Fp2Poly:
-    """Polynomial over F_{p^2}; coefficients as (c0, c1) int pairs."""
-
-    __slots__ = ("coeffs", "p")
-
-    def __init__(self, coeffs: list[tuple[int, int]], p: int):
-        cs = [(c0 % p, c1 % p) for c0, c1 in coeffs]
-        while cs and cs[-1] == (0, 0):
-            cs.pop()
-        self.coeffs = cs
-        self.p = p
-
-    @classmethod
-    def from_fp_poly(cls, f: FpPoly) -> "Fp2Poly":
-        return cls([(c, 0) for c in f.coeffs], f.p)
-
-    @classmethod
-    def from_roots(cls, roots, p: int) -> "Fp2Poly":
-        """The monic polynomial prod (x - beta) over the given roots."""
-        acc = cls([(1, 0)], p)
-        for b in roots:
-            if isinstance(b, Fp2Elem):
-                c0, c1 = b.c0, b.c1
-            elif isinstance(b, FpElem):
-                c0, c1 = b.value, 0
-            else:
-                c0, c1 = int(b) % p, 0
-            acc = acc * cls([(-c0 % p, -c1 % p), (1, 0)], p)
-        return acc
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __mul__(self, other: "Fp2Poly") -> "Fp2Poly":
-        if other.p != self.p:
-            raise ValueError("modulus mismatch")
-        p = self.p
-        K = Fp2(p)
-        d = K.d
-        if not self.coeffs or not other.coeffs:
-            return Fp2Poly([], p)
-        out = [(0, 0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, (a0, a1) in enumerate(self.coeffs):
-            if a0 == 0 and a1 == 0:
-                continue
-            for j, (b0, b1) in enumerate(other.coeffs):
-                c0, c1 = out[i + j]
-                out[i + j] = (
-                    (c0 + a0 * b0 + d * a1 * b1) % p,
-                    (c1 + a0 * b1 + a1 * b0) % p,
-                )
-        return Fp2Poly(out, p)
-
-    def __sub__(self, other: "Fp2Poly") -> "Fp2Poly":
-        if other.p != self.p:
-            raise ValueError("modulus mismatch")
-        n = max(len(self.coeffs), len(other.coeffs))
-        get = lambda cs, i: cs[i] if i < len(cs) else (0, 0)
-        return Fp2Poly(
-            [
-                (
-                    (get(self.coeffs, i)[0] - get(other.coeffs, i)[0]) % self.p,
-                    (get(self.coeffs, i)[1] - get(other.coeffs, i)[1]) % self.p,
-                )
-                for i in range(n)
-            ],
-            self.p,
-        )
-
-    def evaluate(self, z: Fp2Elem) -> Fp2Elem:
-        K = Fp2(self.p)
-        acc = K.zero
-        for c0, c1 in reversed(self.coeffs):
-            acc = acc * z + K.elem(c0, c1)
-        return acc
-
-    def __eq__(self, other):
-        if not isinstance(other, Fp2Poly):
-            return NotImplemented
-        return self.p == other.p and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        return f"Fp2Poly(deg {self.degree} mod {self.p})"

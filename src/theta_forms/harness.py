@@ -25,6 +25,7 @@ Exit codes: 0 all pass, 1 any fail, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -34,17 +35,17 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import partial
 from math import factorial
 
 from .curves import (
-    LegendreCurve,
-    TorsionStructure,
+    HESSIAN_CAP,
     check_hessian_matches_hex,
     hex_zero_set,
     legendre_image_j_set,
-    n_torsion_structure,
     supersingular_j_set,
     two_torsion_only_j_set,
+    two_torsion_only_lambdas,
 )
 from .exact_arith import Fp, cube_root_of_2, primes_in_range, rat_mod
 from .fppoly import (
@@ -73,7 +74,7 @@ from .hyperpoly import (
     vanishing_window,
 )
 from .modforms import RatPoly, default_order, pf_polynomial, weight_indices
-from .qseries import QSeries, delta, eisenstein, theta_H, theta_Z, _hauptmodul_mismatch
+from .qseries import QSeries, delta, eisenstein, hauptmodul_mismatch, theta_H, theta_Z
 
 _STATUSES = ("pass", "fail", "skipped")
 
@@ -120,15 +121,14 @@ class SweepConfig:
     fmt: str = "table"
     curve_cap: int = 103
     supersingular_cap: int = 103
-    allow_large: bool = False
 
     def __post_init__(self):
         if self.p_min < 5:
             raise ValueError("p_min must be at least 5")
         if self.p_max < self.p_min:
             raise ValueError("p_max must be at least p_min")
-        if self.p_max > 1000 and not self.allow_large:
-            raise ValueError("p_max beyond 1000 requires allow_large")
+        if self.p_max > 1000:
+            raise ValueError("p_max must be at most 1000")
         if self.fmt not in ("json", "csv", "table"):
             raise ValueError(f"unknown format {self.fmt!r}")
         if self.jobs < 1:
@@ -170,15 +170,22 @@ def _fp2_rootset_witness(f: FpPoly, targets) -> str | None:
     """
     if f.degree <= 0 and not targets:
         return None
-    if not is_squarefree(f):
-        return "polynomial is not squarefree"
-    if not splits_over_fp2(f):
-        return "polynomial does not split over F_{p^2}"
+    w = _fp2_splits_witness(f)
+    if w is not None:
+        return w
     if f.degree != len(targets):
         return f"degree {f.degree} != target set size {len(targets)}"
     for z in sorted(targets, key=lambda z: (int(z.c1), int(z.c0))):
         if f.evaluate_fp2(z):
             return f"f({z}) != 0"
+    return None
+
+
+def _fp2_splits_witness(f: FpPoly) -> str | None:
+    if not is_squarefree(f):
+        return "polynomial is not squarefree"
+    if not splits_over_fp2(f):
+        return "polynomial does not split over F_{p^2}"
     return None
 
 
@@ -256,12 +263,7 @@ def _theta_hex_prime(p: int, order: int | None) -> list[VerificationReport]:
 
     f = reduce_poly(P, p)
     t0 = time.perf_counter()
-    w = None
-    if f.degree > 0:
-        if not is_squarefree(f):
-            w = "polynomial is not squarefree"
-        elif not splits_over_fp2(f):
-            w = "polynomial does not split over F_{p^2}"
+    w = _fp2_splits_witness(f) if f.degree > 0 else None
     out.append(_mk("hex_splits_fp2", p, k, w, t0))
 
     t0 = time.perf_counter()
@@ -279,12 +281,14 @@ def _theta_hex_prime(p: int, order: int | None) -> list[VerificationReport]:
     out.append(_mk("hex_zero_set", p, k, _fp2_rootset_witness(f, hex_zero_set(p)), t0))
 
     t0 = time.perf_counter()
-    if p <= 200:
+    if p <= HESSIAN_CAP:
         w = None if check_hessian_matches_hex(p) else "Hessian image or 3-torsion mismatch"
         out.append(_mk("hessian_set", p, k, w, t0))
     else:
         out.append(
-            VerificationReport("hessian_set", p, k, "skipped", "Hessian sweep capped at 200")
+            VerificationReport(
+                "hessian_set", p, k, "skipped", f"Hessian sweep capped at {HESSIAN_CAP}"
+            )
         )
     return out
 
@@ -357,8 +361,8 @@ def _series_identity_reports(order: int) -> list[VerificationReport]:
         return delta(order).first_mismatch(rhs)
 
     run("id_delta_from_eisenstein", delta_mismatch)
-    run("id_hauptmodul_cubic", lambda: _hauptmodul_mismatch("t3", order))
-    run("id_hauptmodul_legendre", lambda: _hauptmodul_mismatch("lambda", order))
+    run("id_hauptmodul_cubic", lambda: hauptmodul_mismatch("t3", order))
+    run("id_hauptmodul_legendre", lambda: hauptmodul_mismatch("lambda", order))
     run("id_euler_transform", lambda: euler_transform_mismatch(order))
     run("id_cubic_transform", lambda: cubic_transform_mismatch(order))
     run("id_degenerate_eval", lambda: degenerate_eval_mismatch(order))
@@ -368,7 +372,6 @@ def _series_identity_reports(order: int) -> list[VerificationReport]:
 def _gp_prime(p: int) -> list[VerificationReport]:
     out = []
     g = gp_poly(p)
-    F = Fp(p)
 
     t0 = time.perf_counter()
     w = None if is_reciprocal(g) else "polynomial is not palindromic"
@@ -397,10 +400,8 @@ def _gp_prime(p: int) -> list[VerificationReport]:
 
     t0 = time.perf_counter()
     prod = FpPoly([1], p)
-    for v in range(2, p):
-        lam = F.elem(v)
-        if n_torsion_structure(LegendreCurve(lam), 4) == TorsionStructure(2, 2):
-            prod = prod * FpPoly([-v, 1], p)
+    for lam in two_torsion_only_lambdas(p):
+        prod = prod * FpPoly([-int(lam), 1], p)
     w = None if g == prod else "product over brute-force torsion set differs"
     out.append(_mk("gp_torsion_product", p, None, w, t0))
     return out
@@ -456,30 +457,6 @@ def _run_over_primes(fn, primes, jobs: int):
     return [r for batch in batches for r in batch]
 
 
-class _ThetaZWorker:
-    def __init__(self, order, curve_cap):
-        self.order, self.curve_cap = order, curve_cap
-
-    def __call__(self, p):
-        return _theta_z_prime(p, self.order, self.curve_cap)
-
-
-class _ThetaHexWorker:
-    def __init__(self, order):
-        self.order = order
-
-    def __call__(self, p):
-        return _theta_hex_prime(p, self.order)
-
-
-class _BackgroundWorker:
-    def __init__(self, order, ss_cap):
-        self.order, self.ss_cap = order, ss_cap
-
-    def __call__(self, p):
-        return _background_prime(p, self.order, self.ss_cap)
-
-
 def _finish(reports, cfg: SweepConfig):
     if cfg.checks is not None:
         reports = [r for r in reports if r.check_id in cfg.checks]
@@ -488,19 +465,20 @@ def _finish(reports, cfg: SweepConfig):
 
 def cmd_verify_theta_z(cfg: SweepConfig) -> list[VerificationReport]:
     primes = primes_in_range(cfg.p_min, cfg.p_max)
-    return _finish(_run_over_primes(_ThetaZWorker(cfg.order, cfg.curve_cap), primes, cfg.jobs), cfg)
+    worker = partial(_theta_z_prime, order=cfg.order, curve_cap=cfg.curve_cap)
+    return _finish(_run_over_primes(worker, primes, cfg.jobs), cfg)
 
 
 def cmd_verify_theta_hex(cfg: SweepConfig) -> list[VerificationReport]:
     primes = [p for p in primes_in_range(cfg.p_min, cfg.p_max) if p % 12 in (5, 11)]
-    return _finish(_run_over_primes(_ThetaHexWorker(cfg.order), primes, cfg.jobs), cfg)
+    worker = partial(_theta_hex_prime, order=cfg.order)
+    return _finish(_run_over_primes(worker, primes, cfg.jobs), cfg)
 
 
 def cmd_verify_background(cfg: SweepConfig) -> list[VerificationReport]:
     primes = primes_in_range(cfg.p_min, cfg.p_max)
-    return _finish(
-        _run_over_primes(_BackgroundWorker(cfg.order, cfg.supersingular_cap), primes, cfg.jobs), cfg
-    )
+    worker = partial(_background_prime, order=cfg.order, ss_cap=cfg.supersingular_cap)
+    return _finish(_run_over_primes(worker, primes, cfg.jobs), cfg)
 
 
 def cmd_verify_identities(cfg: SweepConfig) -> list[VerificationReport]:
@@ -717,10 +695,15 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--p-min", type=int, default=5)
     v.add_argument("--p-max", type=int, default=199)
     v.add_argument("--order", type=int, default=None, help="series order override")
+    jobs = os.environ.get("THETA_FORMS_JOBS", "1")
+    try:
+        default_jobs = int(jobs)
+    except ValueError:
+        raise ValueError(f"THETA_FORMS_JOBS must be an integer, got {jobs!r}") from None
     v.add_argument(
         "--jobs",
         type=int,
-        default=int(os.environ.get("THETA_FORMS_JOBS", "1")),
+        default=default_jobs,
         help="parallel worker processes (default THETA_FORMS_JOBS or 1)",
     )
     v.add_argument("--format", choices=sorted(_RENDERERS), default="table")
@@ -733,7 +716,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        parser = _build_parser()
+    except ValueError as e:
+        print(f"configuration error: {e}", file=sys.stderr)
+        return 2
+    try:
+        args = parser.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
 
@@ -749,21 +737,19 @@ def main(argv=None) -> int:
             jobs=args.jobs,
             fmt=args.format,
         )
-    except ValueError as e:
+        # opened before the sweep, so an unwritable path fails at once
+        out = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
+    except (ValueError, OSError) as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return 2
 
-    try:
-        reports = _LANES[args.lane](cfg)
-    except ValueError as e:
-        print(f"configuration error: {e}", file=sys.stderr)
-        return 2
-    text = _RENDERERS[cfg.fmt](reports)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with out as fh:
+        try:
+            reports = _LANES[args.lane](cfg)
+        except ValueError as e:
+            print(f"configuration error: {e}", file=sys.stderr)
+            return 2
+        fh.write(_RENDERERS[cfg.fmt](reports))
     return 1 if any(r.status == "fail" for r in reports) else 0
 
 

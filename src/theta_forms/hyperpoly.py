@@ -58,29 +58,14 @@ FAMILY_PARAMS: dict[str, HGParams] = {
 }
 
 
-@dataclass(frozen=True)
-class TruncFamily:
-    tag: str
-    params: HGParams
-
-    def __post_init__(self):
-        assert FAMILY_PARAMS[self.tag] == self.params
-
-
-def family(tag: str) -> TruncFamily:
-    if tag not in FAMILY_PARAMS:
-        raise ValueError(f"unknown family tag {tag!r}")
-    return TruncFamily(tag, FAMILY_PARAMS[tag])
-
-
 def _resolve_params(spec) -> HGParams:
     if isinstance(spec, HGParams):
         return spec
-    if isinstance(spec, TruncFamily):
-        return spec.params
     if isinstance(spec, str):
-        return family(spec).params
-    raise TypeError(f"expected family tag, TruncFamily, or HGParams; got {spec!r}")
+        if spec not in FAMILY_PARAMS:
+            raise ValueError(f"unknown family tag {spec!r}")
+        return FAMILY_PARAMS[spec]
+    raise TypeError(f"expected family tag or HGParams; got {spec!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -177,16 +162,10 @@ def _window_bounds(tag: str, p: int) -> tuple[int, int]:
     return n, 4 * n + 2
 
 
-def vanishing_window(fam, p: int) -> tuple[int, int, bool]:
+def vanishing_window(tag: str, p: int) -> tuple[int, int, bool]:
     """The open coefficient window (lo, hi) forced to vanish mod p, and whether
     the family's exact stream actually vanishes there.
     """
-    if isinstance(fam, TruncFamily):
-        tag = fam.tag
-    elif isinstance(fam, str):
-        tag = fam
-    else:
-        raise TypeError("vanishing_window expects a family tag or TruncFamily")
     if tag not in _WINDOW_RULES:
         raise ValueError(f"family {tag} has no vanishing-window statement")
     lo, hi = _window_bounds(tag, p)

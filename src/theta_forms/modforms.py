@@ -15,10 +15,8 @@ since E4^3 / Delta = j.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
-from .exact_arith import Rat, rat_mod
 from .qseries import QSeries, delta, eisenstein
 
 
@@ -48,74 +46,7 @@ class RatPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def leading(self):
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def evaluate(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RatPoly([other])
-        if not isinstance(other, RatPoly):
-            return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return RatPoly(
-            [self.coefficient(i) + other.coefficient(i) for i in range(n)]
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RatPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RatPoly([other])
-        if not isinstance(other, RatPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RatPoly([c * other for c in self.coeffs])
-        if not isinstance(other, RatPoly):
-            return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return RatPoly([])
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] += a * b
-        return RatPoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative polynomial power")
-        result = RatPoly([1])
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RatPoly([other])
         if not isinstance(other, RatPoly):
             return NotImplemented
         return self.coeffs == other.coeffs
@@ -253,45 +184,3 @@ def pf_polynomial(f: QSeries, k: int) -> RatPoly:
     equals the common factor times (E4^3/Delta)^l = j^l.
     """
     return RatPoly(basis_coordinates(f, k).coords)
-
-
-def congruent_mod_p(f: QSeries, g: QSeries, p: int, m: int) -> bool:
-    """Whether the first m coefficients of f and g agree mod p.
-
-    Every involved coefficient must be p-integral; a violation is reported
-    with its exponent.
-    """
-    if m > f.order or m > g.order:
-        raise ValueError(
-            f"need {m} coefficients; have orders {f.order} and {g.order}"
-        )
-    for e in range(m):
-        try:
-            if rat_mod(f.coefficient(e), p) != rat_mod(g.coefficient(e), p):
-                return False
-        except ValueError as exc:
-            raise ValueError(f"coefficient of q^{e}: {exc}") from exc
-    return True
-
-
-def check_initial_vanishing_propagates(k: int, p: int, trials: int, seed: int = 0) -> bool:
-    """Randomized check that a weight-k form starting = 0 mod p is 0 mod p.
-
-    Each trial feeds the constructor a target whose first n_k+1 coefficients
-    are p times random integers, then verifies every coefficient of the
-    resulting form out to the default order is divisible by p.
-    """
-    import random
-
-    if p < 5:
-        raise ValueError("p must be a prime >= 5")
-    w = weight_indices(k)
-    order = default_order(k)
-    rng = random.Random(seed)
-    for _ in range(trials):
-        target = QSeries([p * rng.randrange(-(10**6), 10**6) for _ in range(w.n + 1)])
-        form = constructor(target, k, order)
-        for e in range(order):
-            if rat_mod(form.coefficient(e), p) != 0:
-                return False
-    return True

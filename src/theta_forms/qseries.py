@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exact_arith import Rat, bernoulli, rat_mod
+from .exact_arith import Rat, bernoulli
 
 
 class QSeries:
@@ -174,16 +174,6 @@ class QSeries:
             out[m * i] = c
         return QSeries(out, m * self.shift)
 
-    def reduce_mod(self, p: int) -> "QSeries":
-        """Coefficients reduced mod p as plain ints in [0, p)."""
-        out = []
-        for i, c in enumerate(self.coeffs):
-            try:
-                out.append(rat_mod(c, p))
-            except ValueError as exc:
-                raise ValueError(f"coefficient of q^{self.shift + i}: {exc}") from exc
-        return QSeries(out, self.shift)
-
     # -- comparison ---------------------------------------------------------
 
     def first_mismatch(self, other: "QSeries", upto: int | None = None) -> int | None:
@@ -223,15 +213,7 @@ class QSeries:
 
 
 # ---------------------------------------------------------------------------
-# public arithmetic entry points (contract names)
-
-
-def add(f: QSeries, g: QSeries) -> QSeries:
-    return f + g
-
-
-def mul(f: QSeries, g: QSeries) -> QSeries:
-    return f * g
+# inversion, rational powers and composition
 
 
 def invert_unit(f: QSeries) -> QSeries:
@@ -369,15 +351,6 @@ def theta_H(n: int) -> QSeries:
     return QSeries(coeffs)
 
 
-def eta(n: int) -> tuple[Fraction, QSeries]:
-    """Dedekind eta as (fractional q-exponent, integral product part).
-
-    The q^(1/24) prefactor is never expanded; quotients recombine the
-    fractional tags and assert integrality of the total.
-    """
-    return Fraction(1, 24), euler_product(n)
-
-
 def _eta_quotient(parts: list[tuple[int, int]], n: int) -> QSeries:
     """prod over (m, e) of eta(m*tau)^e, with the total shift folded in.
 
@@ -418,13 +391,21 @@ def lambda_eta_quotient(n: int) -> QSeries:
     """The quotient 16 * (eta(t) eta(4t)^2 / eta(2t)^3)^8: 16q - 128q^2 + ...
 
     Integral q-powers throughout; its square-root-of-q counterpart never
-    appears here (see verify_hauptmodul_relation for the convention used).
+    appears here (see hauptmodul_mismatch for the convention used).
     """
     return _eta_quotient([(1, 8), (4, 16), (2, -24)], n) * 16
 
 
-def _hauptmodul_mismatch(which: str, n: int) -> int | None:
-    """First exponent where the j-level identity fails, or None if it holds."""
+def hauptmodul_mismatch(which: str, n: int) -> int | None:
+    """First exponent below n where the j-relation for t3 or the lambda
+    quotient fails, or None when it holds to order n.
+
+    For t3:     j * t3 * (t3+4)^3 = 3^3 * 4^4 * (2*t3 - 1)^3.
+    For lambda: the quotient L satisfies j(q^2) * L^2 (L-1)^2 = 256 (1-L+L^2)^3,
+    matching L against the square-argument convention.
+    """
+    if n < 2:
+        raise ValueError("verification order must be >= 2")
     if which == "t3":
         work = n + 4
         t = t3(work)
@@ -441,15 +422,3 @@ def _hauptmodul_mismatch(which: str, n: int) -> int | None:
         rhs = (one - lam + lam ** 2) ** 3 * 256
         return lhs.first_mismatch(rhs, upto=n)
     raise ValueError(f"unknown hauptmodul relation {which!r}")
-
-
-def verify_hauptmodul_relation(which: str, n: int) -> bool:
-    """Check the algebraic j-relation for t3 or the lambda quotient to order n.
-
-    For t3:     j * t3 * (t3+4)^3 = 3^3 * 4^4 * (2*t3 - 1)^3.
-    For lambda: the quotient L satisfies j(q^2) * L^2 (L-1)^2 = 256 (1-L+L^2)^3,
-    matching L against the square-argument convention.
-    """
-    if n < 2:
-        raise ValueError("verification order must be >= 2")
-    return _hauptmodul_mismatch(which, n) is None

@@ -21,9 +21,9 @@ from theta_forms.curves import (
     legendre_image_j_set,
     n_torsion_structure,
     point_count,
-    psi4_roots,
     supersingular_j_set,
     two_torsion_only_j_set,
+    two_torsion_only_lambdas,
     _cubic_points,
     _scalar_mul,
 )
@@ -223,11 +223,14 @@ def test_n_torsion_rejects():
 def test_4torsion_prediction_matches_brute_force():
     for p in (7, 11, 19, 23, 31):
         F = Fp(p)
+        full = []
         for v in range(2, p):
             lam = F.elem(v)
-            assert legendre_4torsion_predicted(lam, p) == n_torsion_structure(
-                LegendreCurve(lam), 4
-            )
+            predicted = legendre_4torsion_predicted(lam, p)
+            assert predicted == n_torsion_structure(LegendreCurve(lam), 4)
+            if predicted == TorsionStructure(2, 2):
+                full.append(lam)
+        assert two_torsion_only_lambdas(p) == full
 
 
 def test_4torsion_prediction_rejects():
@@ -235,32 +238,6 @@ def test_4torsion_prediction_rejects():
         legendre_4torsion_predicted(Fp(13).elem(2), 13)
     with pytest.raises(ValueError):
         legendre_4torsion_predicted(Fp(7).zero, 7)
-
-
-def test_psi4_roots_are_order4_x_coordinates():
-    # rational points of exact order 4 sit exactly over the psi4 roots whose
-    # cubic value is a nonzero square
-    for p in (7, 11, 19, 23):
-        F = Fp(p)
-        for v in range(2, p):
-            lam = F.elem(v)
-            E = LegendreCurve(lam)
-            c2, c1, c0 = E.cubic()
-            seen = set()
-            for P in _cubic_points(E):
-                if P is None:
-                    continue
-                if (
-                    _scalar_mul(4, P, c2, c1) is None
-                    and _scalar_mul(2, P, c2, c1) is not None
-                ):
-                    seen.add(P[0])
-            expected = set()
-            for x in psi4_roots(lam, p):
-                fx = ((x + c2) * x + c1) * x + c0
-                if fx and fx.is_square():
-                    expected.add(x)
-            assert seen == expected
 
 
 # ---------------------------------------------------------------------------

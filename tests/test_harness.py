@@ -54,9 +54,9 @@ def test_config_rejects_inverted_range():
 
 
 def test_config_caps_p_max_without_allow_large():
-    with pytest.raises(ValueError):
-        SweepConfig(p_max=5000)
-    SweepConfig(p_max=5000, allow_large=True)
+    SweepConfig(p_max=1000)
+    with pytest.raises(ValueError, match="1000"):
+        SweepConfig(p_max=1001)
 
 
 def test_config_rejects_bad_format():
@@ -292,6 +292,22 @@ def test_main_json_to_file(tmp_path, capsys):
 def test_main_config_error_exits_two(capsys):
     assert main(["verify", "theta-z", "--p-min", "3"]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["verify", "theta-hex", "--p-max", "17"], ["show", "k52"]])
+def test_main_non_integer_jobs_env_exits_two(argv, monkeypatch, capsys):
+    monkeypatch.setenv("THETA_FORMS_JOBS", "abc")
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "configuration error" in captured.err and "THETA_FORMS_JOBS" in captured.err
+    assert captured.out == ""
+
+
+def test_main_unwritable_out_exits_two(tmp_path, capsys):
+    out = tmp_path / "missing-dir" / "report.json"
+    assert main(["verify", "theta-hex", "--p-max", "17", "--out", str(out)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_main_bad_usage_exits_two():

@@ -14,8 +14,8 @@ from theta_forms.qseries import (
     compose,
     delta,
     eisenstein,
-    eta,
     euler_product,
+    hauptmodul_mismatch,
     invert_unit,
     j_invariant,
     lambda_eta_quotient,
@@ -23,7 +23,6 @@ from theta_forms.qseries import (
     t3,
     theta_H,
     theta_Z,
-    verify_hauptmodul_relation,
 )
 
 # ---------------------------------------------------------------------------
@@ -132,14 +131,6 @@ def test_dilate():
     g = f.dilate(2)
     assert g.coeffs == [1, 0, 2, 0, 3]
     assert g.order == 5
-
-
-def test_reduce_mod():
-    f = QSeries([Fraction(1, 2), 7, Fraction(-1, 3)])
-    g = f.reduce_mod(5)
-    assert g.coeffs == [3, 2, 3]
-    with pytest.raises(ValueError):
-        QSeries([Fraction(1, 5)]).reduce_mod(5)
 
 
 def test_pow_rational_roundtrip():
@@ -318,13 +309,6 @@ def test_theta_H_counts_lattice():
     assert s.coeffs == counts
 
 
-def test_eta_pair():
-    fshift, series = eta(8)
-    assert fshift == Fraction(1, 24)
-    assert series.coeffs[:4] == [1, -1, -1, 0]
-    assert series.coeffs == _euler_product_naive(8)
-
-
 def test_t3_expansion():
     assert t3(4).coeffs == [0, -108, 1620, -18468]
     assert t3(5).coefficient(4) == 181332
@@ -337,15 +321,15 @@ def test_lambda_quotient_leading_terms():
 
 
 def test_hauptmodul_relations():
-    assert verify_hauptmodul_relation("t3", 30)
-    assert verify_hauptmodul_relation("lambda", 30)
-    assert verify_hauptmodul_relation("t3", 5)
+    assert hauptmodul_mismatch("t3", 30) is None
+    assert hauptmodul_mismatch("lambda", 30) is None
+    assert hauptmodul_mismatch("t3", 5) is None
     with pytest.raises(ValueError):
-        verify_hauptmodul_relation("unknown", 20)
+        hauptmodul_mismatch("unknown", 20)
+    with pytest.raises(ValueError):
+        hauptmodul_mismatch("t3", 1)
 
 
 def test_hauptmodul_mismatch_reporting():
-    from theta_forms.qseries import _hauptmodul_mismatch
-
-    assert _hauptmodul_mismatch("t3", 25) is None
-    assert _hauptmodul_mismatch("lambda", 25) is None
+    assert hauptmodul_mismatch("t3", 25) is None
+    assert hauptmodul_mismatch("lambda", 25) is None
