@@ -1,11 +1,11 @@
 """Brute-force elliptic curve arithmetic over F_p and F_{p^2}.
 
 Everything here is desk-scale and exhaustive on purpose: point counts by
-character sums, torsion by enumerating points and multiplying them out, and
-the j-value sets by sweeping every parameter value in the field.  The sets
-serve as independent oracles for the finite-field sweeps, so they must come
-from direct arithmetic rather than from the polynomial identities they
-verify.
+character sums, torsion by one sweep over x with the x-only doubling
+formula, and the j-value sets by sweeping every parameter value in the
+field.  The sets serve as independent oracles for the finite-field sweeps,
+so they must come from direct arithmetic rather than from the polynomial
+identities they verify.
 
 Models are kept as y^2 = x^3 + c2 x^2 + c1 x + c0 internally; the Hessian
 cubic is brought to that shape through its rational inflection point.
@@ -14,6 +14,7 @@ cubic is brought to that shape through its rational inflection point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -66,10 +67,6 @@ class ShortWeierstrass:
     def cubic(self):
         return self.field.zero, self.a, self.b
 
-    def j(self):
-        a3 = 4 * self.a * self.a * self.a
-        return 1728 * a3 / (a3 + 27 * self.b * self.b)
-
     def __repr__(self):
         return f"ShortWeierstrass(a={self.a}, b={self.b} over {self.field})"
 
@@ -87,9 +84,6 @@ class LegendreCurve:
 
     def cubic(self):
         return -(1 + self.lam), self.lam, self.field.zero
-
-    def j(self):
-        return j_of_legendre(self.lam)
 
     def __repr__(self):
         return f"LegendreCurve(lam={self.lam} over {self.field})"
@@ -123,9 +117,6 @@ class HessianCurve:
         b3m1 = b * b * b - 1
         return -27 * b * b, 216 * b * b3m1, -432 * b3m1 * b3m1
 
-    def j(self):
-        return hessian_j(self.b)
-
     def __repr__(self):
         return f"HessianCurve(b={self.b} over {self.field})"
 
@@ -155,64 +146,41 @@ def point_count(curve) -> int:
     return count
 
 
-def _cubic_points(curve) -> list:
-    """All affine points (x, y) of y^2 = cubic, plus None for infinity."""
-    field = curve.field
-    c2, c1, c0 = curve.cubic()
-    pts = [None]
-    for x in field.elements():
-        fx = ((x + c2) * x + c1) * x + c0
-        r = field.sqrt(fx)
-        if r is None:
-            continue
-        pts.append((x, r))
-        if r != 0:
-            pts.append((x, -r))
-    return pts
-
-
-def _add(P, Q, c2, c1):
-    if P is None:
-        return Q
-    if Q is None:
-        return P
-    x1, y1 = P
-    x2, y2 = Q
-    if x1 == x2:
-        if not (y1 + y2):
-            return None
-        m = (3 * x1 * x1 + 2 * c2 * x1 + c1) / (2 * y1)
-    else:
-        m = (y2 - y1) / (x2 - x1)
-    x3 = m * m - c2 - x1 - x2
-    y3 = m * (x1 - x3) - y1
-    return (x3, y3)
-
-
-def _scalar_mul(n: int, P, c2, c1):
-    acc = None
-    for _ in range(n):
-        acc = _add(acc, P, c2, c1)
-    return acc
-
-
 def n_torsion_structure(curve, n: int) -> TorsionStructure:
-    """Structure of E[n](field) for n in {2, 3, 4}, by brute enumeration."""
+    """Structure of E[n](field) for n in {2, 3, 4}, by one sweep over x.
+
+    A root of the cubic f is a point of order 2.  A nonzero square f(x)
+    gives the two points (x, +-y), both with x([2]P) = f'(x)^2 / (4 f(x)) -
+    c2 - 2x; such a point has [3]P = O iff x([2]P) = x and [4]P = O iff
+    [2]P has order 2, i.e. f(x([2]P)) = 0.
+    """
     if n not in (2, 3, 4):
         raise ValueError("n must be 2, 3, or 4")
     field = curve.field
     if field.p > 10**3:
         raise ValueError(f"p = {field.p} beyond the brute-force bound 10^3")
-    c2, c1, _c0 = curve.cubic()
-    pts = _cubic_points(curve)
+    c2, c1, c0 = curve.cubic()
+    m2 = m3 = m4 = 1  # the point at infinity
+    for x in field.elements():
+        fx = ((x + c2) * x + c1) * x + c0
+        if not fx:
+            m2 += 1
+            m4 += 1
+            continue
+        if n == 2 or field.sqrt(fx) is None:
+            continue
+        d = (3 * x + 2 * c2) * x + c1
+        x2 = d * d / (4 * fx) - c2 - 2 * x
+        if x2 == x:
+            m3 += 2
+        elif not ((x2 + c2) * x2 + c1) * x2 + c0:
+            m4 += 2
     if n == 4:
-        m2 = sum(1 for P in pts if _scalar_mul(2, P, c2, c1) is None)
-        m4 = sum(1 for P in pts if _scalar_mul(4, P, c2, c1) is None)
         if m4 == m2:
             d2 = 2 if m2 > 1 else 1
             return TorsionStructure(m2 // d2, d2)
         return TorsionStructure(m4 // 4, 4)
-    m = sum(1 for P in pts if _scalar_mul(n, P, c2, c1) is None)
+    m = m2 if n == 2 else m3
     d2 = n if m > 1 else 1
     return TorsionStructure(m // d2, d2)
 
@@ -266,19 +234,20 @@ def curve_from_j(j) -> ShortWeierstrass:
 # j-value sets
 
 
-def two_torsion_only_lambdas(p: int) -> list[FpElem]:
+@lru_cache(maxsize=None)
+def two_torsion_only_lambdas(p: int) -> tuple[FpElem, ...]:
     """Legendre parameters lam in F_p minus {0, 1}, in increasing order, whose
     curve has no rational point of order 4, by brute-force 4-torsion.
 
     Every Legendre curve has full rational 2-torsion, so these are the curves
-    with E[4](F_p) = Z/2 x Z/2.
+    with E[4](F_p) = Z/2 x Z/2.  Swept once per p and cached.
     """
     F = Fp(p)
-    return [
+    return tuple(
         lam
         for lam in (F.elem(v) for v in range(2, p))
         if n_torsion_structure(LegendreCurve(lam), 4) == TorsionStructure(2, 2)
-    ]
+    )
 
 
 def two_torsion_only_j_set(p: int) -> set[FpElem]:
@@ -358,9 +327,10 @@ def supersingular_j_set(p: int) -> set:
     return out
 
 
-def hex_zero_set(p: int) -> set[Fp2Elem]:
+@lru_cache(maxsize=None)
+def hex_zero_set(p: int) -> frozenset[Fp2Elem]:
     """{ 6912 (2a-1)^3 / (a (a+4)^3) : a in F_{p^2}, a^((p+1)/3) = -2^(1/3) }
-    minus {0, 1728}, by exhaustive sweep."""
+    minus {0, 1728}, by exhaustive sweep, once per p and cached."""
     if p % 12 not in (5, 11):
         raise ValueError(f"p = {p} not in the 5, 11 mod 12 classes")
     K = Fp2(p)
@@ -376,7 +346,7 @@ def hex_zero_set(p: int) -> set[Fp2Elem]:
         j = 6912 * (2 * a - 1) ** 3 / den
         if j and j != 1728:
             out.add(j)
-    return out
+    return frozenset(out)
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +354,7 @@ def hex_zero_set(p: int) -> set[Fp2Elem]:
 
 
 HESSIAN_CAP = 200  # largest p for which check_hessian_matches_hex runs
+HESSIAN_TORSION_SAMPLES = 3  # admissible curves whose 3-torsion it checks
 
 
 def hessian_j(b):
@@ -419,7 +390,7 @@ def hessian_norm_condition_j_set(p: int) -> set[Fp2Elem]:
     return out
 
 
-def check_hessian_matches_hex(p: int, torsion_samples: int = 3) -> bool:
+def check_hessian_matches_hex(p: int) -> bool:
     """Whether the Hessian norm-condition j-set equals hex_zero_set(p), and
     sampled admissible Hessian curves have full 3-torsion over F_{p^2}.
 
@@ -435,7 +406,7 @@ def check_hessian_matches_hex(p: int, torsion_samples: int = 3) -> bool:
     K = Fp2(p)
     sampled = 0
     for b in K.elements():
-        if sampled >= torsion_samples:
+        if sampled >= HESSIAN_TORSION_SAMPLES:
             break
         if b.norm() != -2 or b * b * b == 1:
             continue

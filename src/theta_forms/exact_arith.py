@@ -482,12 +482,6 @@ class Fp2Elem:
             return NotImplemented
         return self * o.inverse()
 
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
@@ -499,9 +493,6 @@ class Fp2Elem:
             b = b * b
             e >>= 1
         return r
-
-    def in_prime_field(self) -> bool:
-        return self.c1 == 0
 
     def __eq__(self, other):
         if isinstance(other, Fp2Elem):

@@ -224,8 +224,9 @@ def _theta_z_prime(p: int, order: int | None, curve_cap: int) -> list[Verificati
     out.append(_mk("theta_z_splits", p, k, _splits_witness(f), t0))
 
     t0 = time.perf_counter()
+    roots = roots_brute(f)
     if p <= curve_cap:
-        w = _set_witness(roots_brute(f), two_torsion_only_j_set(p))
+        w = _set_witness(roots, two_torsion_only_j_set(p))
         out.append(_mk("theta_z_curve_set", p, k, w, t0))
     else:
         out.append(
@@ -235,7 +236,7 @@ def _theta_z_prime(p: int, order: int | None, curve_cap: int) -> list[Verificati
         )
 
     t0 = time.perf_counter()
-    out.append(_mk("theta_z_legendre_set", p, k, _set_witness(roots_brute(f), legendre_image_j_set(p)), t0))
+    out.append(_mk("theta_z_legendre_set", p, k, _set_witness(roots, legendre_image_j_set(p)), t0))
     return out
 
 

@@ -43,9 +43,6 @@ class RatPoly:
     def coefficient(self, i: int):
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __eq__(self, other):
         if not isinstance(other, RatPoly):
             return NotImplemented

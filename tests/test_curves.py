@@ -24,8 +24,6 @@ from theta_forms.curves import (
     supersingular_j_set,
     two_torsion_only_j_set,
     two_torsion_only_lambdas,
-    _cubic_points,
-    _scalar_mul,
 )
 from theta_forms.exact_arith import Fp, Fp2, primes_in_range
 from theta_forms.fppoly import reduce_poly, roots_brute, roots_fp2_brute
@@ -49,16 +47,37 @@ def _j_from_cubic(c2, c1, c0):
     return num / ((num - c6 * c6) / 1728)
 
 
-def _count_points_naive(curve):
+def _add(P, Q, c2, c1):
+    """Chord-and-tangent addition on y^2 = x^3 + c2 x^2 + c1 x + c0, with
+    None for the point at infinity: the reference for n_torsion_structure."""
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    x1, y1 = P
+    x2, y2 = Q
+    if x1 == x2:
+        if not (y1 + y2):
+            return None
+        m = (3 * x1 * x1 + 2 * c2 * x1 + c1) / (2 * y1)
+    else:
+        m = (y2 - y1) / (x2 - x1)
+    x3 = m * m - c2 - x1 - x2
+    y3 = m * (x1 - x3) - y1
+    return (x3, y3)
+
+
+def _points_naive(curve):
+    """Every point of the curve, from all (x, y) pairs, plus None."""
     field = curve.field
     c2, c1, c0 = curve.cubic()
-    n = 1
+    pts = [None]
     for x in field.elements():
         fx = ((x + c2) * x + c1) * x + c0
-        for y in field.elements():
-            if y * y == fx:
-                n += 1
-    return n
+        pts.extend((x, y) for y in field.elements() if y * y == fx)
+    return pts
+
+
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +150,7 @@ def test_point_count_matches_naive_oracle():
             if not (4 * a * a * a + 27 * b * b):
                 continue
             E = ShortWeierstrass(a, b)
-            assert point_count(E) == _count_points_naive(E)
+            assert point_count(E) == len(_points_naive(E))
             done += 1
 
 
@@ -197,17 +216,45 @@ def test_n_torsion_order_divides_group_order():
             assert N % n_torsion_structure(E, n).order() == 0
 
 
-def test_n_torsion_points_form_subgroup():
-    F = Fp(11)
-    E = LegendreCurve(F.elem(4))
-    c2, c1, _ = E.cubic()
-    pts = [P for P in _cubic_points(E) if _scalar_mul(4, P, c2, c1) is None]
-    assert len(pts) == n_torsion_structure(E, 4).order()
-    for P in pts:
-        for Q in pts:
-            from theta_forms.curves import _add
+def _torsion_reference_curves():
+    F11 = Fp(11)
+    for v in range(2, 11):
+        yield LegendreCurve(F11.elem(v))
+    rng = random.Random(23)
+    for p in (5, 7, 13):
+        F = Fp(p)
+        done = 0
+        while done < 6:
+            a, b = F.elem(rng.randrange(p)), F.elem(rng.randrange(p))
+            if not (4 * a * a * a + 27 * b * b):
+                continue
+            yield ShortWeierstrass(a, b)
+            done += 1
+    for b in Fp2(5).elements():
+        if b**3 != 1:
+            yield HessianCurve(b)
 
-            assert _add(P, Q, c2, c1) in pts or _add(P, Q, c2, c1) is None
+
+def test_n_torsion_matches_repeated_addition():
+    # the x-only sweep against chord-and-tangent arithmetic on every point
+    checked = 0
+    for E in _torsion_reference_curves():
+        c2, c1, _ = E.cubic()
+        pts = _points_naive(E)
+        for n in (2, 3, 4):
+            killed = []
+            for P in pts:
+                acc = None
+                for _ in range(n):
+                    acc = _add(acc, P, c2, c1)
+                if acc is None:
+                    killed.append(P)
+            assert n_torsion_structure(E, n).order() == len(killed), (E, n)
+            for P in killed:
+                for Q in killed:
+                    assert _add(P, Q, c2, c1) in killed, (E, n, P, Q)
+        checked += 1
+    assert checked == 9 + 18 + 22  # F_25 holds three cube roots of unity
 
 
 def test_n_torsion_rejects():
@@ -230,7 +277,8 @@ def test_4torsion_prediction_matches_brute_force():
             assert predicted == n_torsion_structure(LegendreCurve(lam), 4)
             if predicted == TorsionStructure(2, 2):
                 full.append(lam)
-        assert two_torsion_only_lambdas(p) == full
+        assert two_torsion_only_lambdas(p) == tuple(full)
+        assert two_torsion_only_lambdas(p) is two_torsion_only_lambdas(p)
 
 
 def test_4torsion_prediction_rejects():
@@ -286,11 +334,11 @@ def test_curve_from_j_roundtrip():
         F = Fp(p)
         for v in range(p):
             j = F.elem(v)
-            assert curve_from_j(j).j() == j
+            assert _j_from_cubic(*curve_from_j(j).cubic()) == j
         K = Fp2(p)
         for _ in range(10):
             j = K.elem(rng.randrange(p), rng.randrange(p))
-            assert curve_from_j(j).j() == j
+            assert _j_from_cubic(*curve_from_j(j).cubic()) == j
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +438,7 @@ def test_hex_zero_set_matches_polynomial_roots():
         s = hex_zero_set(p)
         assert s == roots_fp2_brute(f)
         assert len(s) == f.degree
+        assert isinstance(s, frozenset) and hex_zero_set(p) is s
 
 
 def test_hex_zero_set_norm_relation():
@@ -453,7 +502,6 @@ def test_hessian_j_matches_model():
         if v**3 == 1:
             continue
         assert hessian_j(v) == _j_from_cubic(*HessianCurve(v).cubic())
-        assert HessianCurve(v).j() == hessian_j(v)
         done += 1
 
 

@@ -32,7 +32,7 @@ def test_ratpoly_basic():
     assert p == RatPoly([1, 2, Fraction(3, 4)])
     assert p != RatPoly([1, 2])
     assert RatPoly([1, 0, 0]).degree == 0
-    assert RatPoly([]).is_zero()
+    assert RatPoly([]).coeffs == []
     assert RatPoly([0]).degree == -1
 
 
