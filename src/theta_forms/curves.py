@@ -3,9 +3,10 @@
 Everything here is desk-scale and exhaustive on purpose: point counts by
 character sums, torsion by one sweep over x with the x-only doubling
 formula, and the j-value sets by sweeping every parameter value in the
-field.  The sets serve as independent oracles for the finite-field sweeps,
-so they must come from direct arithmetic rather than from the polynomial
-identities they verify.
+field (for the supersingular set, every F_{p^2} character sum at once as
+one correlation).  The sets serve as independent oracles for the
+finite-field sweeps, so they must come from direct arithmetic rather than
+from the polynomial identities they verify.
 
 Models are kept as y^2 = x^3 + c2 x^2 + c1 x + c0 internally; the Hessian
 cubic is brought to that shape through its rational inflection point.
@@ -25,7 +26,6 @@ from .exact_arith import (
     FpElem,
     FpField,
     cube_root_of_2,
-    legendre_symbol,
 )
 
 
@@ -129,7 +129,7 @@ def point_count(curve) -> int:
     """#E(F_p) = p + 1 + sum_x chi(f(x)), by exhaustive x with a square table."""
     field = curve.field
     if not isinstance(field, FpField):
-        raise ValueError("point_count runs over F_p; use the trace helpers for F_{p^2}")
+        raise ValueError("point_count runs over F_p only")
     p = field.p
     if p > 10**4:
         raise ValueError(f"p = {p} beyond the exhaustive bound 10^4")
@@ -167,7 +167,7 @@ def n_torsion_structure(curve, n: int) -> TorsionStructure:
             m2 += 1
             m4 += 1
             continue
-        if n == 2 or field.sqrt(fx) is None:
+        if n == 2 or not fx.is_square():
             continue
         d = (3 * x + 2 * c2) * x + c1
         x2 = d * d / (4 * fx) - c2 - 2 * x
@@ -283,47 +283,63 @@ def legendre_image_j_set(p: int) -> set[FpElem]:
     return out
 
 
-def _fp2_trace_mod_p(p: int, d: int, a: Fp2Elem, b: Fp2Elem, x0, x1, chi) -> int:
-    """(p^2 + 1 - #E(F_{p^2})) mod p for y^2 = x^3 + ax + b, vectorized."""
-    s0 = (x0 * x0 + d * x1 * x1) % p
-    s1 = (2 * x0 * x1) % p
-    t0 = (s0 * x0 + d * s1 * x1) % p
-    t1 = (s0 * x1 + s1 * x0) % p
-    f0 = (t0 + a.c0 * x0 + d * a.c1 * x1 + b.c0) % p
-    f1 = (t1 + a.c0 * x1 + a.c1 * x0 + b.c1) % p
-    n = (f0 * f0 - d * f1 * f1) % p
-    return int(-chi[n].sum()) % p
-
-
 def supersingular_j_set(p: int) -> set:
     """All supersingular j-invariants over F_p-bar, as a set of F_{p^2} values.
 
-    F_p candidates go through exact point counts (trace 0 exactly); the
-    genuinely quadratic candidates are swept exhaustively with a vectorized
-    character sum, testing one j per Frobenius-conjugate pair.
+    j = 0 and j = 1728 go through exact point counts over F_p (trace 0
+    exactly).  Every other j is the invariant 6912a / (4a + 27) of exactly
+    one curve E_a: y^2 = x^3 + a x + a, a in F_{p^2} minus {0, -27/4}, and
+    E_a is supersingular iff its trace -S(a) over F_{p^2} is 0 mod p, where
+    S(a) = sum_x X(x^3 + a x + a) and X(z) = chi_p(N(z)) is the quadratic
+    character of F_{p^2}.  Since x^3 + a x + a = (x + 1)(r(x) + a) with
+    r(x) = x^3 / (x + 1), and x = -1 contributes X(-1) = 1,
+
+        S(a) = 1 + sum_z h(z) X(z + a),   h(z) = sum_{x != -1, r(x) = z} X(x + 1),
+
+    a cross-correlation over the additive group (Z/p)^2 of F_{p^2}, computed
+    for every a at once with one 2-D real FFT on p x p arrays.
     """
     if p > 10**3:
         raise ValueError(f"p = {p} beyond the sweep bound 10^3")
     F = Fp(p)
     K = Fp2(p)
     out: set = set()
-    for v in range(p):
-        j = F.elem(v)
-        if point_count(curve_from_j(j)) == p + 1:
+    for j in (0, 1728):
+        if point_count(curve_from_j(F.elem(j))) == p + 1:
             out.add(K.from_fp(j))
     d = K.d
-    xs = np.arange(p * p, dtype=np.int64)
-    x0, x1 = xs % p, xs // p
-    chi = np.zeros(p, dtype=np.int64)
-    for v in range(1, p):
-        chi[v] = legendre_symbol(v, p)
-    for c1 in range(1, (p - 1) // 2 + 1):
-        for c0 in range(p):
-            j = K.elem(c0, c1)
-            E = curve_from_j(j)
-            if _fp2_trace_mod_p(p, d, E.a, E.b, x0, x1, chi) == 0:
-                out.add(j)
-                out.add(j.frobenius())
+    chi = np.full(p, -1, dtype=np.int64)
+    chi[np.arange(1, p, dtype=np.int64) ** 2 % p] = 1
+    chi[0] = 0
+    inv = np.zeros(p, dtype=np.int64)  # inv[0] = 0 maps x = -1 to weight 0
+    inv[1:] = [pow(v, -1, p) for v in range(1, p)]
+    # rows indexed by c0, columns by c1, for z = c0 + c1 w
+    c1 = np.arange(p, dtype=np.int64)
+    dc1c1 = d * c1 * c1 % p
+    X = np.empty((p, p), dtype=np.int64)
+    h = np.zeros((p, p), dtype=np.int64)
+    for c0 in range(p):
+        X[c0] = chi[(c0 * c0 - dc1c1) % p]
+        s0 = (c0 * c0 + dc1c1) % p  # x^2 = s0 + s1 w
+        s1 = 2 * c0 * c1 % p
+        t0 = (s0 * c0 + d * s1 % p * c1) % p  # x^3 = t0 + t1 w
+        t1 = (s0 * c1 + s1 * c0) % p
+        u0 = (c0 + 1) % p  # x + 1 = u0 + c1 w, norm nu
+        nu = (u0 * u0 - dc1c1) % p
+        ninv = inv[nu]
+        r0 = (t0 * u0 - d * t1 % p * c1) % p * ninv % p  # x^3 conj(x+1) / nu
+        r1 = (t1 * u0 - t0 * c1) % p * ninv % p
+        np.add.at(h, (r0, r1), chi[nu])
+    corr = np.fft.irfft2(np.conj(np.fft.rfft2(h)) * np.fft.rfft2(X), s=(p, p))
+    rounded = np.rint(corr)
+    err = float(np.abs(corr - rounded).max())
+    if err >= 1e-3:
+        raise ArithmeticError(f"character-sum correlation off an integer by {err} at p = {p}")
+    trace0 = (rounded.astype(np.int64) + 1) % p == 0
+    trace0[0, 0] = trace0[-27 * pow(4, -1, p) % p, 0] = False  # singular E_a
+    for a0, a1 in zip(*np.nonzero(trace0)):
+        a = K.elem(int(a0), int(a1))
+        out.add(6912 * a / (4 * a + 27))
     return out
 
 

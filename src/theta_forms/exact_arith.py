@@ -464,6 +464,10 @@ class Fp2Elem:
         p, d = self.field.p, self.field.d
         return FpElem((self.c0 * self.c0 - d * self.c1 * self.c1) % p, Fp(p))
 
+    def is_square(self) -> bool:
+        """z is a square in F_{p^2} iff its norm is a square in F_p."""
+        return self.norm().is_square()
+
     def frobenius(self) -> "Fp2Elem":
         """z^p; since w^p = -w this is conjugation c0 - c1*w."""
         return Fp2Elem(self.c0, -self.c1 % self.field.p, self.field)

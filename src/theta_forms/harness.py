@@ -135,6 +135,8 @@ class SweepConfig:
             raise ValueError("jobs must be positive")
         if self.order is not None and self.order < 20:
             raise ValueError("series order override must be at least 20")
+        if self.supersingular_cap < 0:
+            raise ValueError("supersingular cap must be non-negative")
 
 
 def _mk(check_id, p, k, witness, t0) -> VerificationReport:
@@ -696,6 +698,12 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--p-min", type=int, default=5)
     v.add_argument("--p-max", type=int, default=199)
     v.add_argument("--order", type=int, default=None, help="series order override")
+    v.add_argument(
+        "--ss-cap",
+        type=int,
+        default=SweepConfig.supersingular_cap,
+        help="largest p whose supersingular j-set is computed (default %(default)s)",
+    )
     jobs = os.environ.get("THETA_FORMS_JOBS", "1")
     try:
         default_jobs = int(jobs)
@@ -737,6 +745,7 @@ def main(argv=None) -> int:
             order=args.order,
             jobs=args.jobs,
             fmt=args.format,
+            supersingular_cap=args.ss_cap,
         )
         # opened before the sweep, so an unwritable path fails at once
         out = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)

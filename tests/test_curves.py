@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy as sp
 
@@ -25,7 +26,7 @@ from theta_forms.curves import (
     two_torsion_only_j_set,
     two_torsion_only_lambdas,
 )
-from theta_forms.exact_arith import Fp, Fp2, primes_in_range
+from theta_forms.exact_arith import Fp, Fp2, legendre_symbol, primes_in_range
 from theta_forms.fppoly import reduce_poly, roots_brute, roots_fp2_brute
 from theta_forms.modforms import default_order, pf_polynomial
 from theta_forms.qseries import theta_H, theta_Z
@@ -381,14 +382,58 @@ def test_small_prime_sets_are_empty():
 # supersingular j-invariants
 
 
+def _fp2_trace_mod_p(p: int, d: int, a, b, x0, x1, chi) -> int:
+    """(p^2 + 1 - #E(F_{p^2})) mod p for y^2 = x^3 + ax + b, vectorized."""
+    s0 = (x0 * x0 + d * x1 * x1) % p
+    s1 = (2 * x0 * x1) % p
+    t0 = (s0 * x0 + d * s1 * x1) % p
+    t1 = (s0 * x1 + s1 * x0) % p
+    f0 = (t0 + a.c0 * x0 + d * a.c1 * x1 + b.c0) % p
+    f1 = (t1 + a.c0 * x1 + a.c1 * x0 + b.c1) % p
+    n = (f0 * f0 - d * f1 * f1) % p
+    return int(-chi[n].sum()) % p
+
+
+def _supersingular_j_set_per_j(p: int) -> set:
+    """Reference oracle: one point count per candidate j.  F_p values by exact
+    counts over F_p; each quadratic j (one per Frobenius pair) by its own
+    O(p^2) character sum over F_{p^2}."""
+    F = Fp(p)
+    K = Fp2(p)
+    out: set = set()
+    for v in range(p):
+        j = F.elem(v)
+        if point_count(curve_from_j(j)) == p + 1:
+            out.add(K.from_fp(j))
+    d = K.d
+    xs = np.arange(p * p, dtype=np.int64)
+    x0, x1 = xs % p, xs // p
+    chi = np.zeros(p, dtype=np.int64)
+    for v in range(1, p):
+        chi[v] = legendre_symbol(v, p)
+    for c1 in range(1, (p - 1) // 2 + 1):
+        for c0 in range(p):
+            j = K.elem(c0, c1)
+            E = curve_from_j(j)
+            if _fp2_trace_mod_p(p, d, E.a, E.b, x0, x1, chi) == 0:
+                out.add(j)
+                out.add(j.frobenius())
+    return out
+
+
 def test_supersingular_known_small():
     assert {(z.c0, z.c1) for z in supersingular_j_set(7)} == {(6, 0)}
     assert {(z.c0, z.c1) for z in supersingular_j_set(11)} == {(0, 0), (1, 0)}
 
 
+def test_supersingular_matches_per_j_reference():
+    for p in primes_in_range(5, 61):
+        assert supersingular_j_set(p) == _supersingular_j_set_per_j(p), p
+
+
 def test_supersingular_mass_formula():
     # sum of 1/|Aut| over supersingular j equals (p - 1)/24
-    for p in (7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53):
+    for p in (7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 101, 211, 499, 997):
         total = Fraction(0)
         for z in supersingular_j_set(p):
             if z == 0:
@@ -402,12 +447,12 @@ def test_supersingular_mass_formula():
 
 def test_supersingular_count_formula():
     eps = {1: 0, 5: 1, 7: 1, 11: 2}
-    for p in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53):
+    for p in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 101, 211, 499, 997):
         assert len(supersingular_j_set(p)) == p // 12 + eps[p % 12]
 
 
 def test_supersingular_set_frobenius_stable():
-    for p in (23, 31, 37):
+    for p in (23, 31, 37, 101, 211, 499, 997):
         s = supersingular_j_set(p)
         assert {z.frobenius() for z in s} == s
 
@@ -417,6 +462,13 @@ def test_supersingular_contains_special_j():
         assert any(z == 1728 for z in supersingular_j_set(p))
     for p in (5, 11, 17, 23, 29):
         assert any(z == 0 for z in supersingular_j_set(p))
+
+
+def test_supersingular_rejects_non_integer_correlation(monkeypatch):
+    irfft2 = np.fft.irfft2
+    monkeypatch.setattr(np.fft, "irfft2", lambda *a, **kw: irfft2(*a, **kw) + 0.25)
+    with pytest.raises(ArithmeticError):
+        supersingular_j_set(13)
 
 
 def test_supersingular_rejects_large_p():

@@ -1,8 +1,15 @@
 """Tests for the verification harness: reports, sweeps, rendering, CLI."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
+
+import theta_forms
 
 from theta_forms.harness import (
     SweepConfig,
@@ -308,6 +315,31 @@ def test_main_unwritable_out_exits_two(tmp_path, capsys):
     assert main(["verify", "theta-hex", "--p-max", "17", "--out", str(out)]) == 2
     assert "configuration error" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_main_ss_cap_lifts_supersingular_skips(capsys):
+    argv = ["verify", "background", "--p-min", "101", "--p-max", "113"]
+    assert main([*argv, "--ss-cap", "113", "--format", "json"]) == 0
+    rows = [r for r in json.loads(capsys.readouterr().out) if r["check_id"] == "bg_supersingular_set"]
+    assert [r["p"] for r in rows] == [101, 103, 107, 109, 113]
+    assert all(r["status"] == "pass" for r in rows)
+
+
+def test_main_negative_ss_cap_exits_two(capsys):
+    assert main(["verify", "background", "--p-max", "13", "--ss-cap", "-1"]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(
+    int(np.__version__.split(".")[0]) < 2, reason="numpy < 2 imports numpy.fft eagerly"
+)
+def test_harness_import_leaves_numpy_fft_unloaded():
+    code = "import sys, theta_forms.harness; print('numpy.fft' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(theta_forms.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    ).stdout
+    assert out.strip() == "False"
 
 
 def test_main_bad_usage_exits_two():
