@@ -11,7 +11,6 @@ Nothing here ever touches floating point.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -50,14 +49,24 @@ def _check_odd_prime(p: int) -> None:
 # ---------------------------------------------------------------------------
 # Bernoulli numbers
 
+# _BERNOULLI_CACHE[i] = B_(2i).  _TANGENT_COLUMN[s - 1] is stage s of the
+# tangent-number recurrence at index m = len(_TANGENT_COLUMN), the last column
+# the table was extended by; it is all the next column needs.
 _BERNOULLI_CACHE: list[Fraction] = [Fraction(1)]
+_TANGENT_COLUMN: list[int] = []
 
 
 def bernoulli(k: int) -> Fraction:
-    """k-th Bernoulli number, by the recurrence sum(C(n+1, j)*B_j) = 0.
+    """k-th Bernoulli number, from integer tangent numbers.
 
-    Only even k (and k in {0, 1}) are meaningful here; odd k > 1 is rejected
-    rather than silently returning 0.
+    Brent and Harvey (2011) compute the tangent numbers T_1..T_m in place
+    from T[j] = (j-1)!: for stages s = 2..m and j = s..m,
+    T[j] = (j-s) T[j-1] + (j-s+2) T[j].  Then
+    B_2m = (-1)^(m-1) 2m T_m / (4^m (4^m - 1)), one Fraction per entry and
+    integers everywhere else.  The table is extended one column j at a time,
+    so a miss computes only the missing entries and rising indices never
+    recompute it.  Only even k (and k in {0, 1}) are meaningful here; odd
+    k > 1 is rejected rather than silently returning 0.
     """
     if k < 0:
         raise ValueError("negative index")
@@ -65,21 +74,22 @@ def bernoulli(k: int) -> Fraction:
         return Fraction(-1, 2)
     if k % 2 == 1:
         raise ValueError(f"odd Bernoulli index {k} rejected (value would be 0)")
-    while len(_BERNOULLI_CACHE) <= k:
-        n = len(_BERNOULLI_CACHE)
-        if n % 2 == 1 and n > 1:
-            _BERNOULLI_CACHE.append(Fraction(0))
-            continue
-        if n == 1:
-            _BERNOULLI_CACHE.append(Fraction(-1, 2))
-            continue
-        acc = Fraction(0)
-        for j in range(n):
-            bj = _BERNOULLI_CACHE[j]
-            if bj:
-                acc += math.comb(n + 1, j) * bj
-        _BERNOULLI_CACHE.append(-acc / (n + 1))
-    return _BERNOULLI_CACHE[k]
+    cache, column = _BERNOULLI_CACHE, _TANGENT_COLUMN
+    if len(cache) <= k // 2 and len(column) != len(cache) - 1:
+        cache[:] = [Fraction(1)]
+        column.clear()
+    while len(cache) <= k // 2:
+        m = len(cache)
+        column.append(0)
+        t = (m - 1) * column[0] if m > 1 else 1
+        column[0] = t
+        for s in range(2, m + 1):
+            t = (m - s) * column[s - 1] + (m - s + 2) * t
+            column[s - 1] = t
+        four = 4**m
+        b = Fraction(2 * m * t, four * (four - 1))
+        cache.append(b if m % 2 else -b)
+    return cache[k // 2]
 
 
 # ---------------------------------------------------------------------------

@@ -5,16 +5,22 @@ a_k in {0,1,2}, b_k in {0,1}.  Its triangular basis is
 
     Delta^(n_k - l) * E4^(a_k + 3l) * E6^(b_k),   l = 0 .. n_k,
 
-whose element l leads with q^(n_k - l), coefficient 1.  Matching a target
-series on q^0..q^(n_k) therefore determines a unique form (the constructor),
-by plain back-substitution.  Writing that combination over the common factor
-Delta^(n_k) E4^(a_k) E6^(b_k) turns the coordinates into a polynomial in j,
-since E4^3 / Delta = j.
+whose element l leads with q^(n_k - l), coefficient 1.  It is built from two
+chains of one product per step, the Delta powers Delta^0..Delta^(n_k) and
+E_l = E4^(a_k) E6^(b_k) (E4^3)^l, as element l = Delta^(n_k - l) * E_l.
+Matching a target series on q^0..q^(n_k) therefore determines a unique form
+(the constructor).  The basis coefficients are integers and the diagonal is
+1, so the target is scaled by the lcm of its denominators and
+back-substituted in plain ints, with one division at the end.  Writing that
+combination over the common factor Delta^(n_k) E4^(a_k) E6^(b_k) turns the
+coordinates into a polynomial in j, since E4^3 / Delta = j.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 from .qseries import QSeries, delta, eisenstein
@@ -112,15 +118,29 @@ def default_order(k: int) -> int:
 
 @lru_cache(maxsize=None)
 def _basis_cached(k: int, order: int) -> tuple[QSeries, ...]:
+    """Delta^(n-l) E4^(a+3l) E6^b for l = 0..n, about 3n products in all.
+
+    The chain E_l = E_(l-1) * E4^3 starts from E_0 = E4^a E6^b; the chain
+    Delta^i = Delta^(i-1) * Delta runs alongside, replacing E_(n-i) by
+    Delta^i * E_(n-i).  The Delta power is the left factor, so the product
+    skips its i leading zeros.
+    """
     w = weight_indices(k)
     e4 = eisenstein(4, order)
-    e6 = eisenstein(6, order)
+    head = e4**w.a
+    if w.b:
+        e6 = eisenstein(6, order)
+        head = head * e6 if w.a else e6
+    e4_cubed = e4**3
+    out = [head]
+    for _ in range(w.n):
+        out.append(out[-1] * e4_cubed)
     dl = delta(order)
-    e6b = e6 if w.b else QSeries.one(order)
-    out = []
-    for l in range(w.n + 1):
-        elem = (dl ** (w.n - l)) * (e4 ** (w.a + 3 * l)) * e6b
-        out.append(elem)
+    power = dl
+    for l in range(w.n - 1, -1, -1):
+        out[l] = power * out[l]
+        if l:
+            power = power * dl
     return tuple(out)
 
 
@@ -138,21 +158,29 @@ def basis_coordinates(f: QSeries, k: int) -> BasisCoordinates:
     """Solve for the unique coordinates matching f on q^0..q^(n_k).
 
     The system is triangular with unit diagonal (element l leads with
-    q^(n_k-l), coefficient 1), so back-substitution is exact.
+    q^(n_k-l), coefficient 1) and integer entries.  Scaling the targets by
+    the lcm of their denominators keeps the back-substitution in plain ints;
+    the coordinates are Fractions exactly when a target coefficient is one.
     """
     w = weight_indices(k)
-    if f.order < w.n + 1:
-        raise ValueError(f"need {w.n + 1} known coefficients, have order {f.order}")
-    bas = basis(k, w.n + 1)
-    residual = [f.coefficient(e) for e in range(w.n + 1)]
-    coords = [0] * (w.n + 1)
-    for e in range(w.n + 1):
-        l = w.n - e
+    m = w.n + 1
+    if f.order < m:
+        raise ValueError(f"need {m} known coefficients, have order {f.order}")
+    bas = basis(k, m)
+    targets = [f.coefficient(e) for e in range(m)]
+    fractional = any(isinstance(c, Fraction) for c in targets)
+    den = math.lcm(*(c.denominator for c in targets)) if fractional else 1
+    residual = [c.numerator * (den // c.denominator) for c in targets]
+    coords = [0] * m
+    for e in range(m):
         c = residual[e]
-        coords[l] = c
+        coords[w.n - e] = c
         if c:
-            for e2 in range(e, w.n + 1):
-                residual[e2] -= c * bas[l].coefficient(e2)
+            row = bas[w.n - e].coeffs
+            for e2 in range(e + 1, m):
+                residual[e2] -= c * row[e2]
+    if fractional:
+        coords = [Fraction(c, den) for c in coords]
     return BasisCoordinates(k, tuple(coords))
 
 

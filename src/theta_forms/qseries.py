@@ -125,16 +125,20 @@ class QSeries:
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "QSeries":
+        """self^e by left-to-right binary powering.
+
+        Starts from the top set bit of e, so it costs bit_length(e) - 1
+        squarings plus popcount(e) - 1 products by self.
+        """
         if e < 0:
             return self._invert() ** (-e)
-        result = QSeries.one(len(self.coeffs))
-        result.shift = 0
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
+        if e == 0:
+            return QSeries.one(len(self.coeffs))
+        result = QSeries(self.coeffs, self.shift)
+        for bit in bin(e)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def _invert(self) -> "QSeries":

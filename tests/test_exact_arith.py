@@ -1,11 +1,13 @@
 """Tests for exact scalar arithmetic: rationals, Bernoulli, F_p, F_{p^2}."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
 
+from theta_forms import exact_arith
 from theta_forms.exact_arith import (
     Fp,
     Fp2,
@@ -61,10 +63,54 @@ def test_bernoulli_rejects_odd():
         bernoulli(7)
 
 
+def test_bernoulli_rejects_negative():
+    with pytest.raises(ValueError):
+        bernoulli(-2)
+
+
 def test_bernoulli_denominator_von_staudt():
     # denominator of B_{p-1} is divisible by p for prime p
     for p in [5, 7, 11, 13, 17, 19, 23]:
         assert bernoulli(p - 1).denominator % p == 0
+
+
+def _bernoulli_by_recurrence(limit):
+    """B_0..B_limit from sum(C(n+1, j) * B_j, j = 0..n) = 0, in Fractions."""
+    table = [Fraction(1)]
+    for n in range(1, limit + 1):
+        acc = sum(math.comb(n + 1, j) * table[j] for j in range(n))
+        table.append(-acc / (n + 1))
+    return table
+
+
+def test_bernoulli_matches_recurrence():
+    want = _bernoulli_by_recurrence(200)
+    for k in range(0, 201, 2):
+        got = bernoulli(k)
+        assert type(got) is Fraction and got == want[k], k
+
+
+def test_bernoulli_von_staudt_clausen_and_sign():
+    # the denominator of B_k is the product of the primes p with (p - 1) | k,
+    # and B_k has sign (-1)^(k/2 + 1)
+    for k in range(2, 1001, 2):
+        b = bernoulli(k)
+        assert b.denominator == math.prod(p for p in primes_in_range(2, k + 1) if k % (p - 1) == 0), k
+        assert (b > 0) == (k % 4 == 2), k
+
+
+def test_bernoulli_order_independent(monkeypatch):
+    tables = []
+    for first, second in ((998, 4), (4, 998)):
+        monkeypatch.setattr(exact_arith, "_BERNOULLI_CACHE", [])
+        monkeypatch.setattr(exact_arith, "_TANGENT_COLUMN", [])
+        bernoulli(first)
+        bernoulli(second)
+        tables.append([bernoulli(k) for k in range(0, 999, 2)])
+    assert tables[0] == tables[1]
+    # a cache swapped without its tangent column is rebuilt, not extended
+    monkeypatch.setattr(exact_arith, "_BERNOULLI_CACHE", [])
+    assert [bernoulli(k) for k in range(998, -1, -2)][::-1] == tables[0]
 
 
 def test_legendre_symbol_oracle():

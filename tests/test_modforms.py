@@ -102,6 +102,24 @@ def test_basis_weight_52_size():
     assert len(basis(52, 10)) == 5
 
 
+def _basis_by_powers(k, order):
+    """Delta^(n-l) * E4^(a+3l) * E6^b, each element from its own powers."""
+    w = weight_indices(k)
+    e4, e6, dl = eisenstein(4, order), eisenstein(6, order), delta(order)
+    e6b = e6 if w.b else QSeries.one(order)
+    return [(dl ** (w.n - l)) * (e4 ** (w.a + 3 * l)) * e6b for l in range(w.n + 1)]
+
+
+@pytest.mark.parametrize("k", [12, 14, 16, 18, 22, 52, 108, 500, 998])
+def test_basis_matches_powers(k):
+    orders = [weight_indices(k).n + 1]
+    if k <= 108:
+        orders.append(default_order(k))
+    for order in orders:
+        got, want = basis(k, order), _basis_by_powers(k, order)
+        assert [(g.shift, g.coeffs) for g in got] == [(h.shift, h.coeffs) for h in want], (k, order)
+
+
 # ---------------------------------------------------------------------------
 # coordinates and constructor
 
@@ -123,6 +141,53 @@ def test_basis_coordinates_roundtrip_random():
         for _ in range(5):
             coords = tuple(rng.randrange(-1000, 1000) for _ in range(w.n + 1))
             f = combination(BasisCoordinates(k, coords), w.n + 4)
+            assert basis_coordinates(f, k).coords == coords
+
+
+def _coordinates_by_fractions(f, k):
+    """Back-substitution with Fraction residuals, one element at a time."""
+    w = weight_indices(k)
+    bas = basis(k, w.n + 1)
+    residual = [Fraction(f.coefficient(e)) for e in range(w.n + 1)]
+    coords = [Fraction(0)] * (w.n + 1)
+    for e in range(w.n + 1):
+        c = residual[e]
+        coords[w.n - e] = c
+        for e2 in range(e, w.n + 1):
+            residual[e2] -= c * bas[w.n - e].coefficient(e2)
+    return tuple(coords)
+
+
+@pytest.mark.parametrize("k", [100, 598])
+def test_basis_coordinates_eisenstein_matches_fraction_solve(k):
+    f = eisenstein(k, weight_indices(k).n + 1)
+    assert any(isinstance(c, Fraction) for c in f.coeffs)
+    got = basis_coordinates(f, k).coords
+    assert got == _coordinates_by_fractions(f, k)
+    assert all(type(c) is Fraction for c in got)
+
+
+def test_basis_coordinates_types_follow_input():
+    k = 52
+    ints = theta_Z(6)
+    assert all(type(c) is int for c in basis_coordinates(ints, k).coords)
+    # one Fraction among the targets, even an integral one, makes all Fractions
+    mixed = QSeries(ints.coeffs[:3] + [Fraction(ints.coeffs[3])] + ints.coeffs[4:])
+    coords = basis_coordinates(mixed, k).coords
+    assert all(type(c) is Fraction for c in coords)
+    assert coords == basis_coordinates(ints, k).coords
+
+
+def test_basis_coordinates_roundtrip_mixed_denominators():
+    rng = random.Random(11)
+    for k in [24, 52, 108]:
+        w = weight_indices(k)
+        for _ in range(5):
+            coords = tuple(
+                Fraction(rng.randrange(-(10**6), 10**6), rng.choice([1, 2, 3, 7, 12, 691]))
+                for _ in range(w.n + 1)
+            )
+            f = combination(BasisCoordinates(k, coords), w.n + 3)
             assert basis_coordinates(f, k).coords == coords
 
 

@@ -190,6 +190,46 @@ def test_integer_pow_matches_repeated_mul():
         acc = acc * f
 
 
+def test_integer_pow_matches_naive_lists():
+    windows = [
+        QSeries([2, -1, 3, 0, 1, 1, -2, 0]),
+        QSeries([Fraction(1, 2), Fraction(-3, 5), 0, Fraction(7, 3), 1, Fraction(-1, 4)]),
+        j_invariant(6),
+    ]
+    for f in windows:
+        n = len(f.coeffs)
+        for e in range(41):
+            got = f**e
+            assert got.shift == e * f.shift, (f, e)
+            assert got.coeffs == _poly_pow(f.coeffs, e, n), (f, e)
+
+
+def test_integer_pow_product_count(monkeypatch):
+    calls = []
+    mul = QSeries.__mul__
+
+    def counting_mul(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(QSeries, "__mul__", counting_mul)
+    f = QSeries([1, 2, 3, 4])
+    for e in range(1, 65):
+        calls.clear()
+        f**e
+        assert len(calls) == e.bit_length() - 1 + bin(e).count("1") - 1, e
+    calls.clear()
+    f**24
+    assert len(calls) == 5
+
+
+def test_integer_pow_one_is_a_copy():
+    f = QSeries([3, 1, 4], shift=-1)
+    g = f**1
+    assert g is not f and g.coeffs is not f.coeffs
+    assert g == f and g.shift == -1
+
+
 # ---------------------------------------------------------------------------
 # classical expansions
 

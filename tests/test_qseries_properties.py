@@ -1,0 +1,76 @@
+"""Property tests of the QSeries ring laws, integer powers and inversion.
+
+Windows are drawn with int or Fraction coefficients and shift 0 or -1 (the
+j-function's Laurent window).  Operands of one law share a shift and a
+window length, so both sides of each identity carry the same precision.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from theta_forms.qseries import QSeries, invert_unit, pow_rational  # noqa: E402
+
+INTS = st.integers(-50, 50)
+FRACTIONS = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@st.composite
+def windows(draw, count, shifts=(0, -1), unit=False):
+    """``count`` series with one shift, one length and one coefficient kind."""
+    n = draw(st.integers(1, 10))
+    shift = draw(st.sampled_from(shifts))
+    kind = draw(st.sampled_from([INTS, FRACTIONS]))
+    out = []
+    for _ in range(count):
+        coeffs = draw(st.lists(kind, min_size=n, max_size=n))
+        if unit and not coeffs[0]:
+            coeffs[0] = 1
+        out.append(QSeries(coeffs, shift))
+    return out
+
+
+@given(windows(3))
+def test_mul_associative(abc):
+    a, b, c = abc
+    assert (a * b) * c == a * (b * c)
+
+
+@given(windows(3))
+def test_mul_distributes_over_add(abc):
+    a, b, c = abc
+    assert a * (b + c) == a * b + a * c
+    assert (b + c) * a == b * a + c * a
+
+
+@given(windows(1), st.integers(0, 8), st.integers(0, 8))
+def test_pow_adds_exponents(f, a, b):
+    (f,) = f
+    assert f**a * f**b == f ** (a + b)
+
+
+@given(windows(1, shifts=(0,), unit=True))
+def test_invert_unit_is_inverse(f):
+    (f,) = f
+    assert f * invert_unit(f) == QSeries.one(len(f.coeffs))
+
+
+@given(windows(1, shifts=(-1,), unit=True))
+def test_laurent_inverse(f):
+    (f,) = f
+    one = QSeries.one(len(f.coeffs))
+    assert f * (one / f) == one
+
+
+@given(
+    st.lists(FRACTIONS, min_size=1, max_size=8),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+)
+def test_pow_rational_adds_exponents(tail, r, s):
+    f = QSeries([Fraction(1)] + tail)
+    assert pow_rational(f, r) * pow_rational(f, s) == pow_rational(f, r + s)
