@@ -40,9 +40,6 @@ class TorsionStructure:
         if self.d1 < 1 or self.d2 % self.d1 != 0:
             raise ValueError(f"({self.d1}, {self.d2}) is not a valid structure pair")
 
-    def order(self) -> int:
-        return self.d1 * self.d2
-
 
 def _same_field(*elems):
     field = elems[0].field
@@ -262,24 +259,23 @@ def two_torsion_only_j_set(p: int) -> set[FpElem]:
         raise ValueError(f"p = {p} = 1 mod 4 never yields such curves (rejected)")
     if p > 10**3:
         raise ValueError(f"p = {p} beyond the brute-force bound 10^3")
-    out: set[FpElem] = set()
-    for lam in two_torsion_only_lambdas(p):
-        j = j_of_legendre(lam)
-        if j and j != 1728:
-            out.add(j)
-    return out
+    return _legendre_j_set(two_torsion_only_lambdas(p))
 
 
 def legendre_image_j_set(p: int) -> set[FpElem]:
     """{ j(lam) : -lam and lam - 1 both nonzero squares } minus {0, 1728}."""
     F = Fp(p)
+    lams = (F.elem(v) for v in range(2, p))
+    return _legendre_j_set(lam for lam in lams if (-lam).is_square() and (lam - 1).is_square())
+
+
+def _legendre_j_set(lams) -> set[FpElem]:
+    """{ j(lam) : lam in lams } minus {0, 1728}."""
     out: set[FpElem] = set()
-    for v in range(2, p):
-        lam = F.elem(v)
-        if (-lam).is_square() and (lam - 1).is_square():
-            j = j_of_legendre(lam)
-            if j and j != 1728:
-                out.add(j)
+    for lam in lams:
+        j = j_of_legendre(lam)
+        if j and j != 1728:
+            out.add(j)
     return out
 
 
@@ -387,19 +383,21 @@ def hessian_j(b):
     return 27 * b3 * (b3 + 8) ** 3 / den
 
 
-def hessian_norm_condition_j_set(p: int) -> set[Fp2Elem]:
-    """{ j(E_b) : b in F_{p^2}, b^(p+1) = -2, E_b nonsingular } minus {0, 1728}.
+@lru_cache(maxsize=None)
+def _admissible_hessian_params(p: int) -> tuple[Fp2Elem, ...]:
+    """The b in F_{p^2} with b^(p+1) = -2 and b^3 != 1, in Fp2Field.elements()
+    order, by one sweep per p, cached.
 
-    b^(p+1) is the F_{p^2}/F_p norm, so the sweep is a plain norm check.
+    b^(p+1) is the F_{p^2}/F_p norm, so the sweep is a plain norm check;
+    b^3 != 1 keeps E_b nonsingular.
     """
-    K = Fp2(p)
+    return tuple(b for b in Fp2(p).elements() if b.norm() == -2 and b * b * b != 1)
+
+
+def hessian_norm_condition_j_set(p: int) -> set[Fp2Elem]:
+    """{ j(E_b) : b in F_{p^2}, b^(p+1) = -2, E_b nonsingular } minus {0, 1728}."""
     out: set[Fp2Elem] = set()
-    for b in K.elements():
-        if b.norm() != -2:
-            continue
-        b3 = b * b * b
-        if b3 == 1:
-            continue
+    for b in _admissible_hessian_params(p):
         j = hessian_j(b)
         if j and j != 1728:
             out.add(j)
@@ -407,8 +405,9 @@ def hessian_norm_condition_j_set(p: int) -> set[Fp2Elem]:
 
 
 def check_hessian_matches_hex(p: int) -> bool:
-    """Whether the Hessian norm-condition j-set equals hex_zero_set(p), and
-    sampled admissible Hessian curves have full 3-torsion over F_{p^2}.
+    """Whether the Hessian norm-condition j-set equals hex_zero_set(p), and the
+    first HESSIAN_TORSION_SAMPLES admissible Hessian curves have full
+    3-torsion over F_{p^2}.
 
     Both sides exclude {0, 1728}; the parametrizations can hit those values
     (p = 5 does) but the zero set never contains them.
@@ -419,15 +418,7 @@ def check_hessian_matches_hex(p: int) -> bool:
         raise ValueError(f"p = {p} beyond the stated bound {HESSIAN_CAP}")
     if hessian_norm_condition_j_set(p) != hex_zero_set(p):
         return False
-    K = Fp2(p)
-    sampled = 0
-    for b in K.elements():
-        if sampled >= HESSIAN_TORSION_SAMPLES:
-            break
-        if b.norm() != -2 or b * b * b == 1:
-            continue
-        E = HessianCurve(b)
-        if n_torsion_structure(E, 3) != TorsionStructure(3, 3):
-            return False
-        sampled += 1
-    return True
+    return all(
+        n_torsion_structure(HessianCurve(b), 3) == TorsionStructure(3, 3)
+        for b in _admissible_hessian_params(p)[:HESSIAN_TORSION_SAMPLES]
+    )

@@ -292,12 +292,6 @@ class FpElem:
             raise ZeroDivisionError("division by 0 in F_p")
         return FpElem(self.value * pow(v, -1, self.field.p) % self.field.p, self.field)
 
-    def __rtruediv__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return FpElem(v, self.field) / self
-
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)

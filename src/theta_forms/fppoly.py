@@ -42,10 +42,6 @@ class FpPoly:
         self.coeffs = _normalize([int(c) % p for c in coeffs])
 
     @classmethod
-    def zero(cls, p: int) -> "FpPoly":
-        return cls([], p)
-
-    @classmethod
     def x(cls, p: int) -> "FpPoly":
         return cls([0, 1], p)
 
@@ -67,14 +63,6 @@ class FpPoly:
     def _check(self, other: "FpPoly") -> None:
         if other.p != self.p:
             raise ValueError("modulus mismatch")
-
-    def __add__(self, other: "FpPoly") -> "FpPoly":
-        self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return FpPoly(
-            [(self.coefficient(i) + other.coefficient(i)) % self.p for i in range(n)],
-            self.p,
-        )
 
     def __sub__(self, other: "FpPoly") -> "FpPoly":
         self._check(other)
@@ -218,7 +206,7 @@ def powmod_x(e: int, f: FpPoly) -> FpPoly:
     if f.is_zero():
         raise ValueError("modulus polynomial is zero")
     if f.degree == 0:
-        return FpPoly.zero(f.p)
+        return FpPoly([], f.p)
     return _pow_poly_mod(FpPoly.x(f.p), e, f)
 
 

@@ -15,6 +15,9 @@ and emits machine-readable reports.  The four lanes are:
   polynomial facts (reciprocity, root products, power sums, vanishing
   windows, residue constants).
 
+Every row comes from one runner, ``_check``.  Per-prime artefacts (P(j), P
+mod p, its F_p roots, G_p) are built once, by the first row that needs them,
+so a row's ``ms`` covers its check plus any artefact it is first to need.
 Reports are deterministic: JSON and CSV output is canonical (rows sorted by
 (check_id, p), wall times zeroed, keys sorted), so re-running a sweep yields
 a bit-identical file.  The table format keeps measured times for humans.
@@ -35,7 +38,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from math import factorial
 
 from .curves import (
@@ -106,7 +109,7 @@ class VerificationReport:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Sweep bounds, check selection, and output options.
+    """Sweep bounds and output options.
 
     The caps keep the brute-force oracles (full lambda sweeps, F_{p^2} point
     counts) inside their sub-5-minute budget; primes beyond a cap get a
@@ -115,7 +118,6 @@ class SweepConfig:
 
     p_min: int = 5
     p_max: int = 199
-    checks: frozenset[str] | None = None
     order: int | None = None
     jobs: int = 1
     fmt: str = "table"
@@ -139,20 +141,30 @@ class SweepConfig:
             raise ValueError("supersingular cap must be non-negative")
 
 
-def _mk(check_id, p, k, witness, t0) -> VerificationReport:
-    ms = int((time.perf_counter() - t0) * 1000)
-    status = "pass" if witness is None else "fail"
-    return VerificationReport(check_id, p, k, status, witness, ms)
+def _check(check_id: str, p, k, witness, skip: str | None = None) -> VerificationReport:
+    """Run one check and return its report row.
+
+    ``witness()`` returns None when the check holds and a witness string when
+    it fails.  Given a ``skip`` reason, the check is not run and the row is
+    skipped.  ``ms`` times ``witness()``, which includes building any
+    per-prime artefact this row is the first to need.  The witness is called
+    before ``_check`` returns, so a lambda may close over loop variables.
+    """
+    if skip is not None:
+        return VerificationReport(check_id, p, k, "skipped", skip)
+    clock = time.perf_counter
+    start = clock()
+    w = witness()
+    ms = int((clock() - start) * 1000)
+    return VerificationReport(check_id, p, k, "pass" if w is None else "fail", w, ms)
 
 
 def _congruence_witness(a: RatPoly, b: RatPoly, p: int) -> str | None:
     fa, fb = reduce_poly(a, p), reduce_poly(b, p)
-    if fa == fb:
-        return None
     for i in range(max(fa.degree, fb.degree) + 1):
         if fa.coefficient(i) != fb.coefficient(i):
             return f"x^{i}: {fa.coefficient(i)} != {fb.coefficient(i)}"
-    return "degree mismatch"
+    return None
 
 
 def _set_witness(got, want) -> str | None:
@@ -166,15 +178,10 @@ def _set_witness(got, want) -> str | None:
 def _fp2_rootset_witness(f: FpPoly, targets) -> str | None:
     """Root-set equality over F_{p^2} without enumerating the whole field.
 
-    If f is squarefree, splits over F_{p^2}, has degree equal to the target
-    cardinality, and vanishes on every target, its root set equals the
-    target set exactly.
+    A polynomial of degree |targets| that vanishes on all of these distinct
+    targets is a constant times the product of (x - z) over them: squarefree,
+    split over F_{p^2}, and with exactly the targets as roots.
     """
-    if f.degree <= 0 and not targets:
-        return None
-    w = _fp2_splits_witness(f)
-    if w is not None:
-        return w
     if f.degree != len(targets):
         return f"degree {f.degree} != target set size {len(targets)}"
     for z in sorted(targets, key=lambda z: (int(z.c1), int(z.c0))):
@@ -184,6 +191,8 @@ def _fp2_rootset_witness(f: FpPoly, targets) -> str | None:
 
 
 def _fp2_splits_witness(f: FpPoly) -> str | None:
+    if f.degree <= 0:
+        return None
     if not is_squarefree(f):
         return "polynomial is not squarefree"
     if not splits_over_fp2(f):
@@ -208,243 +217,185 @@ def _splits_witness(f: FpPoly) -> str | None:
 def _theta_z_prime(p: int, order: int | None, curve_cap: int) -> list[VerificationReport]:
     if p % 4 == 1:
         reason = "p = 1 mod 4: weight (p+1)/2 is odd, outside the even-weight setting"
-        return [
-            VerificationReport(cid, p, None, "skipped", reason)
-            for cid in THETA_Z_CHECKS
-        ]
+        return [_check(cid, p, None, None, reason) for cid in THETA_Z_CHECKS]
     k = (p + 1) // 2
     n = weight_indices(k).n
-    out = []
-
-    t0 = time.perf_counter()
-    P = pf_polynomial(theta_Z(order or default_order(k)), k)
     fam = "W0" if p % 24 in (7, 23) else "W1"
-    out.append(_mk("theta_z_congruence", p, k, _congruence_witness(P, truncated_poly(fam, n), p), t0))
-
-    f = reduce_poly(P, p)
-    t0 = time.perf_counter()
-    out.append(_mk("theta_z_splits", p, k, _splits_witness(f), t0))
-
-    t0 = time.perf_counter()
-    roots = roots_brute(f)
-    if p <= curve_cap:
-        w = _set_witness(roots, two_torsion_only_j_set(p))
-        out.append(_mk("theta_z_curve_set", p, k, w, t0))
-    else:
-        out.append(
-            VerificationReport(
-                "theta_z_curve_set", p, k, "skipped", f"curve sweep capped at {curve_cap}"
-            )
-        )
-
-    t0 = time.perf_counter()
-    out.append(_mk("theta_z_legendre_set", p, k, _set_witness(roots, legendre_image_j_set(p)), t0))
-    return out
+    P = cache(lambda: pf_polynomial(theta_Z(order or default_order(k)), k))
+    f = cache(lambda: reduce_poly(P(), p))
+    roots = cache(lambda: roots_brute(f()))
+    capped = None if p <= curve_cap else f"curve sweep capped at {curve_cap}"
+    return [
+        _check("theta_z_congruence", p, k, lambda: _congruence_witness(P(), truncated_poly(fam, n), p)),
+        _check("theta_z_splits", p, k, lambda: _splits_witness(f())),
+        _check("theta_z_curve_set", p, k,
+               lambda: _set_witness(roots(), two_torsion_only_j_set(p)), capped),
+        _check("theta_z_legendre_set", p, k, lambda: _set_witness(roots(), legendre_image_j_set(p))),
+    ]
 
 
 # ---------------------------------------------------------------------------
 # theta-hex lane
 
 
-def _expected_hex_pattern(n: int) -> dict:
-    if n % 2 == 1:
-        want = {(1, 1): 1, (2, 1): (n - 1) // 2}
-    else:
-        want = {(2, 1): n // 2}
-    return {pair: count for pair, count in want.items() if count}
+def _hex_pattern_witness(f: FpPoly, n: int) -> str | None:
+    """n/2 quadratic factors, or (n-1)/2 of them and the linear factor j + 1728."""
+    if f.degree <= 0:
+        return None
+    want = {(1, 1): 1, (2, 1): (n - 1) // 2} if n % 2 == 1 else {(2, 1): n // 2}
+    want = {pair: count for pair, count in want.items() if count}
+    got = dict(factor_pattern(f).pairs)
+    if got != want:
+        return f"factor pattern {got} != {want}"
+    if n % 2 == 1 and f.evaluate(Fp(f.p).elem(-1728)):
+        return "the F_p root is not -1728"
+    return None
 
 
 def _theta_hex_prime(p: int, order: int | None) -> list[VerificationReport]:
     k = p + 1
     n = weight_indices(k).n
-    out = []
-
-    t0 = time.perf_counter()
-    P = pf_polynomial(theta_H(order or default_order(k)), k)
     fam = "V0" if p % 12 == 11 else "V1"
-    out.append(_mk("hex_congruence", p, k, _congruence_witness(P, truncated_poly(fam, n), p), t0))
-
-    f = reduce_poly(P, p)
-    t0 = time.perf_counter()
-    w = _fp2_splits_witness(f) if f.degree > 0 else None
-    out.append(_mk("hex_splits_fp2", p, k, w, t0))
-
-    t0 = time.perf_counter()
-    w = None
-    if f.degree > 0:
-        got = dict(factor_pattern(f).pairs)
-        want = _expected_hex_pattern(n)
-        if got != want:
-            w = f"factor pattern {got} != {want}"
-        elif n % 2 == 1 and f.evaluate(Fp(p).elem(-1728)):
-            w = "the F_p root is not -1728"
-    out.append(_mk("hex_factor_pattern", p, k, w, t0))
-
-    t0 = time.perf_counter()
-    out.append(_mk("hex_zero_set", p, k, _fp2_rootset_witness(f, hex_zero_set(p)), t0))
-
-    t0 = time.perf_counter()
-    if p <= HESSIAN_CAP:
-        w = None if check_hessian_matches_hex(p) else "Hessian image or 3-torsion mismatch"
-        out.append(_mk("hessian_set", p, k, w, t0))
-    else:
-        out.append(
-            VerificationReport(
-                "hessian_set", p, k, "skipped", f"Hessian sweep capped at {HESSIAN_CAP}"
-            )
-        )
-    return out
+    P = cache(lambda: pf_polynomial(theta_H(order or default_order(k)), k))
+    f = cache(lambda: reduce_poly(P(), p))
+    capped = None if p <= HESSIAN_CAP else f"Hessian sweep capped at {HESSIAN_CAP}"
+    return [
+        _check("hex_congruence", p, k, lambda: _congruence_witness(P(), truncated_poly(fam, n), p)),
+        _check("hex_splits_fp2", p, k, lambda: _fp2_splits_witness(f())),
+        _check("hex_factor_pattern", p, k, lambda: _hex_pattern_witness(f(), n)),
+        _check("hex_zero_set", p, k, lambda: _fp2_rootset_witness(f(), hex_zero_set(p))),
+        _check("hessian_set", p, k,
+               lambda: None if check_hessian_matches_hex(p) else "Hessian image or 3-torsion mismatch",
+               capped),
+    ]
 
 
 # ---------------------------------------------------------------------------
 # background lane
 
 
+def _factor_degrees_witness(f: FpPoly) -> str | None:
+    if f.degree <= 0:
+        return None
+    degs = factor_pattern(f).degrees()
+    return None if degs <= {1, 2} else f"factor degrees {sorted(degs)} not within {{1, 2}}"
+
+
 def _background_prime(p: int, order: int | None, ss_cap: int) -> list[VerificationReport]:
     k = p - 1
     n = weight_indices(k).n
     ordv = order or default_order(k)
-    out = []
-
-    t0 = time.perf_counter()
-    P = pf_polynomial(eisenstein(k, ordv), k)
     fam = "U0" if p % 12 in (1, 5) else "U1"
-    out.append(_mk("bg_congruence", p, k, _congruence_witness(P, truncated_poly(fam, n), p), t0))
-
-    f = reduce_poly(P, p)
-    t0 = time.perf_counter()
-    w = None
-    if f.degree > 0:
-        degs = factor_pattern(f).degrees()
-        if not degs <= {1, 2}:
-            w = f"factor degrees {sorted(degs)} not within {{1, 2}}"
-    out.append(_mk("bg_factor_degrees", p, k, w, t0))
-
-    t0 = time.perf_counter()
-    if p <= ss_cap:
-        targets = {z for z in supersingular_j_set(p) if not (z == 0 or z == 1728)}
-        out.append(_mk("bg_supersingular_set", p, k, _fp2_rootset_witness(f, targets), t0))
-    else:
-        out.append(
-            VerificationReport(
-                "bg_supersingular_set",
-                p,
-                k,
-                "skipped",
-                f"supersingular sweep capped at {ss_cap}",
-            )
-        )
-
-    t0 = time.perf_counter()
-    one = QSeries([Fraction(1)] + [Fraction(0)] * (ordv - 1))
-    out.append(_mk("bg_extremal_congruence", p, k, _congruence_witness(pf_polynomial(one, k), P, p), t0))
-    return out
+    P = cache(lambda: pf_polynomial(eisenstein(k, ordv), k))
+    f = cache(lambda: reduce_poly(P(), p))
+    capped = None if p <= ss_cap else f"supersingular sweep capped at {ss_cap}"
+    return [
+        _check("bg_congruence", p, k, lambda: _congruence_witness(P(), truncated_poly(fam, n), p)),
+        _check("bg_factor_degrees", p, k, lambda: _factor_degrees_witness(f())),
+        _check("bg_supersingular_set", p, k, lambda: _fp2_rootset_witness(
+            f(), {z for z in supersingular_j_set(p) if not (z == 0 or z == 1728)}), capped),
+        _check("bg_extremal_congruence", p, k,
+               lambda: _congruence_witness(pf_polynomial(QSeries.one(ordv), k), P(), p)),
+    ]
 
 
 # ---------------------------------------------------------------------------
 # identities lane
 
 
+def _delta_mismatch(order: int) -> int | None:
+    e4, e6 = eisenstein(4, order), eisenstein(6, order)
+    rhs = (e4 * e4 * e4 - e6 * e6) * Fraction(1, 1728)
+    return delta(order).first_mismatch(rhs)
+
+
+def _exponent_witness(m: int | None) -> str | None:
+    return None if m is None else f"first mismatch at exponent {m}"
+
+
 def _series_identity_reports(order: int) -> list[VerificationReport]:
-    out = []
-
-    def run(check_id, fn):
-        t0 = time.perf_counter()
-        m = fn()
-        w = None if m is None else f"first mismatch at exponent {m}"
-        out.append(_mk(check_id, None, None, w, t0))
-
-    run("id_theta_int_hypergeometric", lambda: theta_z_hypergeometric_mismatch(order))
-    run("id_theta_hex_hypergeometric", lambda: theta_h_hypergeometric_mismatch(order))
-    run("id_e4_quarter_hypergeometric", lambda: e4_quarter_hypergeometric_mismatch(order))
-
-    def delta_mismatch():
-        e4, e6 = eisenstein(4, order), eisenstein(6, order)
-        rhs = (e4 * e4 * e4 - e6 * e6) * Fraction(1, 1728)
-        return delta(order).first_mismatch(rhs)
-
-    run("id_delta_from_eisenstein", delta_mismatch)
-    run("id_hauptmodul_cubic", lambda: hauptmodul_mismatch("t3", order))
-    run("id_hauptmodul_legendre", lambda: hauptmodul_mismatch("lambda", order))
-    run("id_euler_transform", lambda: euler_transform_mismatch(order))
-    run("id_cubic_transform", lambda: cubic_transform_mismatch(order))
-    run("id_degenerate_eval", lambda: degenerate_eval_mismatch(order))
-    return out
+    # names looked up per call, never bound at import, so a rebinding tracer sees them
+    mismatches = {
+        "id_theta_int_hypergeometric": lambda: theta_z_hypergeometric_mismatch(order),
+        "id_theta_hex_hypergeometric": lambda: theta_h_hypergeometric_mismatch(order),
+        "id_e4_quarter_hypergeometric": lambda: e4_quarter_hypergeometric_mismatch(order),
+        "id_delta_from_eisenstein": lambda: _delta_mismatch(order),
+        "id_hauptmodul_cubic": lambda: hauptmodul_mismatch("t3", order),
+        "id_hauptmodul_legendre": lambda: hauptmodul_mismatch("lambda", order),
+        "id_euler_transform": lambda: euler_transform_mismatch(order),
+        "id_cubic_transform": lambda: cubic_transform_mismatch(order),
+        "id_degenerate_eval": lambda: degenerate_eval_mismatch(order),
+    }
+    return [
+        _check(cid, None, None, lambda: _exponent_witness(mismatch()))
+        for cid, mismatch in mismatches.items()
+    ]
 
 
-def _gp_prime(p: int) -> list[VerificationReport]:
-    out = []
-    g = gp_poly(p)
+def _product_witness(g: FpPoly, roots, witness: str) -> str | None:
+    """None when g is the product of (x - t) over ``roots``, else ``witness``."""
+    prod = FpPoly([1], g.p)
+    for t in roots:
+        prod = prod * FpPoly([-t, 1], g.p)
+    return None if g == prod else witness
 
-    t0 = time.perf_counter()
-    w = None if is_reciprocal(g) else "polynomial is not palindromic"
-    out.append(_mk("gp_reciprocal", p, None, w, t0))
 
-    t0 = time.perf_counter()
-    prod = FpPoly([1], p)
-    for t in range(2, p):
-        if _in_gp_root_set(t, p):
-            prod = prod * FpPoly([-t, 1], p)
-    w = None
-    if g != prod:
-        w = f"product over quadratic-residue set differs at degree {g.degree}"
-    out.append(_mk("gp_root_product", p, None, w, t0))
-
-    t0 = time.perf_counter()
+def _power_sums_witness(g: FpPoly, p: int) -> str | None:
     vmax = (p + 1) // 4
     s = power_sums(g, vmax)
-    w = None
     for v in range(vmax + 1):
         rhs = rat_mod(Fraction(1, 4) * pochhammer(Fraction(1, 2), v) / factorial(v), p)
         if int(s[v]) != rhs:
-            w = f"S_{v}: {int(s[v])} != {rhs}"
-            break
-    out.append(_mk("gp_power_sums", p, None, w, t0))
-
-    t0 = time.perf_counter()
-    prod = FpPoly([1], p)
-    for lam in two_torsion_only_lambdas(p):
-        prod = prod * FpPoly([-int(lam), 1], p)
-    w = None if g == prod else "product over brute-force torsion set differs"
-    out.append(_mk("gp_torsion_product", p, None, w, t0))
-    return out
+            return f"S_{v}: {int(s[v])} != {rhs}"
+    return None
 
 
-def _in_gp_root_set(t: int, p: int) -> bool:
-    """t - 1 a nonzero square and t a non-square mod p."""
+def _gp_prime(p: int) -> list[VerificationReport]:
     F = Fp(p)
-    tm1 = F.elem(t - 1)
-    return bool(tm1) and tm1.is_square() and not F.elem(t).is_square()
+    g = cache(lambda: gp_poly(p))
+    # the roots of G_p: t with t - 1 a nonzero square and t a non-square mod p
+    roots = (t for t in range(2, p) if F.elem(t - 1).is_square() and not F.elem(t).is_square())
+    return [
+        _check("gp_reciprocal", p, None,
+               lambda: None if is_reciprocal(g()) else "polynomial is not palindromic"),
+        _check("gp_root_product", p, None, lambda: _product_witness(
+            g(), roots, f"product over quadratic-residue set differs at degree {g().degree}")),
+        _check("gp_power_sums", p, None, lambda: _power_sums_witness(g(), p)),
+        _check("gp_torsion_product", p, None, lambda: _product_witness(
+            g(), map(int, two_torsion_only_lambdas(p)), "product over brute-force torsion set differs")),
+    ]
+
+
+def _series_constant_witness(p: int) -> str | None:
+    m = (p + 1) // 3
+    got = scaled_coefficient_mod("V0" if p % 12 == 11 else "V1", m, p)
+    return None if got == (-18) % p else f"coefficient at m={m}: {got} != -18 mod p"
+
+
+def _neg4_cube_root_witness(p: int) -> str | None:
+    got = pow(-4 % p, (p + 1) // 12, p)
+    want = int(cube_root_of_2(p))
+    return None if got == want else f"(-4)^((p+1)/12) = {got} != 2^(1/3) = {want}"
 
 
 def _residue_constant_prime(p: int) -> list[VerificationReport]:
-    out = []
-    tag = "V0" if p % 12 == 11 else "V1"
-
-    t0 = time.perf_counter()
-    m = (p + 1) // 3
-    got = scaled_coefficient_mod(tag, m, p)
-    w = None if got == (-18) % p else f"coefficient at m={m}: {got} != -18 mod p"
-    out.append(_mk("hex_series_constant", p, None, w, t0))
-
+    out = [_check("hex_series_constant", p, None, lambda: _series_constant_witness(p))]
     if p % 12 == 11:
-        t0 = time.perf_counter()
-        got = pow(-4 % p, (p + 1) // 12, p)
-        want = int(cube_root_of_2(p))
-        w = None if got == want else f"(-4)^((p+1)/12) = {got} != 2^(1/3) = {want}"
-        out.append(_mk("neg4_cube_root", p, None, w, t0))
+        out.append(_check("neg4_cube_root", p, None, lambda: _neg4_cube_root_witness(p)))
     return out
+
+
+def _window_witness(tag: str, p: int) -> str | None:
+    lo, hi, ok = vanishing_window(tag, p)
+    return None if ok else f"nonvanishing coefficient inside ({lo}, {hi})"
 
 
 def _vanishing_reports() -> list[VerificationReport]:
-    out = []
-    for tag in ("W0", "W1", "V0", "V1"):
-        for p in admissible_vanishing_primes(tag, 8):
-            t0 = time.perf_counter()
-            lo, hi, ok = vanishing_window(tag, p)
-            w = None if ok else f"nonvanishing coefficient inside ({lo}, {hi})"
-            out.append(_mk(f"vanish_{tag.lower()}", p, None, w, t0))
-    return out
+    return [
+        _check(f"vanish_{tag.lower()}", p, None, lambda: _window_witness(tag, p))
+        for tag in ("W0", "W1", "V0", "V1")
+        for p in admissible_vanishing_primes(tag, 8)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -460,39 +411,36 @@ def _run_over_primes(fn, primes, jobs: int):
     return [r for batch in batches for r in batch]
 
 
-def _finish(reports, cfg: SweepConfig):
-    if cfg.checks is not None:
-        reports = [r for r in reports if r.check_id in cfg.checks]
+def _sorted_rows(reports) -> list[VerificationReport]:
     return sorted(reports, key=lambda r: (r.check_id, r.p if r.p is not None else -1))
 
 
 def cmd_verify_theta_z(cfg: SweepConfig) -> list[VerificationReport]:
     primes = primes_in_range(cfg.p_min, cfg.p_max)
     worker = partial(_theta_z_prime, order=cfg.order, curve_cap=cfg.curve_cap)
-    return _finish(_run_over_primes(worker, primes, cfg.jobs), cfg)
+    return _sorted_rows(_run_over_primes(worker, primes, cfg.jobs))
 
 
 def cmd_verify_theta_hex(cfg: SweepConfig) -> list[VerificationReport]:
     primes = [p for p in primes_in_range(cfg.p_min, cfg.p_max) if p % 12 in (5, 11)]
     worker = partial(_theta_hex_prime, order=cfg.order)
-    return _finish(_run_over_primes(worker, primes, cfg.jobs), cfg)
+    return _sorted_rows(_run_over_primes(worker, primes, cfg.jobs))
 
 
 def cmd_verify_background(cfg: SweepConfig) -> list[VerificationReport]:
     primes = primes_in_range(cfg.p_min, cfg.p_max)
     worker = partial(_background_prime, order=cfg.order, ss_cap=cfg.supersingular_cap)
-    return _finish(_run_over_primes(worker, primes, cfg.jobs), cfg)
+    return _sorted_rows(_run_over_primes(worker, primes, cfg.jobs))
 
 
 def cmd_verify_identities(cfg: SweepConfig) -> list[VerificationReport]:
-    order = cfg.order or 40
-    reports = _series_identity_reports(order)
+    reports = _series_identity_reports(cfg.order or 40)
     gp_primes = [p for p in primes_in_range(cfg.p_min, cfg.p_max) if p % 4 == 3 and p >= 7]
     reports += _run_over_primes(_gp_prime, gp_primes, cfg.jobs)
     hex_primes = [p for p in primes_in_range(cfg.p_min, cfg.p_max) if p % 12 in (5, 11)]
     reports += _run_over_primes(_residue_constant_prime, hex_primes, cfg.jobs)
     reports += _vanishing_reports()
-    return _finish(reports, cfg)
+    return _sorted_rows(reports)
 
 
 _LANES = {
@@ -637,7 +585,7 @@ def cmd_show(example_id: str) -> str:
 
 def _canonical_rows(reports):
     rows = []
-    for r in sorted(reports, key=lambda r: (r.check_id, r.p if r.p is not None else -1)):
+    for r in _sorted_rows(reports):
         d = asdict(r)
         d["ms"] = 0
         rows.append(d)

@@ -125,9 +125,12 @@ def gp_poly(p: int) -> FpPoly:
     """
     if p < 7 or p % 4 != 3:
         raise ValueError(f"p = {p} is not a prime = 3 mod 4, >= 7")
-    m_max = (p + 1) // 4
-    cs = f21_coefficients(HGParams(Fraction(-1, 4), Fraction(1, 4), Fraction(1, 2)), m_max)
-    return FpPoly([rat_mod(c, p) for c in cs], p)
+    return FpPoly([rat_mod(c, p) for c in _gp_coefficients((p + 1) // 4)], p)
+
+
+def _gp_coefficients(m_max: int) -> list[Rat]:
+    """The G_p stream (-1/4)_m (1/4)_m / ((1/2)_m m!) for m = 0..m_max."""
+    return f21_coefficients(HGParams(Fraction(-1, 4), Fraction(1, 4), Fraction(1, 2)), m_max)
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +219,7 @@ def cubic_transform_mismatch(order: int) -> int | None:
     inner = num * invert_unit(den)
     lhs = compose(f21_coefficients("W0", n), inner)
     front = pow_rational(poly, Fraction(-1, 8))
-    g = f21_coefficients(HGParams(Fraction(-1, 4), Fraction(1, 4), Fraction(1, 2)), n - 1)
-    rhs = front * QSeries(g)
+    rhs = front * QSeries(_gp_coefficients(n - 1))
     return lhs.first_mismatch(rhs, upto=n)
 
 

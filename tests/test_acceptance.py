@@ -3,7 +3,8 @@
 Every test runs the real pipeline (no mocks) and asserts exact equality;
 sweep tests additionally assert their wall-clock budget.  Sweeps 03, 04, 05
 and 07 also compare their canonical JSON report byte for byte with the frozen
-report under tests/golden/, so a refactor that changes any row shows here.
+report under tests/golden/ (07 freezes the whole identities lane as well as
+its gp_ rows), so a refactor that changes any row of any lane shows here.
 """
 
 import time
@@ -181,25 +182,19 @@ def test_05_background_sweep():
 
 def test_06_series_identities():
     def body():
-        cfg = SweepConfig(
-            p_min=5,
-            p_max=7,
-            order=40,
-            checks=frozenset(
-                {
-                    "id_theta_int_hypergeometric",
-                    "id_theta_hex_hypergeometric",
-                    "id_e4_quarter_hypergeometric",
-                    "id_delta_from_eisenstein",
-                    "id_hauptmodul_cubic",
-                    "id_hauptmodul_legendre",
-                    "id_euler_transform",
-                    "id_cubic_transform",
-                    "id_degenerate_eval",
-                }
-            ),
-        )
-        reports = cmd_verify_identities(cfg)
+        identities = {
+            "id_theta_int_hypergeometric",
+            "id_theta_hex_hypergeometric",
+            "id_e4_quarter_hypergeometric",
+            "id_delta_from_eisenstein",
+            "id_hauptmodul_cubic",
+            "id_hauptmodul_legendre",
+            "id_euler_transform",
+            "id_cubic_transform",
+            "id_degenerate_eval",
+        }
+        cfg = SweepConfig(p_min=5, p_max=7, order=40)
+        reports = [r for r in cmd_verify_identities(cfg) if r.check_id in identities]
         assert len(reports) == 9
         assert all(r.status == "pass" for r in reports), [
             r for r in reports if r.status != "pass"
@@ -210,15 +205,10 @@ def test_06_series_identities():
 
 def test_07_gp_polynomial_properties():
     def body():
-        cfg = SweepConfig(
-            p_min=7,
-            p_max=199,
-            checks=frozenset(
-                {"gp_reciprocal", "gp_root_product", "gp_power_sums", "gp_torsion_product"}
-            ),
-        )
-        reports = cmd_verify_identities(cfg)
-        _no_failures(reports)
+        lane = cmd_verify_identities(SweepConfig(p_min=7, p_max=199))
+        _no_failures(lane)
+        _matches_golden(lane, "identities_7_199.json")
+        reports = [r for r in lane if r.check_id.startswith("gp_")]
         _matches_golden(reports, "acceptance_07_gp_properties.json")
         target = {p for p in primes_in_range(7, 199) if p % 4 == 3}
         for cid in ("gp_reciprocal", "gp_root_product", "gp_power_sums", "gp_torsion_product"):

@@ -26,7 +26,8 @@ from theta_forms.curves import (
     two_torsion_only_j_set,
     two_torsion_only_lambdas,
 )
-from theta_forms.exact_arith import Fp, Fp2, legendre_symbol, primes_in_range
+from theta_forms import curves
+from theta_forms.exact_arith import Fp, Fp2, Fp2Field, legendre_symbol, primes_in_range
 from theta_forms.fppoly import reduce_poly, roots_brute, roots_fp2_brute
 from theta_forms.modforms import default_order, pf_polynomial
 from theta_forms.qseries import theta_H, theta_Z
@@ -87,8 +88,7 @@ def _points_naive(curve):
 
 def test_torsion_structure_pairs():
     t = TorsionStructure(2, 4)
-    assert t.order() == 8
-    assert TorsionStructure(1, 1).order() == 1
+    assert (t.d1, t.d2) == (2, 4)
     with pytest.raises(ValueError):
         TorsionStructure(4, 2)
     with pytest.raises(ValueError):
@@ -214,7 +214,8 @@ def test_n_torsion_order_divides_group_order():
         E = ShortWeierstrass(a, b)
         N = point_count(E)
         for n in (2, 3, 4):
-            assert N % n_torsion_structure(E, n).order() == 0
+            t = n_torsion_structure(E, n)
+            assert N % (t.d1 * t.d2) == 0
 
 
 def _torsion_reference_curves():
@@ -250,7 +251,8 @@ def test_n_torsion_matches_repeated_addition():
                     acc = _add(acc, P, c2, c1)
                 if acc is None:
                     killed.append(P)
-            assert n_torsion_structure(E, n).order() == len(killed), (E, n)
+            t = n_torsion_structure(E, n)
+            assert t.d1 * t.d2 == len(killed), (E, n)
             for P in killed:
                 for Q in killed:
                     assert _add(P, Q, c2, c1) in killed, (E, n, P, Q)
@@ -325,7 +327,7 @@ def test_j_of_legendre_six_fold_symmetry():
         F = Fp(p)
         lam = F.elem(rng.randrange(2, p))
         j = j_of_legendre(lam)
-        assert j_of_legendre(1 / lam) == j
+        assert j_of_legendre(lam.inverse()) == j
         assert j_of_legendre(1 - lam) == j
 
 
@@ -574,6 +576,32 @@ def test_hessian_norm_condition_curves_have_full_3_torsion():
 def test_check_hessian_matches_hex():
     for p in (5, 11, 17, 23, 29, 41):
         assert check_hessian_matches_hex(p)
+
+
+def test_hessian_check_sweeps_fp2_once_per_side(monkeypatch):
+    # one sweep of F_{p^2} lists the admissible Hessian parameters for both the
+    # j-set and the 3-torsion samples; one more builds the hexagonal zero set
+    p = 47
+    curves._admissible_hessian_params.cache_clear()
+    hex_zero_set.cache_clear()
+    sweeps, sampled = [], []
+    elements = Fp2Field.elements
+
+    def counted(self):
+        sweeps.append(self.p)
+        return elements(self)
+
+    def torsion(E, n):
+        sampled.append(E.b)
+        return TorsionStructure(3, 3)
+
+    monkeypatch.setattr(Fp2Field, "elements", counted)
+    monkeypatch.setattr(curves, "n_torsion_structure", torsion)
+    assert check_hessian_matches_hex(p)
+    assert sweeps == [p, p]
+    admissible = [b for b in elements(Fp2(p)) if b.norm() == -2 and b**3 != 1]
+    assert list(curves._admissible_hessian_params(p)) == admissible
+    assert sampled == admissible[: curves.HESSIAN_TORSION_SAMPLES]
 
 
 def test_check_hessian_rejects():

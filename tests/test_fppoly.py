@@ -61,7 +61,7 @@ def test_divmod_roundtrip():
         f = _random_poly(rng, p, rng.randrange(1, 9))
         g = _random_poly(rng, p, rng.randrange(1, 5))
         q, r = divmod(f, g)
-        assert q * g + r == f
+        assert q * g == f - r
         assert r.degree < g.degree
 
 
@@ -96,8 +96,8 @@ def test_gcd_basics():
     f = _poly_from_roots([1, 2], p)
     g = _poly_from_roots([2, 3], p)
     assert gcd(f, g) == FpPoly([-2, 1], p)
-    assert gcd(f, FpPoly.zero(p)) == f.monic()
-    assert gcd(FpPoly.zero(p), FpPoly.zero(p)).is_zero()
+    assert gcd(f, FpPoly([], p)) == f.monic()
+    assert gcd(FpPoly([], p), FpPoly([], p)).is_zero()
     h = f * 3
     assert gcd(h, h) == f.monic()
 

@@ -11,6 +11,8 @@ import pytest
 
 import theta_forms
 
+from theta_forms import harness
+from theta_forms.exact_arith import primes_in_range
 from theta_forms.harness import (
     SweepConfig,
     VerificationReport,
@@ -178,11 +180,42 @@ def test_identities_gp_lane_respects_prime_filter():
     assert neg4_primes == {11, 23}
 
 
-def test_checks_filter_restricts_rows():
-    cfg = SweepConfig(p_min=5, p_max=31, checks=frozenset({"theta_z_splits"}))
-    reports = cmd_verify_theta_z(cfg)
-    assert reports
-    assert {r.check_id for r in reports} == {"theta_z_splits"}
+def _count_calls(monkeypatch, name):
+    """Record the arguments of every call the harness makes to ``name``."""
+    calls = []
+    orig = getattr(harness, name)
+
+    def counted(*args):
+        calls.append(args)
+        return orig(*args)
+
+    monkeypatch.setattr(harness, name, counted)
+    return calls
+
+
+def test_fp2_splitting_test_runs_once_per_prime(monkeypatch):
+    calls = _count_calls(monkeypatch, "splits_over_fp2")
+    cmd_verify_theta_hex(SweepConfig(p_min=5, p_max=59))
+    # at p = 5 the weight-6 P(j) is constant and needs no splitting test
+    hex_primes = [p for p in primes_in_range(7, 59) if p % 12 in (5, 11)]
+    assert sorted(f.p for (f,) in calls) == hex_primes
+    calls.clear()
+    cmd_verify_background(SweepConfig(p_min=5, p_max=31))
+    assert calls == []
+
+
+def test_pf_polynomial_built_once_per_series(monkeypatch):
+    calls = _count_calls(monkeypatch, "pf_polynomial")
+    weights = lambda: sorted(k for _, k in calls)
+    cmd_verify_theta_z(SweepConfig(p_min=5, p_max=59))
+    assert weights() == [(p + 1) // 2 for p in primes_in_range(7, 59) if p % 4 == 3]
+    calls.clear()
+    cmd_verify_theta_hex(SweepConfig(p_min=5, p_max=59))
+    assert weights() == [p + 1 for p in primes_in_range(5, 59) if p % 12 in (5, 11)]
+    calls.clear()
+    # the background lane also builds the extremal form's P(j) at each prime
+    cmd_verify_background(SweepConfig(p_min=5, p_max=31))
+    assert weights() == sorted(2 * [p - 1 for p in primes_in_range(5, 31)])
 
 
 def test_parallel_sweep_matches_serial():
