@@ -1,9 +1,12 @@
 """Dense univariate polynomial algebra over F_p, evaluated over F_{p^2}.
 
 Coefficients are stored as plain ints in [0, p), lowest degree first, with no
-trailing zeros (the zero polynomial is the empty list).  This mirrors how the
-polynomials are consumed: splitting tests, root enumeration, factor-degree
-patterns, and power sums for the mod-p reductions of the j-polynomials.
+trailing zeros (the zero polynomial is the empty list).  There is one
+factoring algorithm, ``factor_pattern`` (squarefree decomposition, then
+distinct-degree splitting); the splitting tests ``splits_into_linears`` and
+``splits_over_fp2`` are queries on its result.  Besides that: evaluation at
+F_p and F_{p^2} points, brute-force root scans, and power sums for the mod-p
+reductions of the j-polynomials.
 """
 
 from __future__ import annotations
@@ -125,18 +128,11 @@ class FpPoly:
             [i * c % self.p for i, c in enumerate(self.coeffs)][1:], self.p
         )
 
-    def evaluate(self, x: int | FpElem) -> FpElem:
-        x = int(x) % self.p
-        acc = 0
+    def evaluate(self, x: int | FpElem | Fp2Elem) -> FpElem | Fp2Elem:
+        """f(x) by Horner's rule, in F_p for an int or FpElem, else in F_{p^2}."""
+        acc = Fp2(self.p).zero if isinstance(x, Fp2Elem) else Fp(self.p).zero
         for c in reversed(self.coeffs):
-            acc = (acc * x + c) % self.p
-        return Fp(self.p).elem(acc)
-
-    def evaluate_fp2(self, z: Fp2Elem) -> Fp2Elem:
-        K = Fp2(self.p)
-        acc = K.zero
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
+            acc = acc * x + c
         return acc
 
     def reverse(self) -> "FpPoly":
@@ -222,7 +218,7 @@ def _pow_poly_mod(base: FpPoly, e: int, f: FpPoly) -> FpPoly:
 
 
 # ---------------------------------------------------------------------------
-# splitting tests
+# squarefree test
 
 
 def is_squarefree(f: FpPoly) -> bool:
@@ -236,38 +232,6 @@ def is_squarefree(f: FpPoly) -> bool:
     return gcd(f, d).degree == 0
 
 
-def _require_squarefree(f: FpPoly, what: str) -> None:
-    if not is_squarefree(f):
-        raise ValueError(f"{what} requires a squarefree polynomial; gcd(f, f') is nontrivial")
-
-
-def count_fp_roots(f: FpPoly) -> int:
-    """Number of distinct roots in F_p: deg gcd(f, x^p - x)."""
-    if f.is_zero():
-        raise ValueError("zero polynomial")
-    if f.degree == 0:
-        return 0
-    xp = powmod_x(f.p, f)
-    return gcd(f, xp - FpPoly.x(f.p)).degree
-
-
-def splits_into_linears(f: FpPoly) -> bool:
-    """Whether squarefree f factors into distinct linear factors over F_p."""
-    _require_squarefree(f, "splits_into_linears")
-    if f.degree <= 0:
-        return True
-    return count_fp_roots(f) == f.degree
-
-
-def splits_over_fp2(f: FpPoly) -> bool:
-    """Whether squarefree f divides x^(p^2) - x, i.e. splits over F_{p^2}."""
-    _require_squarefree(f, "splits_over_fp2")
-    if f.degree <= 0:
-        return True
-    xpp = powmod_x(f.p * f.p, f)
-    return xpp == FpPoly.x(f.p) % f
-
-
 # ---------------------------------------------------------------------------
 # factor degree patterns
 
@@ -278,12 +242,11 @@ class FactorPattern:
 
     pairs: tuple[tuple[tuple[int, int], int], ...]
 
-    @classmethod
-    def from_counter(cls, c: Counter) -> "FactorPattern":
-        return cls(tuple(sorted(c.items())))
-
     def degrees(self) -> set[int]:
         return {d for (d, _m), _ in self.pairs}
+
+    def multiplicities(self) -> set[int]:
+        return {m for (_d, m), _ in self.pairs}
 
 
 def _distinct_degree_counts(s: FpPoly) -> Counter:
@@ -291,17 +254,14 @@ def _distinct_degree_counts(s: FpPoly) -> Counter:
     out: Counter = Counter()
     g = s.monic()
     p = s.p
-    frob = None
+    frob = FpPoly.x(p)  # x^(p^d) mod g
     d = 0
     while g.degree > 0:
         d += 1
         if 2 * d > g.degree:
             out[g.degree] += 1
             break
-        if frob is None:
-            frob = powmod_x(p, g)
-        else:
-            frob = _pow_poly_mod(frob % g, p, g)
+        frob = _pow_poly_mod(frob, p, g)
         cand = gcd(g, frob - FpPoly.x(p))
         if cand.degree > 0:
             out[d] += cand.degree // d
@@ -354,7 +314,28 @@ def factor_pattern(f: FpPoly) -> FactorPattern:
     for mult, part in _squarefree_decomposition(f):
         for deg, cnt in _distinct_degree_counts(part).items():
             pairs[(deg, mult)] += cnt
-    return FactorPattern.from_counter(pairs)
+    return FactorPattern(tuple(sorted(pairs.items())))
+
+
+# ---------------------------------------------------------------------------
+# splitting tests: queries on the factor pattern
+
+
+def _squarefree_degrees(f: FpPoly, what: str) -> set[int]:
+    pattern = factor_pattern(f)
+    if pattern.multiplicities() - {1}:
+        raise ValueError(f"{what} requires a squarefree polynomial; f has a repeated factor")
+    return pattern.degrees()
+
+
+def splits_into_linears(f: FpPoly) -> bool:
+    """Whether squarefree f factors into distinct linear factors over F_p."""
+    return _squarefree_degrees(f, "splits_into_linears") <= {1}
+
+
+def splits_over_fp2(f: FpPoly) -> bool:
+    """Whether squarefree f splits over F_{p^2}: no irreducible factor of degree > 2."""
+    return _squarefree_degrees(f, "splits_over_fp2") <= {1, 2}
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +367,7 @@ def roots_fp2_brute(f: FpPoly, bound: int = 500) -> set[Fp2Elem]:
     if f.p > bound:
         raise ValueError(f"p = {f.p} beyond the F_p^2 scan bound {bound}")
     K = Fp2(f.p)
-    return {z for z in K.elements() if not f.evaluate_fp2(z)}
+    return {z for z in K.elements() if not f.evaluate(z)}
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,12 @@ and emits machine-readable reports.  The four lanes are:
   polynomial facts (reciprocity, root products, power sums, vanishing
   windows, residue constants).
 
-Every row comes from one runner, ``_check``.  Per-prime artefacts (P(j), P
-mod p, its F_p roots, G_p) are built once, by the first row that needs them,
-so a row's ``ms`` covers its check plus any artefact it is first to need.
+Every row comes from one runner, ``_check``.  Per-prime artefacts (P(j), its
+reduction f = P mod p, the factor pattern of f, G_p) are built once, by the
+first row that needs them, so a row's ``ms`` covers its check plus any
+artefact it is first to need.  Two witnesses answer every polynomial row:
+the shape rows read the factor pattern, and the root-set rows check that the
+polynomial is the monic product of (x - t) over the oracle's targets t.
 Reports are deterministic: JSON and CSV output is canonical (rows sorted by
 (check_id, p), wall times zeroed, keys sorted), so re-running a sweep yields
 a bit-identical file.  The table format keeps measured times for humans.
@@ -50,17 +53,15 @@ from .curves import (
     two_torsion_only_j_set,
     two_torsion_only_lambdas,
 )
-from .exact_arith import Fp, cube_root_of_2, primes_in_range, rat_mod
+from .exact_arith import Fp, Fp2Elem, cube_root_of_2, primes_in_range, rat_mod
 from .fppoly import (
+    FactorPattern,
     FpPoly,
     factor_pattern,
     is_reciprocal,
-    is_squarefree,
     power_sums,
     reduce_poly,
     roots_brute,
-    splits_into_linears,
-    splits_over_fp2,
 )
 from .hyperpoly import (
     admissible_vanishing_primes,
@@ -137,6 +138,8 @@ class SweepConfig:
             raise ValueError("jobs must be positive")
         if self.order is not None and self.order < 20:
             raise ValueError("series order override must be at least 20")
+        if self.curve_cap < 0:
+            raise ValueError("curve cap must be non-negative")
         if self.supersingular_cap < 0:
             raise ValueError("supersingular cap must be non-negative")
 
@@ -167,46 +170,35 @@ def _congruence_witness(a: RatPoly, b: RatPoly, p: int) -> str | None:
     return None
 
 
-def _set_witness(got, want) -> str | None:
-    if got == want:
-        return None
-    extra = sorted(str(z) for z in got - want)
-    missing = sorted(str(z) for z in want - got)
-    return f"extra roots {extra}, missing roots {missing}"
+def _product_witness(f: FpPoly, targets) -> str | None:
+    """None when f is the monic product of (x - t) over the distinct ``targets``.
 
-
-def _fp2_rootset_witness(f: FpPoly, targets) -> str | None:
-    """Root-set equality over F_{p^2} without enumerating the whole field.
-
-    A polynomial of degree |targets| that vanishes on all of these distinct
-    targets is a constant times the product of (x - z) over them: squarefree,
-    split over F_{p^2}, and with exactly the targets as roots.
+    The targets may be ints, F_p or F_{p^2} elements.  A monic f of degree |T|
+    that vanishes at |T| distinct points of a field is exactly that product,
+    so no field element outside the targets is ever evaluated.
     """
+    targets = set(targets)
     if f.degree != len(targets):
         return f"degree {f.degree} != target set size {len(targets)}"
-    for z in sorted(targets, key=lambda z: (int(z.c1), int(z.c0))):
-        if f.evaluate_fp2(z):
-            return f"f({z}) != 0"
+    if f.leading() != 1:
+        return f"leading coefficient {f.leading()} != 1"
+    key = lambda t: (int(t.c1), int(t.c0)) if isinstance(t, Fp2Elem) else (0, int(t))
+    for t in sorted(targets, key=key):
+        if f.evaluate(t):
+            return f"f({t}) != 0"
     return None
 
 
-def _fp2_splits_witness(f: FpPoly) -> str | None:
-    if f.degree <= 0:
-        return None
-    if not is_squarefree(f):
-        return "polynomial is not squarefree"
-    if not splits_over_fp2(f):
-        return "polynomial does not split over F_{p^2}"
-    return None
+def _splits_witness(pattern: FactorPattern, max_degree: int) -> str | None:
+    """None when the factored f is squarefree and splits over F_p or F_{p^2}.
 
-
-def _splits_witness(f: FpPoly) -> str | None:
-    if f.degree <= 0:
-        return None
-    if not is_squarefree(f):
+    ``max_degree`` is 1 for F_p and 2 for F_{p^2}: the largest degree an
+    irreducible factor of a polynomial split over that field can have.
+    """
+    if pattern.multiplicities() - {1}:
         return "polynomial is not squarefree"
-    if not splits_into_linears(f):
-        return "roots missing from F_p"
+    if max(pattern.degrees(), default=1) > max_degree:
+        return f"polynomial does not split over {'F_p' if max_degree == 1 else 'F_{p^2}'}"
     return None
 
 
@@ -223,14 +215,14 @@ def _theta_z_prime(p: int, order: int | None, curve_cap: int) -> list[Verificati
     fam = "W0" if p % 24 in (7, 23) else "W1"
     P = cache(lambda: pf_polynomial(theta_Z(order or default_order(k)), k))
     f = cache(lambda: reduce_poly(P(), p))
-    roots = cache(lambda: roots_brute(f()))
+    pattern = cache(lambda: factor_pattern(f()))
     capped = None if p <= curve_cap else f"curve sweep capped at {curve_cap}"
     return [
         _check("theta_z_congruence", p, k, lambda: _congruence_witness(P(), truncated_poly(fam, n), p)),
-        _check("theta_z_splits", p, k, lambda: _splits_witness(f())),
+        _check("theta_z_splits", p, k, lambda: _splits_witness(pattern(), 1)),
         _check("theta_z_curve_set", p, k,
-               lambda: _set_witness(roots(), two_torsion_only_j_set(p)), capped),
-        _check("theta_z_legendre_set", p, k, lambda: _set_witness(roots(), legendre_image_j_set(p))),
+               lambda: _product_witness(f(), two_torsion_only_j_set(p)), capped),
+        _check("theta_z_legendre_set", p, k, lambda: _product_witness(f(), legendre_image_j_set(p))),
     ]
 
 
@@ -238,16 +230,14 @@ def _theta_z_prime(p: int, order: int | None, curve_cap: int) -> list[Verificati
 # theta-hex lane
 
 
-def _hex_pattern_witness(f: FpPoly, n: int) -> str | None:
+def _hex_pattern_witness(f: FpPoly, pattern: FactorPattern, n: int) -> str | None:
     """n/2 quadratic factors, or (n-1)/2 of them and the linear factor j + 1728."""
-    if f.degree <= 0:
-        return None
     want = {(1, 1): 1, (2, 1): (n - 1) // 2} if n % 2 == 1 else {(2, 1): n // 2}
     want = {pair: count for pair, count in want.items() if count}
-    got = dict(factor_pattern(f).pairs)
+    got = dict(pattern.pairs)
     if got != want:
         return f"factor pattern {got} != {want}"
-    if n % 2 == 1 and f.evaluate(Fp(f.p).elem(-1728)):
+    if n % 2 == 1 and f.evaluate(-1728):
         return "the F_p root is not -1728"
     return None
 
@@ -258,12 +248,13 @@ def _theta_hex_prime(p: int, order: int | None) -> list[VerificationReport]:
     fam = "V0" if p % 12 == 11 else "V1"
     P = cache(lambda: pf_polynomial(theta_H(order or default_order(k)), k))
     f = cache(lambda: reduce_poly(P(), p))
+    pattern = cache(lambda: factor_pattern(f()))
     capped = None if p <= HESSIAN_CAP else f"Hessian sweep capped at {HESSIAN_CAP}"
     return [
         _check("hex_congruence", p, k, lambda: _congruence_witness(P(), truncated_poly(fam, n), p)),
-        _check("hex_splits_fp2", p, k, lambda: _fp2_splits_witness(f())),
-        _check("hex_factor_pattern", p, k, lambda: _hex_pattern_witness(f(), n)),
-        _check("hex_zero_set", p, k, lambda: _fp2_rootset_witness(f(), hex_zero_set(p))),
+        _check("hex_splits_fp2", p, k, lambda: _splits_witness(pattern(), 2)),
+        _check("hex_factor_pattern", p, k, lambda: _hex_pattern_witness(f(), pattern(), n)),
+        _check("hex_zero_set", p, k, lambda: _product_witness(f(), hex_zero_set(p))),
         _check("hessian_set", p, k,
                lambda: None if check_hessian_matches_hex(p) else "Hessian image or 3-torsion mismatch",
                capped),
@@ -274,10 +265,8 @@ def _theta_hex_prime(p: int, order: int | None) -> list[VerificationReport]:
 # background lane
 
 
-def _factor_degrees_witness(f: FpPoly) -> str | None:
-    if f.degree <= 0:
-        return None
-    degs = factor_pattern(f).degrees()
+def _factor_degrees_witness(pattern: FactorPattern) -> str | None:
+    degs = pattern.degrees()
     return None if degs <= {1, 2} else f"factor degrees {sorted(degs)} not within {{1, 2}}"
 
 
@@ -288,11 +277,12 @@ def _background_prime(p: int, order: int | None, ss_cap: int) -> list[Verificati
     fam = "U0" if p % 12 in (1, 5) else "U1"
     P = cache(lambda: pf_polynomial(eisenstein(k, ordv), k))
     f = cache(lambda: reduce_poly(P(), p))
+    pattern = cache(lambda: factor_pattern(f()))
     capped = None if p <= ss_cap else f"supersingular sweep capped at {ss_cap}"
     return [
         _check("bg_congruence", p, k, lambda: _congruence_witness(P(), truncated_poly(fam, n), p)),
-        _check("bg_factor_degrees", p, k, lambda: _factor_degrees_witness(f())),
-        _check("bg_supersingular_set", p, k, lambda: _fp2_rootset_witness(
+        _check("bg_factor_degrees", p, k, lambda: _factor_degrees_witness(pattern())),
+        _check("bg_supersingular_set", p, k, lambda: _product_witness(
             f(), {z for z in supersingular_j_set(p) if not (z == 0 or z == 1728)}), capped),
         _check("bg_extremal_congruence", p, k,
                lambda: _congruence_witness(pf_polynomial(QSeries.one(ordv), k), P(), p)),
@@ -332,14 +322,6 @@ def _series_identity_reports(order: int) -> list[VerificationReport]:
     ]
 
 
-def _product_witness(g: FpPoly, roots, witness: str) -> str | None:
-    """None when g is the product of (x - t) over ``roots``, else ``witness``."""
-    prod = FpPoly([1], g.p)
-    for t in roots:
-        prod = prod * FpPoly([-t, 1], g.p)
-    return None if g == prod else witness
-
-
 def _power_sums_witness(g: FpPoly, p: int) -> str | None:
     vmax = (p + 1) // 4
     s = power_sums(g, vmax)
@@ -350,19 +332,21 @@ def _power_sums_witness(g: FpPoly, p: int) -> str | None:
     return None
 
 
-def _gp_prime(p: int) -> list[VerificationReport]:
+def _gp_residue_set(p: int) -> list[int]:
+    """The roots of G_p: t with t - 1 a nonzero square and t a non-square mod p."""
     F = Fp(p)
+    return [t for t in range(2, p) if F.elem(t - 1).is_square() and not F.elem(t).is_square()]
+
+
+def _gp_prime(p: int) -> list[VerificationReport]:
     g = cache(lambda: gp_poly(p))
-    # the roots of G_p: t with t - 1 a nonzero square and t a non-square mod p
-    roots = (t for t in range(2, p) if F.elem(t - 1).is_square() and not F.elem(t).is_square())
     return [
         _check("gp_reciprocal", p, None,
                lambda: None if is_reciprocal(g()) else "polynomial is not palindromic"),
-        _check("gp_root_product", p, None, lambda: _product_witness(
-            g(), roots, f"product over quadratic-residue set differs at degree {g().degree}")),
+        _check("gp_root_product", p, None, lambda: _product_witness(g(), _gp_residue_set(p))),
         _check("gp_power_sums", p, None, lambda: _power_sums_witness(g(), p)),
-        _check("gp_torsion_product", p, None, lambda: _product_witness(
-            g(), map(int, two_torsion_only_lambdas(p)), "product over brute-force torsion set differs")),
+        _check("gp_torsion_product", p, None,
+               lambda: _product_witness(g(), two_torsion_only_lambdas(p))),
     ]
 
 
@@ -455,43 +439,34 @@ _LANES = {
 # worked examples
 
 
-def _poly_str(coeffs, var: str = "j") -> str:
-    """Human-readable polynomial, highest degree first."""
-    terms = []
-    for i in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[i]
-        if not c:
-            continue
-        c = int(c)
-        if i == 0:
-            term = str(abs(c))
-        else:
-            mag = "" if abs(c) == 1 else f"{abs(c)}*"
-            term = f"{mag}{var}" + (f"^{i}" if i > 1 else "")
-        if not terms:
-            terms.append(term if c > 0 else f"-{term}")
-        else:
-            terms.append(("+ " if c > 0 else "- ") + term)
-    return " ".join(terms) if terms else "0"
+def _terms_str(terms) -> str:
+    """Signed sum of (coefficient, monomial) pairs, in the given order.
 
-
-def _series_str(f: QSeries, upto: int) -> str:
-    terms = []
-    for e in range(f.shift, upto + 1):
-        c = f.coefficient(e)
+    Zero terms are dropped, a unit coefficient is dropped before a monomial,
+    and "" is the constant monomial.
+    """
+    out = []
+    for c, mono in terms:
         if not c:
             continue
         mag = str(abs(c))
-        if e == 0:
-            term = mag
+        term = mag if not mono else mono if abs(c) == 1 else f"{mag}*{mono}"
+        if not out:
+            out.append(term if c > 0 else f"-{term}")
         else:
-            qpow = "q" if e == 1 else f"q^{e}"
-            term = qpow if abs(c) == 1 else f"{mag}*{qpow}"
-        if not terms:
-            terms.append(term if c > 0 else f"-{term}")
-        else:
-            terms.append(("+ " if c > 0 else "- ") + term)
-    return " ".join(terms) + " + ..."
+            out.append(("+ " if c > 0 else "- ") + term)
+    return " ".join(out)
+
+
+def _poly_str(coeffs, var: str = "j") -> str:
+    """Human-readable polynomial, highest degree first."""
+    mono = lambda i: "" if i == 0 else var if i == 1 else f"{var}^{i}"
+    return _terms_str((coeffs[i], mono(i)) for i in range(len(coeffs) - 1, -1, -1)) or "0"
+
+
+def _series_str(f: QSeries, upto: int) -> str:
+    mono = lambda e: "" if e == 0 else "q" if e == 1 else f"q^{e}"
+    return _terms_str((f.coefficient(e), mono(e)) for e in range(f.shift, upto + 1)) + " + ..."
 
 
 def _show_k52() -> str:

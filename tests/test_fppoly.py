@@ -9,7 +9,6 @@ import pytest
 from theta_forms.exact_arith import Fp, Fp2
 from theta_forms.fppoly import (
     FpPoly,
-    count_fp_roots,
     factor_pattern,
     gcd,
     is_reciprocal,
@@ -123,14 +122,6 @@ def test_powmod_x_against_naive():
 # splitting
 
 
-def test_count_fp_roots_matches_brute():
-    rng = random.Random(29)
-    for _ in range(40):
-        p = rng.choice([5, 7, 13, 101])
-        f = _random_poly(rng, p, rng.randrange(1, 9))
-        assert count_fp_roots(f) == len(roots_brute(f))
-
-
 def test_splits_into_linears():
     p = 103
     f = _poly_from_roots([58, 89, 93, 97], p)
@@ -148,6 +139,10 @@ def test_splitting_tests_reject_nonsquarefree():
         splits_into_linears(f)
     with pytest.raises(ValueError, match="squarefree"):
         splits_over_fp2(f)
+    # a p-th power has zero derivative; the factor pattern still sees it
+    g = _poly_from_roots([2] * p + [5], p)
+    with pytest.raises(ValueError, match="squarefree"):
+        splits_over_fp2(g)
 
 
 def test_splits_over_fp2():
@@ -161,11 +156,9 @@ def test_splits_over_fp2():
     cubic = None
     for c0 in range(p):
         cand = FpPoly([c0, 1, 0, 1], p)
-        if count_fp_roots(cand) == 0 and is_squarefree(cand):
-            pat = factor_pattern(cand)
-            if pat.degrees() == {3}:
-                cubic = cand
-                break
+        if factor_pattern(cand).pairs == (((3, 1), 1),):
+            cubic = cand
+            break
     assert cubic is not None
     assert not splits_over_fp2(cubic)
 
@@ -177,7 +170,8 @@ def test_x_to_p_minus_x_roots():
     coeffs[p] = 1
     f = FpPoly(coeffs, p)
     assert roots_brute(f) == set(Fp(p).elements())
-    assert count_fp_roots(f) == p
+    assert factor_pattern(f).pairs == (((1, 1), p),)
+    assert splits_into_linears(f)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +240,7 @@ def test_weight_108_pattern_mod_107():
     pat = factor_pattern(f)
     assert pat.pairs == (((1, 1), 1), ((2, 1), 4))
     assert splits_over_fp2(f)
-    assert count_fp_roots(f) == 1
+    assert not splits_into_linears(f)
     assert roots_brute(f) == {-16 % 107}
 
 
@@ -300,6 +294,17 @@ def test_newton_consistency_random():
                 acc = acc + r**v
             assert acc == sums[v], (f, v)
         checked += 1
+
+
+def test_evaluate_over_fp_and_fp2():
+    p = 7
+    K = Fp2(p)
+    f = FpPoly([-K.d, 0, 1], p)  # x^2 - d
+    assert f.evaluate(3) == (9 - K.d) % p
+    assert f.evaluate(Fp(p).elem(3)) == f.evaluate(3 + p)
+    assert not f.evaluate(K.elem(0, 1))
+    assert f.evaluate(K.elem(1, 1)) == K.elem(1, 2)
+    assert FpPoly([], p).evaluate(K.elem(2, 3)) == 0
 
 
 def test_roots_fp2_brute():

@@ -11,8 +11,9 @@ import pytest
 
 import theta_forms
 
-from theta_forms import harness
-from theta_forms.exact_arith import primes_in_range
+from theta_forms import fppoly, harness
+from theta_forms.exact_arith import Fp, Fp2, primes_in_range
+from theta_forms.fppoly import FpPoly, factor_pattern
 from theta_forms.harness import (
     SweepConfig,
     VerificationReport,
@@ -81,6 +82,14 @@ def test_config_rejects_tiny_order():
 def test_config_rejects_nonpositive_jobs():
     with pytest.raises(ValueError):
         SweepConfig(jobs=0)
+
+
+def test_config_rejects_negative_caps():
+    SweepConfig(curve_cap=0, supersingular_cap=0)
+    with pytest.raises(ValueError, match="curve cap"):
+        SweepConfig(curve_cap=-5)
+    with pytest.raises(ValueError, match="supersingular cap"):
+        SweepConfig(supersingular_cap=-5)
 
 
 # ---------------------------------------------------------------------------
@@ -193,15 +202,31 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
-def test_fp2_splitting_test_runs_once_per_prime(monkeypatch):
-    calls = _count_calls(monkeypatch, "splits_over_fp2")
-    cmd_verify_theta_hex(SweepConfig(p_min=5, p_max=59))
-    # at p = 5 the weight-6 P(j) is constant and needs no splitting test
-    hex_primes = [p for p in primes_in_range(7, 59) if p % 12 in (5, 11)]
-    assert sorted(f.p for (f,) in calls) == hex_primes
-    calls.clear()
-    cmd_verify_background(SweepConfig(p_min=5, p_max=31))
-    assert calls == []
+_UNUSED_BY_LANES = ("roots_brute", "is_squarefree", "splits_into_linears", "splits_over_fp2")
+
+
+def test_factor_pattern_runs_once_per_prime(monkeypatch):
+    calls = _count_calls(monkeypatch, "factor_pattern")
+    for name in _UNUSED_BY_LANES:
+        def refuse(*args, name=name):
+            raise AssertionError(f"a lane called {name}")
+
+        monkeypatch.setattr(fppoly, name, refuse)
+        monkeypatch.setattr(harness, name, refuse, raising=False)
+    lanes = (
+        (cmd_verify_theta_z, [p for p in primes_in_range(5, 59) if p % 4 == 3]),
+        (cmd_verify_theta_hex, [p for p in primes_in_range(5, 59) if p % 12 in (5, 11)]),
+        (cmd_verify_background, primes_in_range(5, 31)),
+    )
+    for lane, primes in lanes:
+        calls.clear()
+        reports = lane(SweepConfig(p_min=5, p_max=max(primes)))
+        assert all(r.status != "fail" for r in reports)
+        # one factorization per prime, shared by every shape row of that prime
+        assert sorted(f.p for (f,) in calls) == primes
+        assert any(f.degree >= 1 for (f,) in calls)
+    reports = cmd_verify_identities(SweepConfig(p_min=5, p_max=23))
+    assert all(r.status != "fail" for r in reports)
 
 
 def test_pf_polynomial_built_once_per_series(monkeypatch):
@@ -216,6 +241,100 @@ def test_pf_polynomial_built_once_per_series(monkeypatch):
     # the background lane also builds the extremal form's P(j) at each prime
     cmd_verify_background(SweepConfig(p_min=5, p_max=31))
     assert weights() == sorted(2 * [p - 1 for p in primes_in_range(5, 31)])
+
+
+# ---------------------------------------------------------------------------
+# witnesses and their failure paths
+
+
+def test_product_witness_accepts_the_monic_product():
+    p = 11
+    f = FpPoly([1], p)
+    for t in (2, 5, 7):
+        f = f * FpPoly([-t, 1], p)
+    F = Fp(p)
+    assert harness._product_witness(f, [7, 2, 5]) is None
+    assert harness._product_witness(f, {F.elem(2), F.elem(5), F.elem(7)}) is None
+    assert harness._product_witness(f, [2, 5, 7, 2]) is None  # a target set, not a list
+    assert harness._product_witness(FpPoly([1], p), []) is None
+
+
+def test_product_witness_wrong_degree():
+    f = FpPoly([-2, 1], 11) * FpPoly([-5, 1], 11)
+    assert harness._product_witness(f, [2]) == "degree 2 != target set size 1"
+
+
+def test_product_witness_not_monic():
+    f = FpPoly([-2, 1], 11) * 3
+    assert harness._product_witness(f, [2]) == "leading coefficient 3 != 1"
+
+
+def test_product_witness_nonvanishing_targets():
+    p = 7
+    f = FpPoly([-2, 1], p) * FpPoly([-3, 1], p)
+    assert harness._product_witness(f, [2, 4]) == "f(4) != 0"
+    assert harness._product_witness(f, {Fp(p).elem(2), Fp(p).elem(4)}) == "f(4) != 0"
+    K = Fp2(p)
+    q = FpPoly([-K.d, 0, 1], p)  # x^2 - d, roots +-w in F_{p^2}
+    assert harness._product_witness(q, {K.elem(0, 1), K.elem(0, -1)}) is None
+    witness = harness._product_witness(q, {K.elem(0, 1), K.elem(1, 1)})
+    assert witness == f"f({K.elem(1, 1)}) != 0"
+
+
+def test_splits_witness_failure_paths():
+    p = 11
+    lin = FpPoly([-3, 1], p)
+    assert harness._splits_witness(factor_pattern(lin * lin * FpPoly([-4, 1], p)), 2) == (
+        "polynomial is not squarefree"
+    )
+    cubic = FpPoly([4, 1, 0, 1], p)  # x^3 + x + 4, irreducible mod 11
+    assert factor_pattern(cubic).pairs == (((3, 1), 1),)
+    assert harness._splits_witness(factor_pattern(cubic * lin), 1) == (
+        "polynomial does not split over F_p"
+    )
+    assert harness._splits_witness(factor_pattern(cubic * lin), 2) == (
+        "polynomial does not split over F_{p^2}"
+    )
+    quad = FpPoly([-Fp2(p).d, 0, 1], p)
+    assert harness._splits_witness(factor_pattern(quad * lin), 1) == (
+        "polynomial does not split over F_p"
+    )
+    assert harness._splits_witness(factor_pattern(quad * lin), 2) is None
+    assert harness._splits_witness(factor_pattern(FpPoly([1], p)), 1) is None
+
+
+# (lane, row, oracle name in harness, the prime whose oracle loses a value, p_max)
+_ROOT_SET_ROWS = [
+    ("theta-z", "theta_z_curve_set", "two_torsion_only_j_set", 23, 31),
+    ("theta-z", "theta_z_legendre_set", "legendre_image_j_set", 23, 31),
+    ("theta-hex", "hex_zero_set", "hex_zero_set", 17, 23),
+    ("background", "bg_supersingular_set", "supersingular_j_set", 13, 19),
+    ("identities", "gp_root_product", "_gp_residue_set", 11, 19),
+    ("identities", "gp_torsion_product", "two_torsion_only_lambdas", 11, 19),
+]
+
+
+@pytest.mark.parametrize("lane, row, oracle, bad_p, p_max", _ROOT_SET_ROWS)
+def test_root_set_row_fails_when_oracle_drops_a_value(
+    lane, row, oracle, bad_p, p_max, monkeypatch, capsys
+):
+    orig = getattr(harness, oracle)
+
+    def dropping(p):
+        values = orig(p)
+        if p != bad_p:
+            return values
+        victim = min((z for z in values if not (z == 0 or z == 1728)), key=str)
+        return [z for z in values if z != victim]
+
+    monkeypatch.setattr(harness, oracle, dropping)
+    argv = ["verify", lane, "--p-max", str(p_max), "--format", "json"]
+    assert main(argv) == 1
+    rows = json.loads(capsys.readouterr().out)
+    failed = [(r["check_id"], r["p"]) for r in rows if r["status"] == "fail"]
+    assert failed == [(row, bad_p)]
+    (bad,) = [r for r in rows if r["status"] == "fail"]
+    assert bad["witness"].startswith("degree ")
 
 
 def test_parallel_sweep_matches_serial():
