@@ -197,15 +197,6 @@ def gcd(f: FpPoly, g: FpPoly) -> FpPoly:
     return a.monic()
 
 
-def powmod_x(e: int, f: FpPoly) -> FpPoly:
-    """x^e mod f by square-and-multiply."""
-    if f.is_zero():
-        raise ValueError("modulus polynomial is zero")
-    if f.degree == 0:
-        return FpPoly([], f.p)
-    return _pow_poly_mod(FpPoly.x(f.p), e, f)
-
-
 def _pow_poly_mod(base: FpPoly, e: int, f: FpPoly) -> FpPoly:
     result = FpPoly([1], f.p)
     base = base % f

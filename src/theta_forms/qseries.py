@@ -227,28 +227,56 @@ def invert_unit(f: QSeries) -> QSeries:
     return f._invert()
 
 
+def _cleared(coeffs) -> tuple[list[int], int]:
+    """Integers C and the lcm D of the denominators, with coeffs[i] = C[i] / D."""
+    d = 1
+    for c in coeffs:
+        d = math.lcm(d, c.denominator)
+    return [c.numerator * (d // c.denominator) for c in coeffs], d
+
+
+def _divided(nums: list[int], dens: list[int]) -> list:
+    """nums[k] / dens[k]: ints when every quotient is integral, else Fractions."""
+    if all(x % d == 0 for x, d in zip(nums, dens)):
+        return [x // d for x, d in zip(nums, dens)]
+    return [Fraction(x, d) for x, d in zip(nums, dens)]
+
+
 def pow_rational(f: QSeries, r: Rat | int) -> QSeries:
     """f^r for rational r, requiring f(0) = 1.
 
-    Uses the coefficient recurrence n*g_n = sum_{i=1..n} ((r+1)i - n) f_i g_{n-i},
-    which agrees with the binomial series term by term.
+    Uses the coefficient recurrence k*g_k = sum_{i=1..k} ((r+1)i - k) f_i g_{k-i},
+    which agrees with the binomial series term by term.  It runs in
+    denominator-cleared ints: with r = a/b and f = F/D, the integers
+    G_k = g_k * (bD)^k * k! satisfy
+    G_k = sum_i ((a+b)i - bk) F_i (bD)^(i-1) ((k-1)!/(k-i)!) G_{k-i},
+    and each g_k is divided out once at the end.
     """
     if f.shift != 0 or f.coeffs[0] != 1:
         raise ValueError("constant term must be 1 for rational powers")
     r = Fraction(r)
-    n = len(f.coeffs)
-    g = [Fraction(1)] + [Fraction(0)] * (n - 1)
+    a, b = r.numerator, r.denominator
+    F, D = _cleared(f.coeffs)
+    bD = b * D
+    n = len(F)
+    # P[i] = F_i (bD)^(i-1): the k-independent part of each term
+    P = [0] * n
+    scale = 1
+    for i in range(1, n):
+        P[i] = F[i] * scale
+        scale *= bD
+    G = [1] + [0] * (n - 1)
+    dens = [1] * n
     for k in range(1, n):
-        acc = Fraction(0)
+        acc = 0
+        falling = 1  # (k-1)! / (k-i)!
         for i in range(1, k + 1):
-            fi = f.coeffs[i] if i < n else 0
-            if fi:
-                acc += ((r + 1) * i - k) * fi * g[k - i]
-        g[k] = acc / k
-    if r.denominator == 1:
-        if all(c.denominator == 1 for c in g):
-            return QSeries([int(c) for c in g])
-    return QSeries(g)
+            if P[i]:
+                acc += ((a + b) * i - b * k) * P[i] * falling * G[k - i]
+            falling *= k - i
+        G[k] = acc
+        dens[k] = dens[k - 1] * bD * k
+    return QSeries(_divided(G, dens))
 
 
 def compose(outer, inner: QSeries) -> QSeries:
@@ -257,7 +285,15 @@ def compose(outer, inner: QSeries) -> QSeries:
     `outer` may be a QSeries with shift 0 or a plain coefficient list; only
     its first `inner.order` coefficients can matter.  Result precision equals
     inner's precision.
+
+    Horner's rule runs in denominator-cleared ints: with outer = C/D and the
+    inner window I/E (shift 0, so I_0 = 0), R_N = C_N and
+    R_m = R_(m+1) I + C_m E^(N-m), so that outer(inner) = R_0 / (D E^N).
+    R_m is later multiplied by I^m, of valuation >= m, so only its first
+    n - m coefficients are kept.
     """
+    if inner.shift < 0:
+        raise ValueError("inner series must be an ordinary power series, not a Laurent window")
     if inner.constant_term() != 0:
         raise ValueError("inner series must have zero constant term")
     if isinstance(outer, QSeries):
@@ -267,11 +303,27 @@ def compose(outer, inner: QSeries) -> QSeries:
     else:
         outer_coeffs = list(outer)
     n = inner.order
-    outer_coeffs = outer_coeffs[:n]
-    result = QSeries.zero(n)
-    for c in reversed(outer_coeffs):
-        result = (result * inner).truncate(n) + c
-    return result
+    if not outer_coeffs:
+        return QSeries.zero(n)
+    C, D = _cleared(outer_coeffs[:n])
+    I, E = _cleared([0] * inner.shift + inner.coeffs)
+    terms = [(j, x) for j, x in enumerate(I) if x]
+    N = len(C) - 1
+    R = [C[N]] + [0] * (n - N - 1)
+    e_pow = 1
+    for m in range(N - 1, -1, -1):
+        e_pow *= E
+        size = n - m
+        nxt = [0] * size
+        nxt[0] = C[m] * e_pow
+        for i, ri in enumerate(R):
+            if ri:
+                for j, x in terms:
+                    if i + j >= size:
+                        break
+                    nxt[i + j] += ri * x
+        R = nxt
+    return QSeries(_divided(R, [D * e_pow] * n))
 
 
 # ---------------------------------------------------------------------------

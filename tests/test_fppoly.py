@@ -14,7 +14,6 @@ from theta_forms.fppoly import (
     is_reciprocal,
     is_squarefree,
     power_sums,
-    powmod_x,
     reduce_poly,
     roots_brute,
     roots_fp2_brute,
@@ -99,23 +98,6 @@ def test_gcd_basics():
     assert gcd(FpPoly([], p), FpPoly([], p)).is_zero()
     h = f * 3
     assert gcd(h, h) == f.monic()
-
-
-def test_powmod_x_fermat():
-    for p in [5, 11, 23]:
-        f = FpPoly([0, -1, 1], p)  # x^2 - x
-        assert powmod_x(p, f) == FpPoly.x(p)
-
-
-def test_powmod_x_against_naive():
-    rng = random.Random(23)
-    p = 13
-    f = _random_poly(rng, p, 5)
-    naive = FpPoly([1], p)
-    x = FpPoly.x(p)
-    for e in range(1, 30):
-        naive = (naive * x) % f
-        assert powmod_x(e, f) == naive
 
 
 # ---------------------------------------------------------------------------

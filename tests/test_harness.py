@@ -181,6 +181,14 @@ def test_identities_small_sweep_all_green():
         assert expected in ids, expected
 
 
+def test_series_identities_hold_at_order_100():
+    # a stronger check than the lane's default order 40
+    reports = cmd_verify_identities(SweepConfig(p_min=5, p_max=7, order=100))
+    rows = {r.check_id: r.status for r in reports if r.check_id.startswith("id_")}
+    assert len(rows) == 9
+    assert set(rows.values()) == {"pass"}, rows
+
+
 def test_identities_gp_lane_respects_prime_filter():
     reports = cmd_verify_identities(SweepConfig(p_min=5, p_max=23))
     gp_primes = {r.p for r in reports if r.check_id == "gp_reciprocal"}

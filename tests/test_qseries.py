@@ -61,6 +61,33 @@ def _sigma(m, k):
 
 
 # ---------------------------------------------------------------------------
+# reference transforms: the Fraction recurrences the integer versions replace
+
+
+def _pow_rational_reference(f, r):
+    """f^r by n*g_n = sum_{i=1..n} ((r+1)i - n) f_i g_{n-i} in Fractions."""
+    r = Fraction(r)
+    n = len(f.coeffs)
+    g = [Fraction(1)] + [Fraction(0)] * (n - 1)
+    for k in range(1, n):
+        acc = Fraction(0)
+        for i in range(1, k + 1):
+            if f.coeffs[i]:
+                acc += ((r + 1) * i - k) * f.coeffs[i] * g[k - i]
+        g[k] = acc / k
+    return QSeries(g)
+
+
+def _compose_reference(outer, inner):
+    """outer(inner) by Horner's rule, one full series product per coefficient."""
+    n = inner.order
+    result = QSeries.zero(n)
+    for c in reversed(list(outer)[:n]):
+        result = (result * inner).truncate(n) + c
+    return result
+
+
+# ---------------------------------------------------------------------------
 # core arithmetic
 
 
@@ -180,6 +207,35 @@ def test_compose_geometric():
 def test_compose_rejects_nonzero_constant():
     with pytest.raises(ValueError):
         compose([1, 1], QSeries([1, 1]))
+
+
+def test_compose_rejects_laurent_inner():
+    with pytest.raises(ValueError, match="Laurent"):
+        compose([1, 1, 1], QSeries([1, 0, 1], -1))
+
+
+def test_compose_integral_result_has_int_coefficients():
+    # Fraction outer coefficients clear to ints over the inner series 2x
+    half = [Fraction(1), Fraction(1), Fraction(-1, 2), Fraction(1, 2)]
+    got = compose(half, QSeries([0, 2, 0, 0]))
+    assert got.coeffs == [1, 2, -2, 4]
+    assert all(type(c) is int for c in got.coeffs)
+    assert compose([Fraction(1, 2)], QSeries([0, 1])).coeffs == [Fraction(1, 2), 0]
+
+
+def test_compose_matches_reference_on_1728_over_j():
+    from theta_forms.hyperpoly import f21_coefficients
+
+    inner = j_invariant(25)._invert() * 1728
+    for tag in ("U0", "V0", "W0"):
+        outer = f21_coefficients(tag, inner.order)
+        assert compose(outer, inner) == _compose_reference(outer, inner)
+
+
+def test_pow_rational_matches_reference_on_e4():
+    e4 = eisenstein(4, 30)
+    for r in (Fraction(1, 8), Fraction(1, 4), Fraction(-3, 4), Fraction(5, 12)):
+        assert pow_rational(e4, r) == _pow_rational_reference(e4, r)
 
 
 def test_integer_pow_matches_repeated_mul():

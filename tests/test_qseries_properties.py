@@ -1,8 +1,11 @@
-"""Property tests of the QSeries ring laws, integer powers and inversion.
+"""Property tests of the QSeries ring laws, integer powers, inversion and
+the series transforms.
 
 Windows are drawn with int or Fraction coefficients and shift 0 or -1 (the
 j-function's Laurent window).  Operands of one law share a shift and a
 window length, so both sides of each identity carry the same precision.
+The integer-scaled `compose` and `pow_rational` are checked against the
+Fraction references in test_qseries.py, on inner series of shift 0, 1 and 2.
 """
 
 from fractions import Fraction
@@ -10,10 +13,11 @@ from fractions import Fraction
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given  # noqa: E402
+from hypothesis import assume, given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from theta_forms.qseries import QSeries, invert_unit, pow_rational  # noqa: E402
+from test_qseries import _compose_reference, _pow_rational_reference  # noqa: E402
+from theta_forms.qseries import QSeries, compose, invert_unit, pow_rational  # noqa: E402
 
 INTS = st.integers(-50, 50)
 FRACTIONS = st.fractions(min_value=-20, max_value=20, max_denominator=12)
@@ -74,3 +78,41 @@ def test_laurent_inverse(f):
 def test_pow_rational_adds_exponents(tail, r, s):
     f = QSeries([Fraction(1)] + tail)
     assert pow_rational(f, r) * pow_rational(f, s) == pow_rational(f, r + s)
+
+
+@st.composite
+def inner_windows(draw):
+    """An inner series for `compose`: shift 0 (zero constant term), 1 or 2."""
+    (f,) = draw(windows(1, shifts=(0, 1, 2)))
+    if f.shift == 0:
+        f.coeffs[0] = 0
+    return f
+
+
+@given(windows(1, shifts=(0,)), st.sampled_from([0, 1]))
+def test_compose_with_q_is_identity(outer, shift):
+    (outer,) = outer
+    n = len(outer.coeffs)
+    assume(n >= 2)  # q itself needs order 2
+    q = QSeries([0] * (1 - shift) + [1] + [0] * (n - 2), shift)
+    assert compose(outer, q) == outer
+
+
+@given(st.lists(st.one_of(INTS, FRACTIONS), max_size=12), inner_windows())
+def test_compose_matches_reference(outer, inner):
+    got = compose(outer, inner)
+    want = _compose_reference(outer, inner)
+    assert got.shift == want.shift == 0
+    assert got.coeffs == want.coeffs
+
+
+@given(
+    windows(1, shifts=(0,)),
+    st.integers(-30, 30),
+    st.sampled_from([1, 2, 3, 4, 8, 12]),
+)
+def test_pow_rational_matches_reference(f, a, b):
+    (f,) = f
+    f.coeffs[0] = 1
+    r = Fraction(a, b)
+    assert pow_rational(f, r).coeffs == _pow_rational_reference(f, r).coeffs
