@@ -8,6 +8,13 @@ one correlation).  The sets serve as independent oracles for the
 finite-field sweeps, so they must come from direct arithmetic rather than
 from the polynomial identities they verify.
 
+The sweeps run on int64 arrays of residues mod p, through one private
+layer: per-p tables of the quadratic character and of inverses, the grid of
+F_{p^2} in Fp2Field.elements() order, and F_p / F_{p^2} arithmetic on
+coefficient arrays (``_ArrayField``).  The Legendre 4-torsion sweep
+classifies every lambda at once on one lambda-by-x grid.  Field-element
+objects appear only at the edges, for curve coefficients and results.
+
 Models are kept as y^2 = x^3 + c2 x^2 + c1 x + c0 internally; the Hessian
 cubic is brought to that shape through its rational inflection point.
 """
@@ -119,11 +126,114 @@ class HessianCurve:
 
 
 # ---------------------------------------------------------------------------
+# residues mod p as int64 arrays
+#
+# Every oracle sweep below runs on arrays of residues.  Sums and multiples
+# stay within a few multiples of p of zero until a product, norm or inverse
+# reduces them, so for p <= 10^3 (which _ArrayField enforces) every product
+# is below 2^30, far from the int64 limit.
+
+
+@lru_cache(maxsize=None)
+def _chi(p: int) -> np.ndarray:
+    """chi[v] = (v / p), the quadratic character of F_p, with chi[0] = 0."""
+    chi = np.full(p, -1, dtype=np.int64)
+    chi[np.arange(1, p, dtype=np.int64) ** 2 % p] = 1
+    chi[0] = 0
+    chi.flags.writeable = False
+    return chi
+
+
+@lru_cache(maxsize=None)
+def _inv(p: int) -> np.ndarray:
+    """inv[v] = v^-1 mod p, with inv[0] = 0."""
+    inv = np.zeros(p, dtype=np.int64)
+    inv[1:] = [pow(v, -1, p) for v in range(1, p)]
+    inv.flags.writeable = False
+    return inv
+
+
+@lru_cache(maxsize=1)  # shared by the sweeps of one prime; p^2 pairs, so not kept
+def _fp2_grid(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(c0, c1) of every c0 + c1 w in F_{p^2}, in Fp2Field.elements() order."""
+    c = np.arange(p, dtype=np.int64)
+    grid = np.repeat(c, p), np.tile(c, p)
+    for part in grid:
+        part.flags.writeable = False
+    return grid
+
+
+_BLOCK = 1 << 15  # values per sweep step, so each step's temporaries stay in cache
+
+
+def _blocks(x, size: int = _BLOCK):
+    """Consecutive slices of the coefficient arrays ``x``, ``size`` values each."""
+    for lo in range(0, len(x[0]), size):
+        yield tuple(c[lo : lo + size] for c in x)
+
+
+class _ArrayField:
+    """F_p (d None) or F_{p^2} = F_p[w]/(w^2 - d) on int64 arrays mod p.
+
+    An element is a tuple of coefficient arrays, (c0,) or (c0, c1); ints
+    broadcast as constants.  ``add`` and ``scale`` skip the reduction, so
+    their coefficients are residues within a few multiples of p of zero;
+    ``mul``, ``norm`` and ``recip`` reduce into [0, p).  The norm is the
+    element itself over F_p and c0^2 - d c1^2 over F_{p^2}: it vanishes only
+    at 0, and z is a nonzero square iff chi[N(z)] = 1.
+    """
+
+    def __init__(self, p: int, d: int | None = None):
+        if p > 10**3:
+            raise ValueError(f"p = {p} beyond the brute-force bound 10^3")
+        self.p, self.d = p, d
+        self.chi, self.inv = _chi(p), _inv(p)
+
+    @staticmethod
+    def add(*terms):
+        return tuple(sum(cs) for cs in zip(*terms))
+
+    @staticmethod
+    def scale(k: int, a):
+        return tuple(k * c for c in a)
+
+    def mul(self, a, b):
+        p = self.p
+        if self.d is None:
+            return (a[0] * b[0] % p,)
+        (a0, a1), (b0, b1) = a, b
+        return (a0 * b0 + self.d * a1 * b1) % p, (a0 * b1 + a1 * b0) % p
+
+    def pow(self, a, e: int):
+        r = (1,) if self.d is None else (1, 0)
+        while e:
+            if e & 1:
+                r = self.mul(r, a)
+            e >>= 1
+            if e:
+                a = self.mul(a, a)
+        return r
+
+    def norm(self, a):
+        if self.d is None:
+            return a[0] % self.p
+        a0, a1 = a
+        return (a0 * a0 - self.d * a1 * a1) % self.p
+
+    def recip(self, a):
+        """1/a, as conj(a) / N(a); 0 maps to 0."""
+        ninv = self.inv[self.norm(a)]
+        if self.d is None:
+            return (ninv,)
+        return a[0] * ninv % self.p, -a[1] * ninv % self.p
+
+
+# ---------------------------------------------------------------------------
 # point counting and torsion
 
 
 def point_count(curve) -> int:
-    """#E(F_p) = p + 1 + sum_x chi(f(x)), by exhaustive x with a square table."""
+    """#E(F_p) = p + 1 + sum_x chi(f(x)), by exhaustive x."""
     field = curve.field
     if not isinstance(field, FpField):
         raise ValueError("point_count runs over F_p only")
@@ -131,16 +241,9 @@ def point_count(curve) -> int:
     if p > 10**4:
         raise ValueError(f"p = {p} beyond the exhaustive bound 10^4")
     c2, c1, c0 = (int(c) for c in curve.cubic())
-    squares = field.squares()
-    count = 1
-    for x in range(p):
-        fx = ((x + c2) * x + c1) * x + c0
-        fx %= p
-        if fx == 0:
-            count += 1
-        elif fx in squares:
-            count += 2
-    return count
+    x = np.arange(p, dtype=np.int64)
+    fx = (((x + c2) * x + c1) % p * x + c0) % p
+    return p + 1 + int(_chi(p)[fx].sum())
 
 
 def n_torsion_structure(curve, n: int) -> TorsionStructure:
@@ -149,37 +252,57 @@ def n_torsion_structure(curve, n: int) -> TorsionStructure:
     A root of the cubic f is a point of order 2.  A nonzero square f(x)
     gives the two points (x, +-y), both with x([2]P) = f'(x)^2 / (4 f(x)) -
     c2 - 2x; such a point has [3]P = O iff x([2]P) = x and [4]P = O iff
-    [2]P has order 2, i.e. f(x([2]P)) = 0.
+    [2]P has order 2, i.e. f(x([2]P)) = 0.  The x of the field are tested
+    as int64 arrays (F_p) or pairs of arrays (F_{p^2}), a block at a time.
     """
     if n not in (2, 3, 4):
         raise ValueError("n must be 2, 3, or 4")
     field = curve.field
-    if field.p > 10**3:
-        raise ValueError(f"p = {field.p} beyond the brute-force bound 10^3")
-    c2, c1, c0 = curve.cubic()
-    m2 = m3 = m4 = 1  # the point at infinity
-    for x in field.elements():
-        fx = ((x + c2) * x + c1) * x + c0
-        if not fx:
-            m2 += 1
-            m4 += 1
-            continue
-        if n == 2 or not fx.is_square():
-            continue
-        d = (3 * x + 2 * c2) * x + c1
-        x2 = d * d / (4 * fx) - c2 - 2 * x
-        if x2 == x:
-            m3 += 2
-        elif not ((x2 + c2) * x2 + c1) * x2 + c0:
-            m4 += 2
+    p = field.p
+    if isinstance(field, FpField):
+        A, x = _ArrayField(p), (np.arange(p, dtype=np.int64),)
+        cubic = [(int(c),) for c in curve.cubic()]
+    else:
+        A, x = _ArrayField(p, field.d), _fp2_grid(p)
+        cubic = [(c.c0, c.c1) for c in curve.cubic()]
+    a2 = an = 0
+    for block in _blocks(x):
+        b2, bn = _affine_torsion_counts(A, block, *cubic, n)
+        a2, an = a2 + int(b2), an + int(bn)
+    return _torsion_structure(1 + a2, 1 + an, n)
+
+
+def _affine_torsion_counts(A: _ArrayField, x, c2, c1, c0, n: int):
+    """The numbers of affine points of E[2] and of E[n] whose x-coordinate is
+    in ``x``, summed over its last axis; the coefficients broadcast against x."""
+
+    def cubic(t):
+        return A.add(A.mul(A.add(A.mul(A.add(t, c2), t), c1), t), c0)
+
+    f = cubic(x)
+    nf = A.norm(f)
+    a2 = np.count_nonzero(nf == 0, axis=-1)
+    if n == 2:
+        return a2, a2
+    sq = A.chi[nf] == 1
+    d = A.add(A.mul(A.add(A.scale(3, x), A.scale(2, c2)), x), c1)
+    x2 = A.add(A.mul(A.mul(d, d), A.recip(A.scale(4, f))), A.scale(-1, c2), A.scale(-2, x))
+    if n == 3:
+        fixed = A.norm(A.add(x2, A.scale(-1, x))) == 0
+        return a2, 2 * np.count_nonzero(sq & fixed, axis=-1)
+    # x2 = x would give f(x2) = f(x) != 0, so order-3 points never count here
+    return a2, a2 + 2 * np.count_nonzero(sq & (A.norm(cubic(x2)) == 0), axis=-1)
+
+
+def _torsion_structure(m2: int, mn: int, n: int) -> TorsionStructure:
+    """E[n] from its order mn and the order m2 of E[2]."""
     if n == 4:
-        if m4 == m2:
+        if mn == m2:
             d2 = 2 if m2 > 1 else 1
             return TorsionStructure(m2 // d2, d2)
-        return TorsionStructure(m4 // 4, 4)
-    m = m2 if n == 2 else m3
-    d2 = n if m > 1 else 1
-    return TorsionStructure(m // d2, d2)
+        return TorsionStructure(mn // 4, 4)
+    d2 = n if mn > 1 else 1
+    return TorsionStructure(mn // d2, d2)
 
 
 # ---------------------------------------------------------------------------
@@ -237,14 +360,22 @@ def two_torsion_only_lambdas(p: int) -> tuple[FpElem, ...]:
     curve has no rational point of order 4, by brute-force 4-torsion.
 
     Every Legendre curve has full rational 2-torsion, so these are the curves
-    with E[4](F_p) = Z/2 x Z/2.  Swept once per p and cached.
+    with E[4](F_p) = Z/2 x Z/2.  One x-only doubling sweep over the lam-by-x
+    grid classifies them all; swept once per p and cached.
     """
     F = Fp(p)
-    return tuple(
-        lam
-        for lam in (F.elem(v) for v in range(2, p))
-        if n_torsion_structure(LegendreCurve(lam), 4) == TorsionStructure(2, 2)
-    )
+    A = _ArrayField(p)
+    x = (np.arange(p, dtype=np.int64)[None, :],)
+    out = []
+    for (lams,) in _blocks((np.arange(2, p, dtype=np.int64),), max(1, _BLOCK // p)):
+        lam = lams[:, None]
+        a2, a4 = _affine_torsion_counts(A, x, (-1 - lam,), (lam,), (0,), 4)
+        out.extend(
+            F.elem(int(v))
+            for v, b2, b4 in zip(lams, a2, a4)
+            if _torsion_structure(1 + int(b2), 1 + int(b4), 4) == TorsionStructure(2, 2)
+        )
+    return tuple(out)
 
 
 def two_torsion_only_j_set(p: int) -> set[FpElem]:
@@ -303,29 +434,21 @@ def supersingular_j_set(p: int) -> set:
     for j in (0, 1728):
         if point_count(curve_from_j(F.elem(j))) == p + 1:
             out.add(K.from_fp(j))
-    d = K.d
-    chi = np.full(p, -1, dtype=np.int64)
-    chi[np.arange(1, p, dtype=np.int64) ** 2 % p] = 1
-    chi[0] = 0
-    inv = np.zeros(p, dtype=np.int64)  # inv[0] = 0 maps x = -1 to weight 0
-    inv[1:] = [pow(v, -1, p) for v in range(1, p)]
-    # rows indexed by c0, columns by c1, for z = c0 + c1 w
-    c1 = np.arange(p, dtype=np.int64)
-    dc1c1 = d * c1 * c1 % p
-    X = np.empty((p, p), dtype=np.int64)
-    h = np.zeros((p, p), dtype=np.int64)
-    for c0 in range(p):
-        X[c0] = chi[(c0 * c0 - dc1c1) % p]
-        s0 = (c0 * c0 + dc1c1) % p  # x^2 = s0 + s1 w
-        s1 = 2 * c0 * c1 % p
-        t0 = (s0 * c0 + d * s1 % p * c1) % p  # x^3 = t0 + t1 w
-        t1 = (s0 * c1 + s1 * c0) % p
-        u0 = (c0 + 1) % p  # x + 1 = u0 + c1 w, norm nu
-        nu = (u0 * u0 - dc1c1) % p
-        ninv = inv[nu]
-        r0 = (t0 * u0 - d * t1 % p * c1) % p * ninv % p  # x^3 conj(x+1) / nu
-        r1 = (t1 * u0 - t0 * c1) % p * ninv % p
-        np.add.at(h, (r0, r1), chi[nu])
+    A = _ArrayField(p, K.d)
+    # flat index c0 p + c1 of z = c0 + c1 w, the grid order, so reshape(p, p)
+    # indexes [c0, c1]
+    X = np.empty(p * p, dtype=np.int64)
+    h = np.zeros(p * p, dtype=np.int64)
+    lo = 0
+    for x in _blocks(_fp2_grid(p)):
+        hi = lo + len(x[0])
+        X[lo:hi] = A.chi[A.norm(x)]
+        u = A.add(x, (1, 0))
+        nu = A.norm(u)
+        r0, r1 = A.mul(A.mul(A.mul(x, x), x), A.recip(u))  # x = -1 has weight chi[0] = 0
+        np.add.at(h, r0 * p + r1, A.chi[nu])
+        lo = hi
+    X, h = X.reshape(p, p), h.reshape(p, p)
     corr = np.fft.irfft2(np.conj(np.fft.rfft2(h)) * np.fft.rfft2(X), s=(p, p))
     rounded = np.rint(corr)
     err = float(np.abs(corr - rounded).max())
@@ -346,12 +469,16 @@ def hex_zero_set(p: int) -> frozenset[Fp2Elem]:
     if p % 12 not in (5, 11):
         raise ValueError(f"p = {p} not in the 5, 11 mod 12 classes")
     K = Fp2(p)
-    target = -K.from_fp(cube_root_of_2(p))
-    e = (p + 1) // 3
+    A = _ArrayField(p, K.d)
+    target = -int(cube_root_of_2(p)) % p
+    roots = []
+    for a0, a1 in _blocks(_fp2_grid(p)):
+        t0, t1 = A.pow((a0, a1), (p + 1) // 3)
+        hits = (t0 == target) & (t1 == 0)
+        roots += zip(a0[hits].tolist(), a1[hits].tolist())
     out: set[Fp2Elem] = set()
-    for a in K.elements():
-        if a**e != target:
-            continue
+    for a0, a1 in roots:
+        a = K.elem(a0, a1)
         den = a * (a + 4) ** 3
         if not den:
             continue
@@ -365,7 +492,6 @@ def hex_zero_set(p: int) -> frozenset[Fp2Elem]:
 # Hessian cubics
 
 
-HESSIAN_CAP = 200  # largest p for which check_hessian_matches_hex runs
 HESSIAN_TORSION_SAMPLES = 3  # admissible curves whose 3-torsion it checks
 
 
@@ -391,7 +517,12 @@ def _admissible_hessian_params(p: int) -> tuple[Fp2Elem, ...]:
     b^(p+1) is the F_{p^2}/F_p norm, so the sweep is a plain norm check;
     b^3 != 1 keeps E_b nonsingular.
     """
-    return tuple(b for b in Fp2(p).elements() if b.norm() == -2 and b * b * b != 1)
+    K = Fp2(p)
+    A = _ArrayField(p, K.d)
+    b = _fp2_grid(p)
+    b30, b31 = A.pow(b, 3)
+    keep = (A.norm(b) == -2 % p) & ((b30 != 1) | (b31 != 0))
+    return tuple(K.elem(int(c0), int(c1)) for c0, c1 in zip(b[0][keep], b[1][keep]))
 
 
 def hessian_norm_condition_j_set(p: int) -> set[Fp2Elem]:
@@ -414,8 +545,8 @@ def check_hessian_matches_hex(p: int) -> bool:
     """
     if p % 12 not in (5, 11):
         raise ValueError(f"p = {p} not in the 5, 11 mod 12 classes")
-    if p > HESSIAN_CAP:
-        raise ValueError(f"p = {p} beyond the stated bound {HESSIAN_CAP}")
+    if p > 10**3:
+        raise ValueError(f"p = {p} beyond the brute-force bound 10^3")
     if hessian_norm_condition_j_set(p) != hex_zero_set(p):
         return False
     return all(

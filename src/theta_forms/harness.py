@@ -45,7 +45,6 @@ from functools import cache, partial
 from math import factorial
 
 from .curves import (
-    HESSIAN_CAP,
     check_hessian_matches_hex,
     hex_zero_set,
     legendre_image_j_set,
@@ -112,9 +111,12 @@ class VerificationReport:
 class SweepConfig:
     """Sweep bounds and output options.
 
-    The caps keep the brute-force oracles (full lambda sweeps, F_{p^2} point
-    counts) inside their sub-5-minute budget; primes beyond a cap get a
-    skipped report rather than silence.
+    The caps are the largest primes at which the brute-force oracles run:
+    ``curve_cap`` for the Legendre 4-torsion curve set (theta-z),
+    ``hessian_cap`` for the Hessian parametrization and its 3-torsion samples
+    (theta-hex) and ``supersingular_cap`` for the supersingular j-set
+    (background).  Primes beyond a cap get a skipped report rather than
+    silence.
     """
 
     p_min: int = 5
@@ -123,6 +125,7 @@ class SweepConfig:
     jobs: int = 1
     fmt: str = "table"
     curve_cap: int = 103
+    hessian_cap: int = 200
     supersingular_cap: int = 103
 
     def __post_init__(self):
@@ -140,6 +143,8 @@ class SweepConfig:
             raise ValueError("series order override must be at least 20")
         if self.curve_cap < 0:
             raise ValueError("curve cap must be non-negative")
+        if self.hessian_cap < 0:
+            raise ValueError("Hessian cap must be non-negative")
         if self.supersingular_cap < 0:
             raise ValueError("supersingular cap must be non-negative")
 
@@ -242,14 +247,14 @@ def _hex_pattern_witness(f: FpPoly, pattern: FactorPattern, n: int) -> str | Non
     return None
 
 
-def _theta_hex_prime(p: int, order: int | None) -> list[VerificationReport]:
+def _theta_hex_prime(p: int, order: int | None, hessian_cap: int) -> list[VerificationReport]:
     k = p + 1
     n = weight_indices(k).n
     fam = "V0" if p % 12 == 11 else "V1"
     P = cache(lambda: pf_polynomial(theta_H(order or default_order(k)), k))
     f = cache(lambda: reduce_poly(P(), p))
     pattern = cache(lambda: factor_pattern(f()))
-    capped = None if p <= HESSIAN_CAP else f"Hessian sweep capped at {HESSIAN_CAP}"
+    capped = None if p <= hessian_cap else f"Hessian sweep capped at {hessian_cap}"
     return [
         _check("hex_congruence", p, k, lambda: _congruence_witness(P(), truncated_poly(fam, n), p)),
         _check("hex_splits_fp2", p, k, lambda: _splits_witness(pattern(), 2)),
@@ -407,7 +412,7 @@ def cmd_verify_theta_z(cfg: SweepConfig) -> list[VerificationReport]:
 
 def cmd_verify_theta_hex(cfg: SweepConfig) -> list[VerificationReport]:
     primes = [p for p in primes_in_range(cfg.p_min, cfg.p_max) if p % 12 in (5, 11)]
-    worker = partial(_theta_hex_prime, order=cfg.order)
+    worker = partial(_theta_hex_prime, order=cfg.order, hessian_cap=cfg.hessian_cap)
     return _sorted_rows(_run_over_primes(worker, primes, cfg.jobs))
 
 
@@ -622,6 +627,18 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--p-max", type=int, default=199)
     v.add_argument("--order", type=int, default=None, help="series order override")
     v.add_argument(
+        "--curve-cap",
+        type=int,
+        default=SweepConfig.curve_cap,
+        help="largest p whose Legendre 4-torsion curve set is swept (default %(default)s)",
+    )
+    v.add_argument(
+        "--hessian-cap",
+        type=int,
+        default=SweepConfig.hessian_cap,
+        help="largest p whose Hessian parametrization is checked (default %(default)s)",
+    )
+    v.add_argument(
         "--ss-cap",
         type=int,
         default=SweepConfig.supersingular_cap,
@@ -668,6 +685,8 @@ def main(argv=None) -> int:
             order=args.order,
             jobs=args.jobs,
             fmt=args.format,
+            curve_cap=args.curve_cap,
+            hessian_cap=args.hessian_cap,
             supersingular_cap=args.ss_cap,
         )
         # opened before the sweep, so an unwritable path fails at once

@@ -1,13 +1,16 @@
 """Tests for brute-force curve arithmetic and the j-value sets."""
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 import sympy as sp
 
 from theta_forms.curves import (
+    HESSIAN_TORSION_SAMPLES,
     HessianCurve,
     LegendreCurve,
     ShortWeierstrass,
@@ -27,7 +30,14 @@ from theta_forms.curves import (
     two_torsion_only_lambdas,
 )
 from theta_forms import curves
-from theta_forms.exact_arith import Fp, Fp2, Fp2Field, legendre_symbol, primes_in_range
+from theta_forms.exact_arith import (
+    Fp,
+    Fp2,
+    FpField,
+    cube_root_of_2,
+    legendre_symbol,
+    primes_in_range,
+)
 from theta_forms.fppoly import reduce_poly, roots_brute, roots_fp2_brute
 from theta_forms.modforms import default_order, pf_polynomial
 from theta_forms.qseries import theta_H, theta_Z
@@ -80,6 +90,56 @@ def _points_naive(curve):
     return pts
 
 
+def _n_torsion_structure_objects(curve, n):
+    """Reference for the array sweep in n_torsion_structure: the same x-only
+    doubling test, one field-element object at a time."""
+    field = curve.field
+    c2, c1, c0 = curve.cubic()
+    m2 = m3 = m4 = 1  # the point at infinity
+    for x in field.elements():
+        fx = ((x + c2) * x + c1) * x + c0
+        if not fx:
+            m2 += 1
+            m4 += 1
+            continue
+        if n == 2 or not fx.is_square():
+            continue
+        d = (3 * x + 2 * c2) * x + c1
+        x2 = d * d / (4 * fx) - c2 - 2 * x
+        if x2 == x:
+            m3 += 2
+        elif not ((x2 + c2) * x2 + c1) * x2 + c0:
+            m4 += 2
+    if n == 4:
+        if m4 == m2:
+            d2 = 2 if m2 > 1 else 1
+            return TorsionStructure(m2 // d2, d2)
+        return TorsionStructure(m4 // 4, 4)
+    m = m2 if n == 2 else m3
+    d2 = n if m > 1 else 1
+    return TorsionStructure(m // d2, d2)
+
+
+def _hex_zero_set_objects(p):
+    """Reference for hex_zero_set: a^((p+1)/3) by one object power per a."""
+    K = Fp2(p)
+    target = -K.from_fp(cube_root_of_2(p))
+    out = set()
+    for a in K.elements():
+        if a ** ((p + 1) // 3) != target:
+            continue
+        den = a * (a + 4) ** 3
+        if not den:
+            continue
+        j = 6912 * (2 * a - 1) ** 3 / den
+        if j and j != 1728:
+            out.add(j)
+    return out
+
+
+def _admissible_hessian_params_objects(p):
+    """Reference for _admissible_hessian_params, in Fp2Field.elements() order."""
+    return [b for b in Fp2(p).elements() if b.norm() == -2 and b**3 != 1]
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +318,92 @@ def test_n_torsion_matches_repeated_addition():
                     assert _add(P, Q, c2, c1) in killed, (E, n, P, Q)
         checked += 1
     assert checked == 9 + 18 + 22  # F_25 holds three cube roots of unity
+
+
+def _torsion_sweep_curves():
+    for p in (7, 11, 13, 19, 23):
+        F = Fp(p)
+        for v in range(2, p):
+            yield LegendreCurve(F.elem(v))
+    rng = random.Random(29)
+    for p in (5, 7, 11, 13, 17, 37, 101):
+        F = Fp(p)
+        done = 0
+        while done < 8:
+            a, b = F.elem(rng.randrange(p)), F.elem(rng.randrange(p))
+            if not (4 * a * a * a + 27 * b * b):
+                continue
+            yield ShortWeierstrass(a, b)
+            done += 1
+    for p in (5, 7, 11, 17, 23):
+        K = Fp2(p)
+        for v in range(0, p * p, 7):
+            b = K.elem(v // p, v % p)
+            if b**3 != 1:
+                yield HessianCurve(b)
+    # F_{191^2} spans two blocks of the array sweep
+    yield HessianCurve(Fp2(191).elem(3, 5))
+
+
+def test_n_torsion_matches_object_sweep():
+    # the int64 sweep against the same x-only test on field-element objects
+    structures = set()
+    fields = set()
+    for E in _torsion_sweep_curves():
+        fields.add(isinstance(E.field, FpField))
+        for n in (2, 3, 4):
+            t = n_torsion_structure(E, n)
+            assert t == _n_torsion_structure_objects(E, n), (E, n)
+            structures.add((n, t.d1, t.d2))
+    assert fields == {True, False}
+    # every shape the sweep can report occurs, so no branch goes untested
+    for want in ((2, 1, 1), (2, 1, 2), (2, 2, 2), (3, 1, 1), (3, 1, 3), (3, 3, 3),
+                 (4, 1, 2), (4, 2, 2), (4, 1, 4), (4, 2, 4), (4, 4, 4)):
+        assert want in structures, want
+
+
+def test_two_torsion_only_lambdas_match_object_sweep():
+    for p in primes_in_range(7, 199):
+        if p % 4 != 3:
+            continue
+        F = Fp(p)
+        want = tuple(
+            lam
+            for lam in (F.elem(v) for v in range(2, p))
+            if _n_torsion_structure_objects(LegendreCurve(lam), 4) == TorsionStructure(2, 2)
+        )
+        assert two_torsion_only_lambdas(p) == want, p
+
+
+def test_two_torsion_only_lambdas_match_prediction_to_1000():
+    # the brute-force (2,2) classes are exactly the lambdas with -lam and
+    # lam - 1 both nonzero squares, at every admissible prime of the CLI range
+    for p in primes_in_range(7, 1000):
+        if p % 4 != 3:
+            continue
+        F = Fp(p)
+        want = tuple(
+            lam
+            for lam in (F.elem(v) for v in range(2, p))
+            if legendre_4torsion_predicted(lam, p) == TorsionStructure(2, 2)
+        )
+        assert two_torsion_only_lambdas(p) == want, p
+
+
+def test_curves_imports_no_module_under_test():
+    # the oracles must not lean on the polynomial or series code they check
+    import theta_forms.curves as mod
+
+    tree = ast.parse(Path(mod.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert imported, "no imports found"
+    for name in imported:
+        assert not {"fppoly", "hyperpoly", "modforms", "qseries"} & set(name.split(".")), name
 
 
 def test_n_torsion_rejects():
@@ -495,6 +641,13 @@ def test_hex_zero_set_matches_polynomial_roots():
         assert isinstance(s, frozenset) and hex_zero_set(p) is s
 
 
+def test_hex_zero_set_matches_object_sweep():
+    # F_{191^2} spans two blocks of the array sweep
+    for p in [*primes_in_range(5, 131), 191]:
+        if p % 12 in (5, 11):
+            assert hex_zero_set(p) == _hex_zero_set_objects(p), p
+
+
 def test_hex_zero_set_norm_relation():
     # each member beta satisfies beta^p * beta = 1728^2
     for p in (11, 17, 23, 29, 41, 53):
@@ -584,24 +737,29 @@ def test_hessian_check_sweeps_fp2_once_per_side(monkeypatch):
     p = 47
     curves._admissible_hessian_params.cache_clear()
     hex_zero_set.cache_clear()
-    sweeps, sampled = [], []
-    elements = Fp2Field.elements
-
-    def counted(self):
-        sweeps.append(self.p)
-        return elements(self)
+    sampled = []
 
     def torsion(E, n):
         sampled.append(E.b)
         return TorsionStructure(3, 3)
 
-    monkeypatch.setattr(Fp2Field, "elements", counted)
     monkeypatch.setattr(curves, "n_torsion_structure", torsion)
     assert check_hessian_matches_hex(p)
-    assert sweeps == [p, p]
-    admissible = [b for b in elements(Fp2(p)) if b.norm() == -2 and b**3 != 1]
+    assert check_hessian_matches_hex(p)
+    assert curves._admissible_hessian_params.cache_info().misses == 1
+    assert hex_zero_set.cache_info().misses == 1
+    admissible = _admissible_hessian_params_objects(p)
     assert list(curves._admissible_hessian_params(p)) == admissible
-    assert sampled == admissible[: curves.HESSIAN_TORSION_SAMPLES]
+    assert sampled == 2 * admissible[:HESSIAN_TORSION_SAMPLES]
+
+
+def test_admissible_hessian_params_match_object_sweep():
+    # same values in the same Fp2Field.elements() order, so the sampled b hold
+    for p in primes_in_range(5, 131):
+        if p % 12 in (5, 11):
+            got = curves._admissible_hessian_params(p)
+            assert list(got) == _admissible_hessian_params_objects(p), p
+            assert len(got) == p + 1  # every norm -2 element: N(b^3) = -8 != 1
 
 
 def test_check_hessian_rejects():
@@ -610,7 +768,7 @@ def test_check_hessian_rejects():
     with pytest.raises(ValueError):
         check_hessian_matches_hex(13)
     with pytest.raises(ValueError):
-        check_hessian_matches_hex(227)
+        check_hessian_matches_hex(1013)
 
 
 def test_hessian_norm_condition_set_at_5_hits_excluded_values_only():

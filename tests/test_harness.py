@@ -90,6 +90,8 @@ def test_config_rejects_negative_caps():
         SweepConfig(curve_cap=-5)
     with pytest.raises(ValueError, match="supersingular cap"):
         SweepConfig(supersingular_cap=-5)
+    with pytest.raises(ValueError, match="Hessian cap"):
+        SweepConfig(hessian_cap=-5)
 
 
 # ---------------------------------------------------------------------------
@@ -487,6 +489,31 @@ def test_main_ss_cap_lifts_supersingular_skips(capsys):
 
 def test_main_negative_ss_cap_exits_two(capsys):
     assert main(["verify", "background", "--p-max", "13", "--ss-cap", "-1"]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "lane, check_id, flag, p_min, p_max, lifted",
+    [
+        ("theta-z", "theta_z_curve_set", "--curve-cap", 97, 131, [107, 127, 131]),
+        ("theta-hex", "hessian_set", "--hessian-cap", 191, 227, [227]),
+    ],
+)
+def test_main_curve_and_hessian_caps_lift_skips(lane, check_id, flag, p_min, p_max, lifted, capsys):
+    argv = ["verify", lane, "--p-min", str(p_min), "--p-max", str(p_max), "--format", "json"]
+    reason = {"--curve-cap": "curve sweep capped at 103", "--hessian-cap": "Hessian sweep capped at 200"}
+    assert main(argv) == 0
+    rows = [r for r in json.loads(capsys.readouterr().out) if r["check_id"] == check_id]
+    assert [r["p"] for r in rows if r["witness"] == reason[flag]] == lifted
+    assert main([*argv, flag, str(p_max)]) == 0
+    rows = {r["p"]: r for r in json.loads(capsys.readouterr().out) if r["check_id"] == check_id}
+    assert all(rows[p]["status"] == "pass" for p in lifted)
+    assert not [r for r in rows.values() if r["witness"] == reason[flag]]
+
+
+@pytest.mark.parametrize("flag", ["--curve-cap", "--hessian-cap"])
+def test_main_negative_curve_or_hessian_cap_exits_two(flag, capsys):
+    assert main(["verify", "theta-z", "--p-max", "13", flag, "-1"]) == 2
     assert "configuration error" in capsys.readouterr().err
 
 
