@@ -91,22 +91,29 @@ class FpPoly:
         return out
 
     def __divmod__(self, other: "FpPoly") -> tuple["FpPoly", "FpPoly"]:
+        """Long division with lazy reduction.
+
+        The working remainder holds unreduced ints: each leading coefficient is
+        reduced when it is read, and the remainder once at the end.
+        """
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         p = self.p
         rem = list(self.coeffs)
         d = other.degree
+        lower = other.coeffs[:d]  # the leading term cancels rem[i] and is never read back
         lc_inv = pow(other.leading(), -1, p)
         quot = [0] * max(len(rem) - d, 0)
         for i in range(len(rem) - 1, d - 1, -1):
-            c = rem[i]
+            c = rem[i] % p
             if c:
                 q = c * lc_inv % p
                 quot[i - d] = q
-                for j, oc in enumerate(other.coeffs):
-                    rem[i - d + j] = (rem[i - d + j] - q * oc) % p
-        return FpPoly._raw(_normalize(quot), p), FpPoly._raw(_normalize(rem), p)
+                base = i - d
+                for j in range(d):
+                    rem[base + j] -= q * lower[j]
+        return FpPoly._raw(_normalize(quot), p), FpPoly._raw(_normalize([c % p for c in rem[:d]]), p)
 
     def __floordiv__(self, other: "FpPoly") -> "FpPoly":
         return divmod(self, other)[0]
@@ -129,11 +136,19 @@ class FpPoly:
         )
 
     def evaluate(self, x: int | FpElem | Fp2Elem) -> FpElem | Fp2Elem:
-        """f(x) by Horner's rule, in F_p for an int or FpElem, else in F_{p^2}."""
-        acc = Fp2(self.p).zero if isinstance(x, Fp2Elem) else Fp(self.p).zero
+        """f(x) by Horner's rule: in plain ints mod p for an int or FpElem, else in F_{p^2}."""
+        if isinstance(x, Fp2Elem):
+            acc = Fp2(self.p).zero
+            for c in reversed(self.coeffs):
+                acc = acc * x + c
+            return acc
+        p = self.p
+        F = Fp(p)
+        v = F.elem(x).value
+        acc = 0
         for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+            acc = (acc * v + c) % p
+        return FpElem(acc, F)
 
     def reverse(self) -> "FpPoly":
         """x^deg * f(1/x): the coefficient list read backwards."""

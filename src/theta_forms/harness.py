@@ -25,7 +25,8 @@ Reports are deterministic: JSON and CSV output is canonical (rows sorted by
 (check_id, p), wall times zeroed, keys sorted), so re-running a sweep yields
 a bit-identical file.  The table format keeps measured times for humans.
 
-Exit codes: 0 all pass, 1 any fail, 2 configuration error.
+Exit codes: 0 all pass, 1 any fail (a check that raises is a fail row), 2
+configuration error.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ from .hyperpoly import (
     truncated_poly,
     vanishing_window,
 )
-from .modforms import RatPoly, default_order, pf_polynomial, weight_indices
+from .modforms import ConfigError, RatPoly, default_order, pf_polynomial, weight_indices
 from .qseries import QSeries, delta, eisenstein, hauptmodul_mismatch, theta_H, theta_Z
 
 _STATUSES = ("pass", "fail", "skipped")
@@ -157,12 +158,23 @@ def _check(check_id: str, p, k, witness, skip: str | None = None) -> Verificatio
     skipped.  ``ms`` times ``witness()``, which includes building any
     per-prime artefact this row is the first to need.  The witness is called
     before ``_check`` returns, so a lambda may close over loop variables.
+
+    An exception from the check makes a fail row with an ``exception:``
+    witness, so the rest of the sweep still runs; the artefact thunks cache no
+    exception, so each later row that needs a failed artefact fails too.  A
+    ``ConfigError`` is the sweep's configuration, not the check, and
+    propagates.
     """
     if skip is not None:
         return VerificationReport(check_id, p, k, "skipped", skip)
     clock = time.perf_counter
     start = clock()
-    w = witness()
+    try:
+        w = witness()
+    except ConfigError:
+        raise
+    except Exception as exc:
+        w = f"exception: {type(exc).__name__}: {exc}"
     ms = int((clock() - start) * 1000)
     return VerificationReport(check_id, p, k, "pass" if w is None else "fail", w, ms)
 
@@ -698,7 +710,7 @@ def main(argv=None) -> int:
     with out as fh:
         try:
             reports = _LANES[args.lane](cfg)
-        except ValueError as e:
+        except ConfigError as e:
             print(f"configuration error: {e}", file=sys.stderr)
             return 2
         fh.write(_RENDERERS[cfg.fmt](reports))

@@ -5,15 +5,19 @@ a_k in {0,1,2}, b_k in {0,1}.  Its triangular basis is
 
     Delta^(n_k - l) * E4^(a_k + 3l) * E6^(b_k),   l = 0 .. n_k,
 
-whose element l leads with q^(n_k - l), coefficient 1.  It is built from two
-chains of one product per step, the Delta powers Delta^0..Delta^(n_k) and
-E_l = E4^(a_k) E6^(b_k) (E4^3)^l, as element l = Delta^(n_k - l) * E_l.
-Matching a target series on q^0..q^(n_k) therefore determines a unique form
-(the constructor).  The basis coefficients are integers and the diagonal is
-1, so the target is scaled by the lcm of its denominators and
-back-substituted in plain ints, with one division at the end.  Writing that
-combination over the common factor Delta^(n_k) E4^(a_k) E6^(b_k) turns the
-coordinates into a polynomial in j, since E4^3 / Delta = j.
+whose element l leads with q^(n_k - l), coefficient 1.  Matching a target
+series on q^0..q^(n_k) therefore determines a unique form (the constructor);
+this is the Kaneko-Zagier construction of P(j).  Element l is U * t^(n_k - l)
+for the unit U = E4^(a_k + 3 n_k) E6^(b_k) and t = Delta / E4^3 = q - 744q^2
++ ..., which has integer coefficients.  So f matches sum c_l * element_l
+exactly when f / U matches sum c_l * t^(n_k - l), and the rows of that
+triangular system, t^0..t^(n_k), do not depend on k.  They live in one
+module-level table, built on first use and extended in place when a larger
+order is asked for.  A solve costs the two unit powers, one product and a
+back-substitution in plain ints against the table (the target scaled by the
+lcm of its denominators, one division at the end).  Writing the combination
+over the common factor Delta^(n_k) E4^(a_k) E6^(b_k) turns the coordinates
+into a polynomial in j, since E4^3 / Delta = j.
 """
 
 from __future__ import annotations
@@ -21,9 +25,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from operator import mul
 
-from .qseries import QSeries, delta, eisenstein
+from .qseries import QSeries, delta, eisenstein, pow_rational
 
 
 # ---------------------------------------------------------------------------
@@ -116,67 +120,84 @@ def default_order(k: int) -> int:
     return 2 * (weight_indices(k).n + 1) + 10
 
 
-@lru_cache(maxsize=None)
-def _basis_cached(k: int, order: int) -> tuple[QSeries, ...]:
-    """Delta^(n-l) E4^(a+3l) E6^b for l = 0..n, about 3n products in all.
+class ConfigError(ValueError):
+    """A series order below dim M_k: a sweep's ``--order`` too small for one of its weights."""
 
-    The chain E_l = E_(l-1) * E4^3 starts from E_0 = E4^a E6^b; the chain
-    Delta^i = Delta^(i-1) * Delta runs alongside, replacing E_(n-i) by
-    Delta^i * E_(n-i).  The Delta power is the left factor, so the product
-    skips its i leading zeros.
+
+def _require_dimension(w: WeightIndices, order: int) -> None:
+    if order < w.n + 1:
+        raise ConfigError(f"order {order} below dimension {w.n + 1} of weight-{w.k} space")
+
+
+# t^i for i < len(_T_POWERS), each as its coefficients of q^0..q^(len - 1).
+# Shared by every weight and only ever extended, so no caller sees a change.
+_T_POWERS: list[list[int]] = [[1]]
+
+
+def _t_powers(order: int) -> list[list[int]]:
+    """The shared table t^0..t^(order-1) to q^(order-1), for t = Delta / E4^3.
+
+    Grows in place and is never rebuilt: the existing rows get the new
+    columns, then the new rows are appended.  Row i comes from row i-1, since
+    coefficient e of t^i is the sum of t_j * (t^(i-1))_(e-j) over j >= 1.
     """
-    w = weight_indices(k)
-    e4 = eisenstein(4, order)
-    head = e4**w.a
+    rows = _T_POWERS
+    if order <= len(rows):
+        return rows
+    t = (delta(order) * pow_rational(eisenstein(4, order), -3)).coeffs
+    rows[0].extend([0] * (order - len(rows[0])))
+    for i in range(1, order):
+        if i == len(rows):
+            rows.append([0] * i)
+        row, prev = rows[i], rows[i - 1]
+        for e in range(len(row), order):
+            row.append(sum(map(mul, t[1 : e - i + 2], reversed(prev[i - 1 : e]))))
+    return rows
+
+
+def _unit(w: WeightIndices, order: int, sign: int) -> QSeries:
+    """U^sign for U = E4^(a+3n) E6^b, the factor taking t^(n-l) to basis element l."""
+    u = pow_rational(eisenstein(4, order), sign * (w.a + 3 * w.n))
     if w.b:
-        e6 = eisenstein(6, order)
-        head = head * e6 if w.a else e6
-    e4_cubed = e4**3
-    out = [head]
-    for _ in range(w.n):
-        out.append(out[-1] * e4_cubed)
-    dl = delta(order)
-    power = dl
-    for l in range(w.n - 1, -1, -1):
-        out[l] = power * out[l]
-        if l:
-            power = power * dl
-    return tuple(out)
+        u = u * pow_rational(eisenstein(6, order), sign)
+    return u
 
 
 def basis(k: int, order: int | None = None) -> list[QSeries]:
-    """The n_k+1 basis series of M_k, element l leading with q^(n_k - l)."""
+    """The n_k+1 basis series of M_k, element l = U * t^(n_k - l) leading with q^(n_k - l)."""
     w = weight_indices(k)
     if order is None:
         order = default_order(k)
-    if order < w.n + 1:
-        raise ValueError(f"order {order} below dimension {w.n + 1} of weight-{k} space")
-    return list(_basis_cached(k, order))
+    _require_dimension(w, order)
+    rows = _t_powers(order)
+    u = _unit(w, order, 1)
+    return [u * QSeries(rows[w.n - l][:order]) for l in range(w.n + 1)]
 
 
 def basis_coordinates(f: QSeries, k: int) -> BasisCoordinates:
     """Solve for the unique coordinates matching f on q^0..q^(n_k).
 
-    The system is triangular with unit diagonal (element l leads with
-    q^(n_k-l), coefficient 1) and integer entries.  Scaling the targets by
-    the lcm of their denominators keeps the back-substitution in plain ints;
-    the coordinates are Fractions exactly when a target coefficient is one.
+    Dividing by U turns the system into h = f / U = sum c_l t^(n_k-l) mod
+    q^(n_k+1), whose rows are the shared t-powers: integer entries, t^i
+    leading with q^i, coefficient 1.  Scaling the targets by the lcm of their
+    denominators keeps h and the back-substitution in plain ints; the
+    coordinates are Fractions exactly when a target coefficient is one.
     """
     w = weight_indices(k)
     m = w.n + 1
-    if f.order < m:
-        raise ValueError(f"need {m} known coefficients, have order {f.order}")
-    bas = basis(k, m)
+    _require_dimension(w, f.order)
     targets = [f.coefficient(e) for e in range(m)]
     fractional = any(isinstance(c, Fraction) for c in targets)
     den = math.lcm(*(c.denominator for c in targets)) if fractional else 1
-    residual = [c.numerator * (den // c.denominator) for c in targets]
+    scaled = QSeries([c.numerator * (den // c.denominator) for c in targets])
+    residual = (scaled * _unit(w, m, -1)).coeffs
+    rows = _t_powers(m)
     coords = [0] * m
     for e in range(m):
         c = residual[e]
         coords[w.n - e] = c
         if c:
-            row = bas[w.n - e].coeffs
+            row = rows[e]
             for e2 in range(e + 1, m):
                 residual[e2] -= c * row[e2]
     if fractional:
@@ -185,16 +206,20 @@ def basis_coordinates(f: QSeries, k: int) -> BasisCoordinates:
 
 
 def combination(coords: BasisCoordinates, order: int | None = None) -> QSeries:
-    """The form sum(c_l * basis_l) expanded to the given order."""
+    """The form U * sum(c_l * t^(n_k - l)) expanded to the given order."""
     k = coords.k
+    w = weight_indices(k)
     if order is None:
         order = default_order(k)
-    bas = basis(k, order)
-    acc = QSeries.zero(order)
-    for c, elem in zip(coords.coords, bas):
+    _require_dimension(w, order)
+    rows = _t_powers(order)
+    s = [0] * order
+    for l, c in enumerate(coords.coords):
         if c:
-            acc = acc + elem * c
-    return acc
+            row = rows[w.n - l]
+            for e in range(w.n - l, order):
+                s[e] += c * row[e]
+    return _unit(w, order, 1) * QSeries(s)
 
 
 def constructor(f: QSeries, k: int, order: int | None = None) -> QSeries:

@@ -289,6 +289,21 @@ def test_evaluate_over_fp_and_fp2():
     assert FpPoly([], p).evaluate(K.elem(2, 3)) == 0
 
 
+def test_evaluate_at_fp_points_matches_fp2_embedding():
+    # the plain-int Horner path agrees with evaluation at the embedded F_{p^2} point
+    rng = random.Random(5)
+    for p in (5, 11, 103):
+        F, K = Fp(p), Fp2(p)
+        for deg in (0, 1, 4, 9):
+            f = _random_poly(rng, p, deg)
+            for x in range(-p, p):
+                got = f.evaluate(x)
+                assert type(got) is type(F.zero) and got.field is F
+                assert got == f.evaluate(K.elem(x % p, 0)) == f.evaluate(F.elem(x))
+    with pytest.raises(ValueError, match="modulus"):
+        FpPoly([1, 1], 7).evaluate(Fp(11).elem(3))
+
+
 def test_roots_fp2_brute():
     p = 7
     K = Fp2(p)

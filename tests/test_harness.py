@@ -11,7 +11,7 @@ import pytest
 
 import theta_forms
 
-from theta_forms import fppoly, harness
+from theta_forms import fppoly, harness, modforms
 from theta_forms.exact_arith import Fp, Fp2, primes_in_range
 from theta_forms.fppoly import FpPoly, factor_pattern
 from theta_forms.harness import (
@@ -253,6 +253,17 @@ def test_pf_polynomial_built_once_per_series(monkeypatch):
     assert weights() == sorted(2 * [p - 1 for p in primes_in_range(5, 31)])
 
 
+def test_lanes_solve_without_the_basis(monkeypatch):
+    # every P(j) comes from the shared t-table; basis() is a view for tests and tracing
+    def refuse(*args):
+        raise AssertionError("a lane called modforms.basis")
+
+    monkeypatch.setattr(modforms, "basis", refuse)
+    for lane in (cmd_verify_theta_z, cmd_verify_theta_hex, cmd_verify_background):
+        reports = lane(SweepConfig(p_min=5, p_max=31))
+        assert all(r.status != "fail" for r in reports)
+
+
 # ---------------------------------------------------------------------------
 # witnesses and their failure paths
 
@@ -345,6 +356,50 @@ def test_root_set_row_fails_when_oracle_drops_a_value(
     assert failed == [(row, bad_p)]
     (bad,) = [r for r in rows if r["status"] == "fail"]
     assert bad["witness"].startswith("degree ")
+
+
+_ORACLE_PRIME = lambda p: p
+_THETA_Z_PRIME = lambda f, k: 2 * k - 1  # theta-z builds P(j) at weight (p+1)/2
+
+# (lane, oracle or artefact builder in harness, its prime from its arguments,
+#  the prime where it raises, p_max, the rows that fail)
+_RAISING = [
+    ("theta-z", "legendre_image_j_set", _ORACLE_PRIME, 23, 31, ["theta_z_legendre_set"]),
+    ("theta-hex", "hex_zero_set", _ORACLE_PRIME, 17, 23, ["hex_zero_set"]),
+    # a failed P(j) is not cached: every row that needs it fails with its own witness
+    ("theta-z", "pf_polynomial", _THETA_Z_PRIME, 23, 31, list(harness.THETA_Z_CHECKS)),
+]
+
+
+@pytest.mark.parametrize("lane, name, prime_of, bad_p, p_max, failing", _RAISING)
+def test_raising_check_becomes_fail_row(
+    lane, name, prime_of, bad_p, p_max, failing, monkeypatch, capsys
+):
+    argv = ["verify", lane, "--p-max", str(p_max), "--format", "json"]
+    assert main(argv) == 0
+    clean = json.loads(capsys.readouterr().out)
+    orig = getattr(harness, name)
+
+    def raising(*args):
+        p = prime_of(*args)
+        if p == bad_p:
+            raise RuntimeError(f"oracle broke at {p}")
+        return orig(*args)
+
+    monkeypatch.setattr(harness, name, raising)
+    assert main(argv) == 1
+    rows = json.loads(capsys.readouterr().out)
+    assert [(r["check_id"], r["p"]) for r in rows] == [(r["check_id"], r["p"]) for r in clean]
+    failed = [r for r in rows if r["status"] == "fail"]
+    assert sorted(r["check_id"] for r in failed) == sorted(failing)
+    assert {r["p"] for r in failed} == {bad_p}
+    assert {r["witness"] for r in failed} == {f"exception: RuntimeError: oracle broke at {bad_p}"}
+    assert [r for r in rows if r["p"] != bad_p] == [r for r in clean if r["p"] != bad_p]
+
+
+def test_config_error_inside_a_check_propagates():
+    with pytest.raises(harness.ConfigError):
+        harness._check("row", 5, 4, lambda: harness.pf_polynomial(harness.QSeries.one(1), 52))
 
 
 def test_parallel_sweep_matches_serial():
@@ -537,4 +592,10 @@ def test_main_bad_usage_exits_two():
 def test_main_order_below_weight_dimension_exits_two(capsys):
     # order 20 gives too few series coefficients for the weight-984 space
     assert main(["verify", "theta-hex", "--p-min", "983", "--p-max", "983", "--order", "20"]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_main_background_order_below_weight_dimension_exits_two(capsys):
+    # order 20 gives too few series coefficients for the weight-982 space
+    assert main(["verify", "background", "--p-min", "983", "--p-max", "983", "--order", "20"]) == 2
     assert "configuration error" in capsys.readouterr().err

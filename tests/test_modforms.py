@@ -1,13 +1,17 @@
 """Tests for the weight-k space structure, the matching constructor, and P(j)."""
 
+import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
+from theta_forms import modforms
 from theta_forms.exact_arith import rat_mod
 from theta_forms.modforms import (
     BasisCoordinates,
+    ConfigError,
     RatPoly,
     basis,
     basis_coordinates,
@@ -189,6 +193,126 @@ def test_basis_coordinates_roundtrip_mixed_denominators():
             )
             f = combination(BasisCoordinates(k, coords), w.n + 3)
             assert basis_coordinates(f, k).coords == coords
+
+
+# ---------------------------------------------------------------------------
+# the shared t-table against the chain-built basis
+
+
+@lru_cache(maxsize=None)
+def _chain_basis(k, order):
+    """Delta^(n-l) E4^(a+3l) E6^b for l = 0..n from two chains of products.
+
+    The chain E_l = E_(l-1) * E4^3 starts from E_0 = E4^a E6^b; the chain
+    Delta^i = Delta^(i-1) * Delta runs alongside, replacing E_(n-i) by
+    Delta^i * E_(n-i).
+    """
+    w = weight_indices(k)
+    e4 = eisenstein(4, order)
+    head = e4**w.a
+    if w.b:
+        e6 = eisenstein(6, order)
+        head = head * e6 if w.a else e6
+    e4_cubed = e4**3
+    out = [head]
+    for _ in range(w.n):
+        out.append(out[-1] * e4_cubed)
+    dl = delta(order)
+    power = dl
+    for l in range(w.n - 1, -1, -1):
+        out[l] = power * out[l]
+        if l:
+            power = power * dl
+    return tuple(out)
+
+
+def _chain_coordinates(f, k):
+    """The integer back-substitution against the chain-built basis of M_k itself."""
+    w = weight_indices(k)
+    m = w.n + 1
+    bas = _chain_basis(k, m)
+    targets = [f.coefficient(e) for e in range(m)]
+    fractional = any(isinstance(c, Fraction) for c in targets)
+    den = math.lcm(*(c.denominator for c in targets)) if fractional else 1
+    residual = [c.numerator * (den // c.denominator) for c in targets]
+    coords = [0] * m
+    for e in range(m):
+        c = residual[e]
+        coords[w.n - e] = c
+        if c:
+            row = bas[w.n - e].coeffs
+            for e2 in range(e + 1, m):
+                residual[e2] -= c * row[e2]
+    if fractional:
+        coords = [Fraction(c, den) for c in coords]
+    return tuple(coords)
+
+
+_CHAIN_WEIGHTS = list(range(4, 42, 2)) + [52, 108, 300, 498, 598, 700, 998]
+
+
+@pytest.mark.parametrize("k", _CHAIN_WEIGHTS)
+def test_coordinates_match_chain_solve(k):
+    # every k mod 12 class occurs in 4..40; the rest reach the lanes' weights
+    m = weight_indices(k).n + 1
+    for f in (theta_Z(m), theta_H(m), eisenstein(k, m), QSeries.one(m)):
+        got = basis_coordinates(f, k).coords
+        want = _chain_coordinates(f, k)
+        assert got == want, k
+        assert [type(c) for c in got] == [type(c) for c in want], k
+
+
+def test_t_table_grows_in_place(monkeypatch):
+    monkeypatch.setattr(modforms, "_T_POWERS", [[1]])
+    small, large = 52, 300
+    f_small, f_large = theta_Z(10), theta_Z(30)
+    first = basis_coordinates(f_small, small).coords
+    rows = modforms._T_POWERS
+    size = len(rows)
+    assert size == weight_indices(small).n + 1
+    before = [(row, list(row)) for row in rows]
+    assert basis_coordinates(f_large, large).coords == _chain_coordinates(f_large, large)
+    assert len(rows) == weight_indices(large).n + 1 > size
+    # the earlier rows are the same lists, extended: their prefixes are untouched
+    for i, (row, prefix) in enumerate(before):
+        assert rows[i] is row and row[:size] == prefix
+    assert basis_coordinates(f_small, small).coords == first
+
+
+def test_t_table_rows_are_powers_of_t():
+    order = 20
+    rows = modforms._t_powers(order)
+    t = delta(order) * eisenstein(4, order) ** -3
+    assert t.coeffs[:3] == [0, 1, -744]
+    power = QSeries.one(order)
+    for i in range(order):
+        assert rows[i][:order] == power.coeffs, i
+        power = power * t
+
+
+def test_pf_polynomial_with_warm_table_makes_few_products(monkeypatch):
+    k = 998
+    f = theta_H(weight_indices(k).n + 1)
+    want = pf_polynomial(f, k)  # warms the table to this order
+    calls = []
+    mul = QSeries.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(QSeries, "__mul__", counted)
+    assert pf_polynomial(f, k) == want
+    # U^-1 = E4^-(a+3n) * E6^-1, then f * U^-1: no basis, no chain
+    assert len(calls) <= 3
+
+
+def test_solve_rejects_order_below_dimension():
+    with pytest.raises(ConfigError, match="below dimension 5"):
+        basis_coordinates(theta_Z(4), 52)
+    with pytest.raises(ConfigError):
+        basis(52, 4)
+    assert issubclass(ConfigError, ValueError)
 
 
 def test_constructor_weight_52_theta():
