@@ -12,8 +12,12 @@ The sweeps run on int64 arrays of residues mod p, through one private
 layer: per-p tables of the quadratic character and of inverses, the grid of
 F_{p^2} in Fp2Field.elements() order, and F_p / F_{p^2} arithmetic on
 coefficient arrays (``_ArrayField``).  The Legendre 4-torsion sweep
-classifies every lambda at once on one lambda-by-x grid.  Field-element
-objects appear only at the edges, for curve coefficients and results.
+classifies every lambda at once on one lambda-by-x grid, and the Legendre
+j-map runs on the same residue tables: the character table picks the
+lambdas, and j = 256 (1 - lam + lam^2)^3 / (lam^2 (lam - 1)^2) is evaluated
+over an array of them with every product reduced and the inverse table for
+the division.  Field-element objects appear only at the edges, for curve
+coefficients and results.
 
 Models are kept as y^2 = x^3 + c2 x^2 + c1 x + c0 internally; the Hessian
 cubic is brought to that shape through its rational inflection point.
@@ -390,24 +394,27 @@ def two_torsion_only_j_set(p: int) -> set[FpElem]:
         raise ValueError(f"p = {p} = 1 mod 4 never yields such curves (rejected)")
     if p > 10**3:
         raise ValueError(f"p = {p} beyond the brute-force bound 10^3")
-    return _legendre_j_set(two_torsion_only_lambdas(p))
+    return _legendre_j_set(p, np.array([int(v) for v in two_torsion_only_lambdas(p)], dtype=np.int64))
 
 
 def legendre_image_j_set(p: int) -> set[FpElem]:
     """{ j(lam) : -lam and lam - 1 both nonzero squares } minus {0, 1728}."""
+    chi = _chi(p)
+    lams = np.arange(2, p, dtype=np.int64)
+    return _legendre_j_set(p, lams[(chi[-lams % p] == 1) & (chi[lams - 1] == 1)])
+
+
+def _legendre_j_set(p: int, lams: np.ndarray) -> set[FpElem]:
+    """{ j(lam) : lam in lams } minus {0, 1728}, for residues lam not in {0, 1},
+    with j = 256 (1 - lam + lam^2)^3 / (lam^2 (lam - 1)^2).
+
+    Every product is reduced at once, so no value exceeds p^2."""
+    m = (lams * lams - lams + 1) % p
+    num = 256 * (m * m % p * m % p) % p
+    den = lams * lams % p * ((lams - 1) ** 2 % p) % p
+    j = num * _inv(p)[den] % p
     F = Fp(p)
-    lams = (F.elem(v) for v in range(2, p))
-    return _legendre_j_set(lam for lam in lams if (-lam).is_square() and (lam - 1).is_square())
-
-
-def _legendre_j_set(lams) -> set[FpElem]:
-    """{ j(lam) : lam in lams } minus {0, 1728}."""
-    out: set[FpElem] = set()
-    for lam in lams:
-        j = j_of_legendre(lam)
-        if j and j != 1728:
-            out.add(j)
-    return out
+    return {F.elem(v) for v in j[(j != 0) & (j != 1728 % p)].tolist()}
 
 
 def supersingular_j_set(p: int) -> set:

@@ -7,6 +7,13 @@ distinct-degree splitting); the splitting tests ``splits_into_linears`` and
 ``splits_over_fp2`` are queries on its result.  Besides that: evaluation at
 F_p and F_{p^2} points, brute-force root scans, and power sums for the mod-p
 reductions of the j-polynomials.
+
+The distinct-degree splitting raises x^(p^d) to the p-th power mod g on int64
+coefficient arrays: each product is one ``np.convolve`` reduced mod p, and
+each reduction mod g multiplies by a Newton inverse of the reversed modulus,
+recomputed whenever g shrinks.  A convolution sum of reduced inputs is at
+most (deg + 1)(p - 1)^2, which fits int64 for any degree below 9 * 10^10
+under the guard p <= 10^4.
 """
 
 from __future__ import annotations
@@ -14,6 +21,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .exact_arith import Fp, Fp2, Fp2Elem, FpElem, rat_mod
 
@@ -200,7 +209,7 @@ def reduce_poly(poly, p: int) -> FpPoly:
 
 
 # ---------------------------------------------------------------------------
-# gcd and modular exponentiation
+# gcd
 
 
 def gcd(f: FpPoly, g: FpPoly) -> FpPoly:
@@ -212,15 +221,57 @@ def gcd(f: FpPoly, g: FpPoly) -> FpPoly:
     return a.monic()
 
 
-def _pow_poly_mod(base: FpPoly, e: int, f: FpPoly) -> FpPoly:
-    result = FpPoly([1], f.p)
-    base = base % f
-    while e:
-        if e & 1:
-            result = (result * base) % f
-        base = (base * base) % f
-        e >>= 1
-    return result
+# ---------------------------------------------------------------------------
+# modular powering on int64 arrays
+#
+# Coefficient arrays hold residues in [0, p), lowest degree first, and every
+# product is one np.convolve of two such arrays, reduced mod p at once.  A
+# convolution sum is then at most (deg + 1)(p - 1)^2: under factor_pattern's
+# guard p <= 10^4 it overflows int64 only past degree 9 * 10^10.  np.convolve
+# sums int64 exactly; an FFT convolution would round.
+
+
+def _reversed_inverse(g: FpPoly) -> np.ndarray:
+    """1 / rev(g) mod x^(n-1) for monic g of degree n >= 1, rev(g) = x^n g(1/x).
+
+    rev(g) has constant term 1, so Newton's iteration h <- h (2 - rev(g) h)
+    doubles the precision of h = 1 each step.
+    """
+    n, p = g.degree, g.p
+    rev = np.array(g.coeffs[::-1], dtype=np.int64)
+    h = np.ones(1, dtype=np.int64)
+    while len(h) < n - 1:
+        k = min(2 * len(h), n - 1)
+        e = -np.convolve(rev[:k], h)[:k] % p
+        e[0] = (e[0] + 2) % p
+        h = np.convolve(h, e)[:k] % p
+    return h[: n - 1]
+
+
+def _reduce_mod(a: np.ndarray, g: np.ndarray, ginv: np.ndarray, p: int) -> np.ndarray:
+    """a mod g for residues a of length at most 2n - 1, n = deg g, with
+    ginv = _reversed_inverse(g): the quotient's top k coefficients reversed
+    are rev(a) / rev(g) mod x^k."""
+    n = len(g) - 1
+    k = len(a) - n
+    if k <= 0:
+        return a
+    q = (np.convolve(a[: n - 1 : -1], ginv[:k])[:k] % p)[::-1]
+    return (a[:n] - np.convolve(q, g[:n])[:n]) % p
+
+
+def _pow_mod(base: FpPoly, e: int, g: FpPoly, ginv: np.ndarray) -> FpPoly:
+    """base^e mod monic g, for deg base < deg g, by left-to-right squaring on
+    int64 arrays; ginv = _reversed_inverse(g) must belong to this g."""
+    p = g.p
+    garr = np.array(g.coeffs, dtype=np.int64)
+    b = np.array(base.coeffs or [0], dtype=np.int64)
+    r = np.ones(1, dtype=np.int64)
+    for bit in bin(e)[2:]:
+        r = _reduce_mod(np.convolve(r, r) % p, garr, ginv, p)
+        if bit == "1":
+            r = _reduce_mod(np.convolve(r, b) % p, garr, ginv, p)
+    return FpPoly._raw(_normalize(r.tolist()), p)
 
 
 # ---------------------------------------------------------------------------
@@ -260,18 +311,21 @@ def _distinct_degree_counts(s: FpPoly) -> Counter:
     out: Counter = Counter()
     g = s.monic()
     p = s.p
-    frob = FpPoly.x(p)  # x^(p^d) mod g
+    x = FpPoly.x(p)
+    frob = x  # x^(p^d) mod g
+    ginv = _reversed_inverse(g)
     d = 0
     while g.degree > 0:
         d += 1
         if 2 * d > g.degree:
             out[g.degree] += 1
             break
-        frob = _pow_poly_mod(frob, p, g)
-        cand = gcd(g, frob - FpPoly.x(p))
+        frob = _pow_mod(frob % g, p, g, ginv)
+        cand = gcd(g, frob - x)
         if cand.degree > 0:
             out[d] += cand.degree // d
             g = g // cand
+            ginv = _reversed_inverse(g)
     return out
 
 

@@ -43,7 +43,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cache, partial
-from math import factorial
 
 from .curves import (
     check_hessian_matches_hex,
@@ -53,7 +52,7 @@ from .curves import (
     two_torsion_only_j_set,
     two_torsion_only_lambdas,
 )
-from .exact_arith import Fp, Fp2Elem, cube_root_of_2, primes_in_range, rat_mod
+from .exact_arith import Fp, Fp2Elem, cube_root_of_2, primes_in_range
 from .fppoly import (
     FactorPattern,
     FpPoly,
@@ -70,7 +69,6 @@ from .hyperpoly import (
     euler_transform_mismatch,
     e4_quarter_hypergeometric_mismatch,
     gp_poly,
-    pochhammer,
     scaled_coefficient_mod,
     theta_h_hypergeometric_mismatch,
     theta_z_hypergeometric_mismatch,
@@ -339,13 +337,24 @@ def _series_identity_reports(order: int) -> list[VerificationReport]:
     ]
 
 
+def _power_sums_rhs(p: int) -> list[int]:
+    """(1/4) (1/2)_v / v! mod p for v = 0..(p+1)/4, as one running product.
+
+    Step v -> v + 1 multiplies by (2v + 1) / (2(v + 1)).  For v + 1 <= (p+1)/4
+    both factors lie in (0, p), so no step divides by 0 mod p.
+    """
+    rhs = [pow(4, -1, p)]
+    for v in range((p + 1) // 4):
+        rhs.append(rhs[-1] * (2 * v + 1) * pow(2 * (v + 1), -1, p) % p)
+    return rhs
+
+
 def _power_sums_witness(g: FpPoly, p: int) -> str | None:
-    vmax = (p + 1) // 4
-    s = power_sums(g, vmax)
-    for v in range(vmax + 1):
-        rhs = rat_mod(Fraction(1, 4) * pochhammer(Fraction(1, 2), v) / factorial(v), p)
-        if int(s[v]) != rhs:
-            return f"S_{v}: {int(s[v])} != {rhs}"
+    rhs = _power_sums_rhs(p)
+    s = power_sums(g, len(rhs) - 1)
+    for v, (sv, r) in enumerate(zip(s, rhs)):
+        if int(sv) != r:
+            return f"S_{v}: {int(sv)} != {r}"
     return None
 
 

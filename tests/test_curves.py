@@ -513,6 +513,27 @@ def test_two_torsion_only_set_equals_legendre_image():
         assert legendre_image_j_set(p) == two_torsion_only_j_set(p)
 
 
+def _legendre_j_set_objects(lams) -> set:
+    """{ j_of_legendre(lam) : lam in lams } minus {0, 1728}, on FpElem objects."""
+    out = set()
+    for lam in lams:
+        j = j_of_legendre(lam)
+        if j and j != 1728:
+            out.add(j)
+    return out
+
+
+def test_legendre_j_sets_match_object_j_map_to_1000():
+    for p in primes_in_range(5, 1000):
+        F = Fp(p)
+        lams = [F.elem(v) for v in range(2, p)]
+        image = [lam for lam in lams if (-lam).is_square() and (lam - 1).is_square()]
+        assert legendre_image_j_set(p) == _legendre_j_set_objects(image), p
+        if p % 4 == 3:
+            want = _legendre_j_set_objects(two_torsion_only_lambdas(p))
+            assert two_torsion_only_j_set(p) == want, p
+
+
 def test_two_torsion_only_set_rejects():
     with pytest.raises(ValueError):
         two_torsion_only_j_set(13)

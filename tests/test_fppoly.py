@@ -9,6 +9,9 @@ import pytest
 from theta_forms.exact_arith import Fp, Fp2
 from theta_forms.fppoly import (
     FpPoly,
+    _distinct_degree_counts,
+    _pow_mod,
+    _reversed_inverse,
     factor_pattern,
     gcd,
     is_reciprocal,
@@ -224,6 +227,89 @@ def test_weight_108_pattern_mod_107():
     assert splits_over_fp2(f)
     assert not splits_into_linears(f)
     assert roots_brute(f) == {-16 % 107}
+
+
+def test_factor_pattern_rejects_p_beyond_bound():
+    assert factor_pattern(FpPoly([1, 0, 1], 9973)).pairs == (((1, 1), 2),)  # 9973 = 1 mod 4
+    with pytest.raises(ValueError, match="10\\^4"):
+        factor_pattern(FpPoly([1, 0, 1], 10007))
+
+
+# ---------------------------------------------------------------------------
+# Frobenius powering: the int64 array kernel against schoolbook FpPoly powering
+
+
+def _pow_poly_mod(base: FpPoly, e: int, f: FpPoly) -> FpPoly:
+    """base^e mod f by right-to-left squaring of FpPoly products and divmods."""
+    result = FpPoly([1], f.p)
+    base = base % f
+    while e:
+        if e & 1:
+            result = (result * base) % f
+        base = (base * base) % f
+        e >>= 1
+    return result
+
+
+def _random_monic(rng, p, deg):
+    return FpPoly([rng.randrange(p) for _ in range(deg)] + [1], p)
+
+
+@pytest.mark.parametrize("p", [5, 7, 983, 9973])
+def test_pow_mod_matches_schoolbook(p):
+    rng = random.Random(p)
+    for deg in sorted({2, 3, 4, 7, 16, 33, 57, 64, 120, *rng.sample(range(2, 121), 6)}):
+        g = _random_monic(rng, p, deg)
+        ginv = _reversed_inverse(g)
+        for e in (p, 0, 1, 2, rng.randrange(3, p * p)):
+            base = _random_poly(rng, p, rng.randrange(deg)) if rng.random() < 0.8 else FpPoly.x(p)
+            assert _pow_mod(base, e, g, ginv) == _pow_poly_mod(base, e, g), (p, deg, e)
+
+
+@pytest.mark.parametrize("p", [5, 7, 983, 9973])
+def test_reversed_inverse_is_the_series_inverse(p):
+    rng = random.Random(7 * p)
+    for deg in (1, 2, 3, 5, 8, 17, 120):
+        g = _random_monic(rng, p, deg)
+        h = _reversed_inverse(g)
+        assert len(h) == deg - 1
+        prod = g.reverse() * FpPoly(h.tolist(), p)
+        assert [prod.coefficient(i) for i in range(deg - 1)] == [1, *[0] * deg][: deg - 1]
+
+
+def test_pow_mod_after_the_modulus_shrinks():
+    # as in _distinct_degree_counts: x^(p^d) mod g, then g // cand with a fresh inverse
+    rng = random.Random(59)
+    for p in (5, 7, 983, 9973):
+        linear = _poly_from_roots(rng.sample(range(p), 4), p)
+        rest = _random_monic(rng, p, 30)
+        g = (linear * rest).monic()
+        frob = _pow_mod(FpPoly.x(p), p, g, _reversed_inverse(g))
+        assert frob == _pow_poly_mod(FpPoly.x(p), p, g)
+        cand = gcd(g, frob - FpPoly.x(p))
+        assert cand.degree >= 4
+        g = g // cand
+        want = _pow_poly_mod(frob, p, g)
+        assert _pow_mod(frob % g, p, g, _reversed_inverse(g)) == want
+        assert want == _pow_poly_mod(FpPoly.x(p), p * p, g)
+
+
+def test_distinct_degree_counts_of_known_products():
+    # irreducible pieces of degrees 1, 1, 2, 3 and 5 mod 7: the modulus shrinks at d = 1, 2, 3
+    p = 7
+    parts = {1: [FpPoly([1, 1], p), FpPoly([2, 1], p)]}
+    rng = random.Random(3)
+    for deg in (2, 3, 5):
+        while True:
+            f = _random_monic(rng, p, deg)
+            if factor_pattern(f).pairs == (((deg, 1), 1),):
+                parts[deg] = [f]
+                break
+    s = FpPoly([1], p)
+    for fs in parts.values():
+        for f in fs:
+            s = s * f
+    assert _distinct_degree_counts(s) == Counter({1: 2, 2: 1, 3: 1, 5: 1})
 
 
 # ---------------------------------------------------------------------------

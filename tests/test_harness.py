@@ -4,6 +4,8 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
+from math import factorial
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +14,9 @@ import pytest
 import theta_forms
 
 from theta_forms import fppoly, harness, modforms
-from theta_forms.exact_arith import Fp, Fp2, primes_in_range
+from theta_forms.exact_arith import Fp, Fp2, primes_in_range, rat_mod
 from theta_forms.fppoly import FpPoly, factor_pattern
+from theta_forms.hyperpoly import pochhammer
 from theta_forms.harness import (
     SweepConfig,
     VerificationReport,
@@ -302,6 +305,21 @@ def test_product_witness_nonvanishing_targets():
     assert witness == f"f({K.elem(1, 1)}) != 0"
 
 
+def test_power_sums_rhs_matches_pochhammer_fractions():
+    for p in primes_in_range(5, 300):
+        want = [
+            rat_mod(Fraction(1, 4) * pochhammer(Fraction(1, 2), v) / factorial(v), p)
+            for v in range((p + 1) // 4 + 1)
+        ]
+        assert harness._power_sums_rhs(p) == want, p
+
+
+def test_power_sums_witness_names_the_first_mismatch():
+    p = 23
+    g = FpPoly([1], p)  # S_0 = 0, while the right-hand side at v = 0 is 1/4
+    assert harness._power_sums_witness(g, p) == f"S_0: 0 != {pow(4, -1, p)}"
+
+
 def test_splits_witness_failure_paths():
     p = 11
     lin = FpPoly([-3, 1], p)
@@ -577,6 +595,20 @@ def test_main_negative_curve_or_hessian_cap_exits_two(flag, capsys):
 )
 def test_harness_import_leaves_numpy_fft_unloaded():
     code = "import sys, theta_forms.harness; print('numpy.fft' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(theta_forms.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    ).stdout
+    assert out.strip() == "False"
+
+
+def test_polynomial_and_legendre_rows_leave_numpy_ma_unloaded():
+    # np.unique would pull in numpy.ma, about 1 MB of peak RSS per sweep
+    code = (
+        "import sys; from theta_forms.harness import cmd_verify_theta_z, SweepConfig; "
+        "cmd_verify_theta_z(SweepConfig(p_min=19, p_max=23, curve_cap=0)); "
+        "print('numpy.ma' in sys.modules)"
+    )
     env = {**os.environ, "PYTHONPATH": str(Path(theta_forms.__file__).parents[1])}
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
