@@ -79,24 +79,6 @@ class ShortWeierstrass:
         return f"ShortWeierstrass(a={self.a}, b={self.b} over {self.field})"
 
 
-class LegendreCurve:
-    """y^2 = x(x-1)(x-lam) with lam not in {0, 1}."""
-
-    __slots__ = ("lam", "field")
-
-    def __init__(self, lam):
-        self.field = lam.field
-        if not lam or lam == 1:
-            raise ValueError("lambda must avoid 0 and 1")
-        self.lam = lam
-
-    def cubic(self):
-        return -(1 + self.lam), self.lam, self.field.zero
-
-    def __repr__(self):
-        return f"LegendreCurve(lam={self.lam} over {self.field})"
-
-
 class HessianCurve:
     """The plane cubic X^3 + Y^3 + 1 = 3b XY, nonsingular iff b^3 != 1.
 
@@ -310,33 +292,7 @@ def _torsion_structure(m2: int, mn: int, n: int) -> TorsionStructure:
 
 
 # ---------------------------------------------------------------------------
-# Legendre curves: predicted 4-torsion and the j-map
-
-
-def legendre_4torsion_predicted(lam: FpElem, p: int) -> TorsionStructure:
-    """(2,2) iff -lam and lam-1 are both nonzero squares, else (2,4).
-
-    Stated for p = 3 mod 4 only (that hypothesis makes the two cosets work
-    out); other residue classes are rejected.
-    """
-    if p % 4 != 3:
-        raise ValueError(f"p = {p} = 1 mod 4 is outside the classification hypothesis")
-    F = Fp(p)
-    lam = F.elem(lam)
-    if not lam or lam == 1:
-        raise ValueError("lambda must avoid 0 and 1")
-    if (-lam).is_square() and (lam - 1).is_square():
-        return TorsionStructure(2, 2)
-    return TorsionStructure(2, 4)
-
-
-def j_of_legendre(lam):
-    """j = 256 (1 - lam + lam^2)^3 / (lam^2 (lam - 1)^2)."""
-    if not lam or lam == 1:
-        raise ValueError("lambda must avoid 0 and 1")
-    num = 256 * (1 - lam + lam * lam) ** 3
-    den = lam * lam * (lam - 1) * (lam - 1)
-    return num / den
+# a curve with a given j-invariant
 
 
 def curve_from_j(j) -> ShortWeierstrass:

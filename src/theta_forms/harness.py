@@ -15,12 +15,16 @@ and emits machine-readable reports.  The four lanes are:
   polynomial facts (reciprocity, root products, power sums, vanishing
   windows, residue constants).
 
-Every row comes from one runner, ``_check``.  Per-prime artefacts (P(j), its
-reduction f = P mod p, the factor pattern of f, G_p) are built once, by the
+Every row comes from one runner, ``_check``.  Per-prime artefacts (f = P mod
+p for the form's P(j), the factor pattern of f, G_p) are built once, by the
 first row that needs them, so a row's ``ms`` covers its check plus any
-artefact it is first to need.  Two witnesses answer every polynomial row:
-the shape rows read the factor pattern, and the root-set rows check that the
-polynomial is the monic product of (x - t) over the oracle's targets t.
+artefact it is first to need.  P(j) is solved from the form's q^0..q^n only,
+all the solve reads, and no row reads P(j) except through f.  The congruence
+rows compare f with the family's truncated hypergeometric polynomial from the
+mod-p stream (``truncated_poly_mod``).  Two witnesses answer the remaining
+polynomial rows: the shape rows read the factor pattern, and the root-set
+rows check that the polynomial is the monic product of (x - t) over the
+oracle's targets t.
 Reports are deterministic: JSON and CSV output is canonical (rows sorted by
 (check_id, p), wall times zeroed, keys sorted), so re-running a sweep yields
 a bit-identical file.  The table format keeps measured times for humans.
@@ -73,9 +77,10 @@ from .hyperpoly import (
     theta_h_hypergeometric_mismatch,
     theta_z_hypergeometric_mismatch,
     truncated_poly,
+    truncated_poly_mod,
     vanishing_window,
 )
-from .modforms import ConfigError, RatPoly, default_order, pf_polynomial, weight_indices
+from .modforms import ConfigError, default_order, pf_polynomial, weight_indices
 from .qseries import QSeries, delta, eisenstein, hauptmodul_mismatch, theta_H, theta_Z
 
 _STATUSES = ("pass", "fail", "skipped")
@@ -177,8 +182,7 @@ def _check(check_id: str, p, k, witness, skip: str | None = None) -> Verificatio
     return VerificationReport(check_id, p, k, "pass" if w is None else "fail", w, ms)
 
 
-def _congruence_witness(a: RatPoly, b: RatPoly, p: int) -> str | None:
-    fa, fb = reduce_poly(a, p), reduce_poly(b, p)
+def _congruence_witness(fa: FpPoly, fb: FpPoly) -> str | None:
     for i in range(max(fa.degree, fb.degree) + 1):
         if fa.coefficient(i) != fb.coefficient(i):
             return f"x^{i}: {fa.coefficient(i)} != {fb.coefficient(i)}"
@@ -217,6 +221,13 @@ def _splits_witness(pattern: FactorPattern, max_degree: int) -> str | None:
     return None
 
 
+def _target_order(order: int | None, n: int) -> int:
+    """The order of the series a P(j) solve is given: q^0..q^n, all that
+    ``basis_coordinates`` reads, or ``order`` when that is below n + 1, so the
+    solve raises ConfigError."""
+    return n + 1 if order is None else min(order, n + 1)
+
+
 # ---------------------------------------------------------------------------
 # theta-z lane
 
@@ -228,12 +239,11 @@ def _theta_z_prime(p: int, order: int | None, curve_cap: int) -> list[Verificati
     k = (p + 1) // 2
     n = weight_indices(k).n
     fam = "W0" if p % 24 in (7, 23) else "W1"
-    P = cache(lambda: pf_polynomial(theta_Z(order or default_order(k)), k))
-    f = cache(lambda: reduce_poly(P(), p))
+    f = cache(lambda: reduce_poly(pf_polynomial(theta_Z(_target_order(order, n)), k), p))
     pattern = cache(lambda: factor_pattern(f()))
     capped = None if p <= curve_cap else f"curve sweep capped at {curve_cap}"
     return [
-        _check("theta_z_congruence", p, k, lambda: _congruence_witness(P(), truncated_poly(fam, n), p)),
+        _check("theta_z_congruence", p, k, lambda: _congruence_witness(f(), truncated_poly_mod(fam, n, p))),
         _check("theta_z_splits", p, k, lambda: _splits_witness(pattern(), 1)),
         _check("theta_z_curve_set", p, k,
                lambda: _product_witness(f(), two_torsion_only_j_set(p)), capped),
@@ -261,12 +271,11 @@ def _theta_hex_prime(p: int, order: int | None, hessian_cap: int) -> list[Verifi
     k = p + 1
     n = weight_indices(k).n
     fam = "V0" if p % 12 == 11 else "V1"
-    P = cache(lambda: pf_polynomial(theta_H(order or default_order(k)), k))
-    f = cache(lambda: reduce_poly(P(), p))
+    f = cache(lambda: reduce_poly(pf_polynomial(theta_H(_target_order(order, n)), k), p))
     pattern = cache(lambda: factor_pattern(f()))
     capped = None if p <= hessian_cap else f"Hessian sweep capped at {hessian_cap}"
     return [
-        _check("hex_congruence", p, k, lambda: _congruence_witness(P(), truncated_poly(fam, n), p)),
+        _check("hex_congruence", p, k, lambda: _congruence_witness(f(), truncated_poly_mod(fam, n, p))),
         _check("hex_splits_fp2", p, k, lambda: _splits_witness(pattern(), 2)),
         _check("hex_factor_pattern", p, k, lambda: _hex_pattern_witness(f(), pattern(), n)),
         _check("hex_zero_set", p, k, lambda: _product_witness(f(), hex_zero_set(p))),
@@ -288,19 +297,18 @@ def _factor_degrees_witness(pattern: FactorPattern) -> str | None:
 def _background_prime(p: int, order: int | None, ss_cap: int) -> list[VerificationReport]:
     k = p - 1
     n = weight_indices(k).n
-    ordv = order or default_order(k)
+    ordv = _target_order(order, n)
     fam = "U0" if p % 12 in (1, 5) else "U1"
-    P = cache(lambda: pf_polynomial(eisenstein(k, ordv), k))
-    f = cache(lambda: reduce_poly(P(), p))
+    f = cache(lambda: reduce_poly(pf_polynomial(eisenstein(k, ordv), k), p))
     pattern = cache(lambda: factor_pattern(f()))
     capped = None if p <= ss_cap else f"supersingular sweep capped at {ss_cap}"
     return [
-        _check("bg_congruence", p, k, lambda: _congruence_witness(P(), truncated_poly(fam, n), p)),
+        _check("bg_congruence", p, k, lambda: _congruence_witness(f(), truncated_poly_mod(fam, n, p))),
         _check("bg_factor_degrees", p, k, lambda: _factor_degrees_witness(pattern())),
         _check("bg_supersingular_set", p, k, lambda: _product_witness(
             f(), {z for z in supersingular_j_set(p) if not (z == 0 or z == 1728)}), capped),
         _check("bg_extremal_congruence", p, k,
-               lambda: _congruence_witness(pf_polynomial(QSeries.one(ordv), k), P(), p)),
+               lambda: _congruence_witness(reduce_poly(pf_polynomial(QSeries.one(ordv), k), p), f())),
     ]
 
 

@@ -3,11 +3,19 @@
 Six parameter triples are hard-bound to family tags (U0, U1, W0, W1, V0, V1)
 so they cannot drift.  Each family's scaled stream c_m * 1728^m turns the
 series in 1/j into the degree-n truncated polynomials in j that the
-congruence sweeps compare against; the same streams, reduced mod p, feed the
+congruence sweeps compare against; the same streams feed the
 vanishing-window checks and the lambda-side polynomial G_p.
 
-Everything is exact: the coefficient recurrence runs in Fractions and is
-reduced mod p only at the end, so p-divisibility can be inspected honestly.
+Two versions of the ratio recurrence
+c_(m+1) = c_m (alpha+m)(beta+m) / ((gamma+m)(m+1)) run here.  The exact one
+runs in Fractions (``f21_coefficients``, ``truncated_poly``), so
+p-divisibility can be inspected honestly: the vanishing windows and the
+residue constant read it.  The mod-p one (``truncated_poly_mod``,
+``gp_poly``) runs the same recurrence in residues.  Reduction mod p is a ring
+map on the rationals with no p in the denominator, so the mod-p stream up to
+c_n equals the exact stream reduced mod p whenever no factor (gamma+m)(m+1)
+with m < n is 0 mod p.  The mod-p stream raises ValueError otherwise, even
+where the exact value is p-integral because the p cancels.
 """
 
 from __future__ import annotations
@@ -99,6 +107,33 @@ def scaled_coefficient_mod(params, m: int, p: int) -> int:
     return rat_mod(c * Fraction(1728) ** m, p)
 
 
+def _stream_mod(params, n: int, p: int, scale: int) -> list[int]:
+    """c_m * scale^m mod p for m = 0..n, by the ratio recurrence in residues.
+
+    Raises ValueError when some (gamma+m)(m+1) with m < n is 0 mod p, the one
+    case where these residues need not be the exact stream reduced mod p.
+    """
+    hp = _resolve_params(params)
+    a, b, g = (rat_mod(x, p) for x in (hp.alpha, hp.beta, hp.gamma))
+    out = [1]
+    for m in range(n):
+        den = (g + m) * (m + 1) % p
+        if not den:
+            raise ValueError(f"p = {p} divides (gamma+m)(m+1) at m = {m}; the mod-p stream stops")
+        out.append(out[-1] * scale * (a + m) * (b + m) * pow(den, -1, p) % p)
+    return out
+
+
+def truncated_poly_mod(fam, n: int, p: int) -> FpPoly:
+    """``truncated_poly(fam, n)`` mod p, from the mod-p stream.
+
+    Raises ValueError when some (gamma+m)(m+1) with m < n is 0 mod p.
+    """
+    if n < 0:
+        raise ValueError("degree must be >= 0")
+    return FpPoly(_stream_mod(fam, n, p, 1728)[::-1], p)
+
+
 def truncated_poly(fam, n: int) -> RatPoly:
     """The degree-n polynomial sum_{m=0}^{n} c_m 1728^m j^(n-m).
 
@@ -116,21 +151,24 @@ def truncated_poly(fam, n: int) -> RatPoly:
 # the lambda-side polynomial
 
 
+_GP_PARAMS = HGParams(Fraction(-1, 4), Fraction(1, 4), Fraction(1, 2))
+
+
 def gp_poly(p: int) -> FpPoly:
     """The mod-p polynomial sum_{m<=(p+1)/4} (-1/4)_m (1/4)_m / ((1/2)_m m!) x^m.
 
     Defined for p = 3 mod 4 (so the truncation bound (p+1)/4 is integral).
-    Every denominator in the stream is invertible mod p; reduction would
-    raise otherwise.
+    It runs on the mod-p stream, whose guard never trips here: for
+    m < (p+1)/4 neither 1/2 + m nor m + 1 is 0 mod p.
     """
     if p < 7 or p % 4 != 3:
         raise ValueError(f"p = {p} is not a prime = 3 mod 4, >= 7")
-    return FpPoly([rat_mod(c, p) for c in _gp_coefficients((p + 1) // 4)], p)
+    return FpPoly(_stream_mod(_GP_PARAMS, (p + 1) // 4, p, 1), p)
 
 
 def _gp_coefficients(m_max: int) -> list[Rat]:
     """The G_p stream (-1/4)_m (1/4)_m / ((1/2)_m m!) for m = 0..m_max."""
-    return f21_coefficients(HGParams(Fraction(-1, 4), Fraction(1, 4), Fraction(1, 2)), m_max)
+    return f21_coefficients(_GP_PARAMS, m_max)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from operator import mul
 
 from .qseries import QSeries, delta, eisenstein, pow_rational
@@ -155,8 +156,14 @@ def _t_powers(order: int) -> list[list[int]]:
     return rows
 
 
+@lru_cache(maxsize=2)
 def _unit(w: WeightIndices, order: int, sign: int) -> QSeries:
-    """U^sign for U = E4^(a+3n) E6^b, the factor taking t^(n-l) to basis element l."""
+    """U^sign for U = E4^(a+3n) E6^b, the factor taking t^(n-l) to basis element l.
+
+    Cached for the last two calls, so the two solves of one background prime
+    (P and the constant form 1) share one U^-1.  Callers only multiply the
+    result, never mutate it.
+    """
     u = pow_rational(eisenstein(4, order), sign * (w.a + 3 * w.n))
     if w.b:
         u = u * pow_rational(eisenstein(6, order), sign)

@@ -331,7 +331,12 @@ def compose(outer, inner: QSeries) -> QSeries:
 
 
 def eisenstein(k: int, n: int) -> QSeries:
-    """E_k = 1 - (2k/B_k) * sum sigma_{k-1}(m) q^m, truncated to order n."""
+    """E_k = 1 - (2k/B_k) * sum sigma_{k-1}(m) q^m, truncated to order n.
+
+    The coefficients are ints when -2k/B_k is an integer (k = 4, 6, 8, 10,
+    14) or n < 2, and Fractions otherwise: sigma_{k-1}(1) = 1, so the
+    coefficient of q is -2k/B_k itself.
+    """
     if k < 4 or k % 2:
         raise ValueError(f"weight must be even and >= 4, got {k}")
     factor = Fraction(-2 * k) / bernoulli(k)
@@ -340,10 +345,9 @@ def eisenstein(k: int, n: int) -> QSeries:
         dk = d ** (k - 1)
         for m in range(d, n, d):
             sig[m] += dk
-    coeffs = [Fraction(1)] + [factor * sig[m] for m in range(1, n)]
-    if all(c.denominator == 1 for c in coeffs):
-        return QSeries([int(c) for c in coeffs])
-    return QSeries(coeffs)
+    if factor.denominator == 1 or n < 2:
+        return QSeries([1] + [factor.numerator * s for s in sig[1:]])
+    return QSeries([Fraction(1)] + [factor * s for s in sig[1:]])
 
 
 def euler_product(n: int, step: int = 1) -> QSeries:

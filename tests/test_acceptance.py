@@ -10,12 +10,7 @@ its gp_ rows), so a refactor that changes any row of any lane shows here.
 import time
 from pathlib import Path
 
-from theta_forms.curves import (
-    LegendreCurve,
-    check_hessian_matches_hex,
-    legendre_4torsion_predicted,
-    n_torsion_structure,
-)
+from theta_forms.curves import check_hessian_matches_hex, n_torsion_structure
 from theta_forms.exact_arith import Fp, primes_in_range
 from theta_forms.fppoly import factor_pattern, reduce_poly, roots_brute
 from theta_forms.harness import (
@@ -33,6 +28,8 @@ from theta_forms.hyperpoly import (
 )
 from theta_forms.modforms import basis_coordinates, constructor, pf_polynomial
 from theta_forms.qseries import theta_H, theta_Z
+
+from test_curves import LegendreCurve, legendre_4torsion_predicted
 
 
 def _announce(num, name, ok):

@@ -12,7 +12,6 @@ import sympy as sp
 from theta_forms.curves import (
     HESSIAN_TORSION_SAMPLES,
     HessianCurve,
-    LegendreCurve,
     ShortWeierstrass,
     TorsionStructure,
     check_hessian_matches_hex,
@@ -20,8 +19,6 @@ from theta_forms.curves import (
     hessian_j,
     hessian_norm_condition_j_set,
     hex_zero_set,
-    j_of_legendre,
-    legendre_4torsion_predicted,
     legendre_image_j_set,
     n_torsion_structure,
     point_count,
@@ -41,6 +38,48 @@ from theta_forms.exact_arith import (
 from theta_forms.fppoly import reduce_poly, roots_brute, roots_fp2_brute
 from theta_forms.modforms import default_order, pf_polynomial
 from theta_forms.qseries import theta_H, theta_Z
+
+
+class LegendreCurve:
+    """y^2 = x(x-1)(x-lam) with lam not in {0, 1}: the Legendre model as a
+    curve object, for the object-level references of the lambda sweeps."""
+
+    __slots__ = ("lam", "field")
+
+    def __init__(self, lam):
+        self.field = lam.field
+        if not lam or lam == 1:
+            raise ValueError("lambda must avoid 0 and 1")
+        self.lam = lam
+
+    def cubic(self):
+        return -(1 + self.lam), self.lam, self.field.zero
+
+
+def legendre_4torsion_predicted(lam, p: int) -> TorsionStructure:
+    """(2,2) iff -lam and lam-1 are both nonzero squares, else (2,4).
+
+    Stated for p = 3 mod 4 only (that hypothesis makes the two cosets work
+    out); other residue classes are rejected.
+    """
+    if p % 4 != 3:
+        raise ValueError(f"p = {p} = 1 mod 4 is outside the classification hypothesis")
+    lam = Fp(p).elem(lam)
+    if not lam or lam == 1:
+        raise ValueError("lambda must avoid 0 and 1")
+    if (-lam).is_square() and (lam - 1).is_square():
+        return TorsionStructure(2, 2)
+    return TorsionStructure(2, 4)
+
+
+def j_of_legendre(lam):
+    """j = 256 (1 - lam + lam^2)^3 / (lam^2 (lam - 1)^2), on Fractions or
+    field elements: the reference for the array j-map of the lambda sweeps."""
+    if not lam or lam == 1:
+        raise ValueError("lambda must avoid 0 and 1")
+    num = 256 * (1 - lam + lam * lam) ** 3
+    den = lam * lam * (lam - 1) * (lam - 1)
+    return num / den
 
 
 def _j_from_cubic(c2, c1, c0):

@@ -627,6 +627,43 @@ def test_main_order_below_weight_dimension_exits_two(capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_main_theta_z_order_below_weight_dimension_exits_two(capsys):
+    # order 20 gives too few series coefficients for the weight-492 space
+    assert main(["verify", "theta-z", "--p-min", "983", "--p-max", "983", "--order", "20"]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+# the family and degree of each lane's congruence row at p = 23 mod 24
+_FAMILY_ROW = {
+    "theta-z": lambda p: ("W0", modforms.weight_indices((p + 1) // 2).n),
+    "theta-hex": lambda p: ("V0", modforms.weight_indices(p + 1).n),
+    "background": lambda p: ("U1", modforms.weight_indices(p - 1).n),
+}
+
+
+@pytest.mark.parametrize(
+    "lane, row, p",
+    [("theta-z", "theta_z_congruence", 23), ("theta-hex", "hex_congruence", 23),
+     ("background", "bg_congruence", 23)],
+)
+def test_congruence_row_witness_names_f_then_stream(lane, row, p, monkeypatch, capsys):
+    # a stream off by one in its constant term fails that row only, and the
+    # witness reads "x^0: <coefficient of P mod p> != <stream coefficient>"
+    orig = harness.truncated_poly_mod
+
+    def shifted(fam, n, q):
+        g = orig(fam, n, q)
+        return g if q != p else FpPoly([g.coefficient(0) + 1] + g.coeffs[1:], q)
+
+    monkeypatch.setattr(harness, "truncated_poly_mod", shifted)
+    assert main(["verify", lane, "--p-min", str(p), "--p-max", str(p), "--format", "json"]) == 1
+    rows = json.loads(capsys.readouterr().out)
+    (bad,) = [r for r in rows if r["status"] == "fail"]
+    c0 = orig(*_FAMILY_ROW[lane](p), p).coefficient(0)
+    assert (bad["check_id"], bad["p"]) == (row, p)
+    assert bad["witness"] == f"x^0: {c0} != {(c0 + 1) % p}"
+
+
 def test_main_background_order_below_weight_dimension_exits_two(capsys):
     # order 20 gives too few series coefficients for the weight-982 space
     assert main(["verify", "background", "--p-min", "983", "--p-max", "983", "--order", "20"]) == 2

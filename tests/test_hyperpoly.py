@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from theta_forms.exact_arith import legendre_symbol, primes_in_range
-from theta_forms.fppoly import FpPoly, roots_brute
+from theta_forms.exact_arith import legendre_symbol, primes_in_range, rat_mod
+from theta_forms.fppoly import FpPoly, reduce_poly, roots_brute
 from theta_forms.hyperpoly import (
     FAMILY_PARAMS,
     HGParams,
@@ -21,9 +21,11 @@ from theta_forms.hyperpoly import (
     theta_h_hypergeometric_mismatch,
     theta_z_hypergeometric_mismatch,
     truncated_poly,
+    truncated_poly_mod,
     vanishing_window,
 )
-from theta_forms.modforms import RatPoly
+from theta_forms.hyperpoly import _gp_coefficients
+from theta_forms.modforms import RatPoly, weight_indices
 
 
 def test_pochhammer():
@@ -93,6 +95,62 @@ def test_truncated_poly_monic_integer():
             assert t.coefficient(n) == 1
             for c in t.coeffs:
                 assert Fraction(c).denominator == 1
+
+
+def _lane_congruence_rows(p_max: int) -> list[tuple[str, int, int]]:
+    """(family, n, p) of every congruence row the lanes run at primes 5..p_max:
+    background at weight p-1, theta-z at (p+1)/2 for p = 3 mod 4 and theta-hex
+    at p+1 for p = 5, 11 mod 12."""
+    rows = []
+    for p in primes_in_range(5, p_max):
+        rows.append(("U0" if p % 12 in (1, 5) else "U1", weight_indices(p - 1).n, p))
+        if p % 4 == 3:
+            rows.append(("W0" if p % 24 in (7, 23) else "W1", weight_indices((p + 1) // 2).n, p))
+        if p % 12 in (5, 11):
+            rows.append(("V0" if p % 12 == 11 else "V1", weight_indices(p + 1).n, p))
+    return rows
+
+
+def test_truncated_poly_mod_matches_exact_reduction_on_every_lane_row():
+    rows = _lane_congruence_rows(1000)
+    assert len(rows) == 166 + 86 + 86  # background, theta-z, theta-hex
+    for fam, n, p in rows:
+        assert truncated_poly_mod(fam, n, p) == reduce_poly(truncated_poly(fam, n), p), (fam, n, p)
+
+
+def test_truncated_poly_mod_raises_where_p_cancels():
+    # gamma = 2/3: (2/3 + 3) * 4 = 44/3 is 0 mod 11, and the p cancels in the
+    # exact coefficient of m = 4, so exact reduction still has an answer
+    assert reduce_poly(truncated_poly("V0", 4), 11) == FpPoly([4, 0, 0, 1, 1], 11)
+    with pytest.raises(ValueError, match="m = 3"):
+        truncated_poly_mod("V0", 4, 11)
+    assert truncated_poly_mod("V0", 3, 11) == reduce_poly(truncated_poly("V0", 3), 11)
+
+
+def test_truncated_poly_mod_guard_is_exact():
+    # the mod-p stream answers exactly when no (gamma+m)(m+1), m < n, is 0 mod p
+    for tag, params in FAMILY_PARAMS.items():
+        for p in (5, 7, 11, 13):
+            for n in range(2 * p):
+                blocked = any(
+                    rat_mod((params.gamma + m) * (m + 1), p) == 0 for m in range(n)
+                )
+                if blocked:
+                    with pytest.raises(ValueError):
+                        truncated_poly_mod(tag, n, p)
+                else:
+                    want = reduce_poly(truncated_poly(tag, n), p)
+                    assert truncated_poly_mod(tag, n, p) == want, (tag, p, n)
+    with pytest.raises(ValueError):
+        truncated_poly_mod("U0", -1, 7)
+
+
+def test_gp_poly_matches_exact_reduction_to_1000():
+    stream = _gp_coefficients(250)
+    for p in primes_in_range(7, 1000):
+        if p % 4 == 3:
+            want = FpPoly([rat_mod(c, p) for c in stream[: (p + 1) // 4 + 1]], p)
+            assert gp_poly(p) == want, p
 
 
 def test_gp_poly_small():

@@ -307,6 +307,34 @@ def test_pf_polynomial_with_warm_table_makes_few_products(monkeypatch):
     assert len(calls) <= 3
 
 
+@pytest.mark.parametrize("p", [5, 7, 13, 101, 601, 691, 997])
+def test_background_p_from_q_to_the_n_matches_default_order(p):
+    # the solve reads only q^0..q^n of E_(p-1), so the background lane builds no more
+    k = p - 1
+    n = weight_indices(k).n
+    assert pf_polynomial(eisenstein(k, n + 1), k) == pf_polynomial(eisenstein(k, default_order(k)), k)
+
+
+def test_unit_cache_matches_fresh_build_and_stays_unchanged():
+    assert modforms._unit.cache_info().maxsize == 2
+    k = 696
+    w = weight_indices(k)
+    m = w.n + 1
+    f = eisenstein(k, m)
+    coords = basis_coordinates(f, k)
+    cached = modforms._unit(w, m, -1)
+    assert cached.coeffs == modforms._unit.__wrapped__(w, m, -1).coeffs
+    snapshot = list(cached.coeffs)
+    assert basis_coordinates(f, k) == coords
+    form = combination(coords, m)  # builds and caches U^+1 at the same order
+    assert basis_coordinates(form, k) == coords
+    assert modforms._unit(w, m, -1) is cached
+    assert cached.coeffs == snapshot
+    unit = modforms._unit(w, m, 1)
+    assert unit.coeffs == modforms._unit.__wrapped__(w, m, 1).coeffs
+    assert (unit * cached).coeffs == QSeries.one(m).coeffs
+
+
 def test_solve_rejects_order_below_dimension():
     with pytest.raises(ConfigError, match="below dimension 5"):
         basis_coordinates(theta_Z(4), 52)

@@ -313,6 +313,29 @@ def test_eisenstein_general_weight_oracle():
             assert s.coefficient(m) == factor * _sigma(m, k - 1)
 
 
+def _eisenstein_fractions(k, n):
+    """E_k built one Fraction per coefficient, made ints when all are
+    integral: the reference for eisenstein's values and coefficient types."""
+    from theta_forms.exact_arith import bernoulli
+
+    factor = Fraction(-2 * k) / bernoulli(k)
+    coeffs = [Fraction(1)] + [factor * _sigma(m, k - 1) for m in range(1, n)]
+    if all(c.denominator == 1 for c in coeffs):
+        return [int(c) for c in coeffs]
+    return coeffs
+
+
+@pytest.mark.parametrize("k", [*range(4, 61, 2), 600, 696, 998])
+def test_eisenstein_matches_fraction_construction(k):
+    # n = 10 for every weight, plus the background lane's order n_k + 1 and
+    # the degenerate windows; ints exactly when -2k/B_k is an integer
+    for n in sorted({1, 2, 10, k // 12 + 1}):
+        got, want = eisenstein(k, n).coeffs, _eisenstein_fractions(k, n)
+        assert got == want, (k, n)
+        assert [type(c) for c in got] == [type(c) for c in want], (k, n)
+    assert (type(eisenstein(k, 2).coeffs[1]) is int) == (k in (4, 6, 8, 10, 14))
+
+
 def test_eisenstein_rejects_bad_weight():
     with pytest.raises(ValueError):
         eisenstein(2, 5)
