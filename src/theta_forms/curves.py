@@ -12,12 +12,12 @@ The sweeps run on int64 arrays of residues mod p, through one private
 layer: per-p tables of the quadratic character and of inverses, the grid of
 F_{p^2} in Fp2Field.elements() order, and F_p / F_{p^2} arithmetic on
 coefficient arrays (``_ArrayField``).  The Legendre 4-torsion sweep
-classifies every lambda at once on one lambda-by-x grid, and the Legendre
-j-map runs on the same residue tables: the character table picks the
-lambdas, and j = 256 (1 - lam + lam^2)^3 / (lam^2 (lam - 1)^2) is evaluated
-over an array of them with every product reduced and the inverse table for
-the division.  Field-element objects appear only at the edges, for curve
-coefficients and results.
+classifies every lambda at once on one lambda-by-x grid.  The four j-maps
+(Legendre, hexagonal, supersingular, Hessian) are array expressions over the
+swept parameters, divided through ``recip``, so every set comes back as plain
+residues: ints for F_p values and pairs (c0, c1) for c0 + c1 w in F_{p^2}.
+Field-element objects appear only at two edges: the Hessian curves whose
+3-torsion is sampled and the two point counts at j = 0 and j = 1728.
 
 Models are kept as y^2 = x^3 + c2 x^2 + c1 x + c0 internally; the Hessian
 cubic is brought to that shape through its rational inflection point.
@@ -30,14 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exact_arith import (
-    Fp,
-    Fp2,
-    Fp2Elem,
-    FpElem,
-    FpField,
-    cube_root_of_2,
-)
+from .exact_arith import Fp, Fp2, FpField, cube_root_of_2, least_nonresidue
 
 
 @dataclass(frozen=True)
@@ -116,8 +109,9 @@ class HessianCurve:
 #
 # Every oracle sweep below runs on arrays of residues.  Sums and multiples
 # stay within a few multiples of p of zero until a product, norm or inverse
-# reduces them, so for p <= 10^3 (which _ArrayField enforces) every product
-# is below 2^30, far from the int64 limit.
+# reduces them (the j-maps scale by constants reduced mod p first), so for
+# p <= 10^3 (which _ArrayField enforces) every product is below 2^30, far
+# from the int64 limit.
 
 
 @lru_cache(maxsize=None)
@@ -314,8 +308,20 @@ def curve_from_j(j) -> ShortWeierstrass:
 # j-value sets
 
 
+def _j_set(A: _ArrayField, num, den) -> set:
+    """{ num / den : den != 0 } minus {0, 1728}, over the arrays num and den:
+    ints over F_p, pairs (c0, c1) over F_{p^2}."""
+    j = A.mul(num, A.recip(den))
+    special = (j[0] == 0) | (j[0] == 1728 % A.p)
+    if A.d is not None:
+        special &= j[1] == 0
+    keep = (A.norm(den) != 0) & ~special
+    values = [c[keep].tolist() for c in j]
+    return set(values[0]) if A.d is None else set(zip(*values))
+
+
 @lru_cache(maxsize=None)
-def two_torsion_only_lambdas(p: int) -> tuple[FpElem, ...]:
+def two_torsion_only_lambdas(p: int) -> tuple[int, ...]:
     """Legendre parameters lam in F_p minus {0, 1}, in increasing order, whose
     curve has no rational point of order 4, by brute-force 4-torsion.
 
@@ -323,7 +329,6 @@ def two_torsion_only_lambdas(p: int) -> tuple[FpElem, ...]:
     with E[4](F_p) = Z/2 x Z/2.  One x-only doubling sweep over the lam-by-x
     grid classifies them all; swept once per p and cached.
     """
-    F = Fp(p)
     A = _ArrayField(p)
     x = (np.arange(p, dtype=np.int64)[None, :],)
     out = []
@@ -331,14 +336,14 @@ def two_torsion_only_lambdas(p: int) -> tuple[FpElem, ...]:
         lam = lams[:, None]
         a2, a4 = _affine_torsion_counts(A, x, (-1 - lam,), (lam,), (0,), 4)
         out.extend(
-            F.elem(int(v))
-            for v, b2, b4 in zip(lams, a2, a4)
-            if _torsion_structure(1 + int(b2), 1 + int(b4), 4) == TorsionStructure(2, 2)
+            v
+            for v, b2, b4 in zip(lams.tolist(), a2.tolist(), a4.tolist())
+            if _torsion_structure(1 + b2, 1 + b4, 4) == TorsionStructure(2, 2)
         )
     return tuple(out)
 
 
-def two_torsion_only_j_set(p: int) -> set[FpElem]:
+def two_torsion_only_j_set(p: int) -> set[int]:
     """j-invariants (excluding 0, 1728) of curves over F_p carrying full
     rational 2-torsion but no rational point of order 4.
 
@@ -350,31 +355,30 @@ def two_torsion_only_j_set(p: int) -> set[FpElem]:
         raise ValueError(f"p = {p} = 1 mod 4 never yields such curves (rejected)")
     if p > 10**3:
         raise ValueError(f"p = {p} beyond the brute-force bound 10^3")
-    return _legendre_j_set(p, np.array([int(v) for v in two_torsion_only_lambdas(p)], dtype=np.int64))
+    return _legendre_j_set(p, np.array(two_torsion_only_lambdas(p), dtype=np.int64))
 
 
-def legendre_image_j_set(p: int) -> set[FpElem]:
+def legendre_image_j_set(p: int) -> set[int]:
     """{ j(lam) : -lam and lam - 1 both nonzero squares } minus {0, 1728}."""
     chi = _chi(p)
     lams = np.arange(2, p, dtype=np.int64)
     return _legendre_j_set(p, lams[(chi[-lams % p] == 1) & (chi[lams - 1] == 1)])
 
 
-def _legendre_j_set(p: int, lams: np.ndarray) -> set[FpElem]:
+def _legendre_j_set(p: int, lams: np.ndarray) -> set[int]:
     """{ j(lam) : lam in lams } minus {0, 1728}, for residues lam not in {0, 1},
-    with j = 256 (1 - lam + lam^2)^3 / (lam^2 (lam - 1)^2).
-
-    Every product is reduced at once, so no value exceeds p^2."""
-    m = (lams * lams - lams + 1) % p
-    num = 256 * (m * m % p * m % p) % p
-    den = lams * lams % p * ((lams - 1) ** 2 % p) % p
-    j = num * _inv(p)[den] % p
-    F = Fp(p)
-    return {F.elem(v) for v in j[(j != 0) & (j != 1728 % p)].tolist()}
+    with j = 256 (1 - lam + lam^2)^3 / (lam^2 (lam - 1)^2)."""
+    A = _ArrayField(p)
+    lam = (lams,)
+    lam1 = A.add(lam, (-1,))
+    m = A.add(A.mul(lam, lam1), (1,))
+    num = A.scale(256 % p, A.pow(m, 3))
+    return _j_set(A, num, A.mul(A.mul(lam, lam), A.mul(lam1, lam1)))
 
 
-def supersingular_j_set(p: int) -> set:
-    """All supersingular j-invariants over F_p-bar, as a set of F_{p^2} values.
+def supersingular_j_set(p: int) -> set[tuple[int, int]]:
+    """All supersingular j-invariants over F_p-bar, as pairs (c0, c1) for
+    c0 + c1 w in F_{p^2}.
 
     j = 0 and j = 1728 go through exact point counts over F_p (trace 0
     exactly).  Every other j is the invariant 6912a / (4a + 27) of exactly
@@ -387,17 +391,15 @@ def supersingular_j_set(p: int) -> set:
         S(a) = 1 + sum_z h(z) X(z + a),   h(z) = sum_{x != -1, r(x) = z} X(x + 1),
 
     a cross-correlation over the additive group (Z/p)^2 of F_{p^2}, computed
-    for every a at once with one 2-D real FFT on p x p arrays.
+    for every a at once with one 2-D real FFT on p x p arrays.  The j-map
+    6912a / (4a + 27) then runs over the array of trace-0 parameters; it
+    never gives 0 or 1728, since 6912a = 1728 (4a + 27) has no solution.
     """
     if p > 10**3:
         raise ValueError(f"p = {p} beyond the sweep bound 10^3")
     F = Fp(p)
-    K = Fp2(p)
-    out: set = set()
-    for j in (0, 1728):
-        if point_count(curve_from_j(F.elem(j))) == p + 1:
-            out.add(K.from_fp(j))
-    A = _ArrayField(p, K.d)
+    out = {(j % p, 0) for j in (0, 1728) if point_count(curve_from_j(F.elem(j))) == p + 1}
+    A = _ArrayField(p, least_nonresidue(p))
     # flat index c0 p + c1 of z = c0 + c1 w, the grid order, so reshape(p, p)
     # indexes [c0, c1]
     X = np.empty(p * p, dtype=np.int64)
@@ -419,36 +421,27 @@ def supersingular_j_set(p: int) -> set:
         raise ArithmeticError(f"character-sum correlation off an integer by {err} at p = {p}")
     trace0 = (rounded.astype(np.int64) + 1) % p == 0
     trace0[0, 0] = trace0[-27 * pow(4, -1, p) % p, 0] = False  # singular E_a
-    for a0, a1 in zip(*np.nonzero(trace0)):
-        a = K.elem(int(a0), int(a1))
-        out.add(6912 * a / (4 * a + 27))
-    return out
+    a = np.nonzero(trace0)
+    return out | _j_set(A, A.scale(6912 % p, a), A.add(A.scale(4, a), (27, 0)))
 
 
 @lru_cache(maxsize=None)
-def hex_zero_set(p: int) -> frozenset[Fp2Elem]:
+def hex_zero_set(p: int) -> frozenset[tuple[int, int]]:
     """{ 6912 (2a-1)^3 / (a (a+4)^3) : a in F_{p^2}, a^((p+1)/3) = -2^(1/3) }
-    minus {0, 1728}, by exhaustive sweep, once per p and cached."""
+    minus {0, 1728}, as pairs (c0, c1), by exhaustive sweep, once per p and
+    cached."""
     if p % 12 not in (5, 11):
         raise ValueError(f"p = {p} not in the 5, 11 mod 12 classes")
-    K = Fp2(p)
-    A = _ArrayField(p, K.d)
-    target = -int(cube_root_of_2(p)) % p
-    roots = []
-    for a0, a1 in _blocks(_fp2_grid(p)):
-        t0, t1 = A.pow((a0, a1), (p + 1) // 3)
-        hits = (t0 == target) & (t1 == 0)
-        roots += zip(a0[hits].tolist(), a1[hits].tolist())
-    out: set[Fp2Elem] = set()
-    for a0, a1 in roots:
-        a = K.elem(a0, a1)
-        den = a * (a + 4) ** 3
-        if not den:
-            continue
-        j = 6912 * (2 * a - 1) ** 3 / den
-        if j and j != 1728:
-            out.add(j)
-    return frozenset(out)
+    A = _ArrayField(p, least_nonresidue(p))
+    target = -cube_root_of_2(p) % p
+    hits = []
+    for a in _blocks(_fp2_grid(p)):
+        t0, t1 = A.pow(a, (p + 1) // 3)
+        keep = (t0 == target) & (t1 == 0)
+        hits.append(tuple(c[keep] for c in a))
+    a = tuple(np.concatenate(c) for c in zip(*hits))
+    num = A.scale(6912 % p, A.pow(A.add(A.scale(2, a), (-1, 0)), 3))
+    return frozenset(_j_set(A, num, A.mul(a, A.pow(A.add(a, (4, 0)), 3))))
 
 
 # ---------------------------------------------------------------------------
@@ -458,44 +451,36 @@ def hex_zero_set(p: int) -> frozenset[Fp2Elem]:
 HESSIAN_TORSION_SAMPLES = 3  # admissible curves whose 3-torsion it checks
 
 
-def hessian_j(b):
-    """j-invariant of X^3 + Y^3 + 1 = 3b XY: 27 b^3 (b^3 + 8)^3 / (b^3 - 1)^3.
-
-    The closed form comes from the flex reduction implemented in
-    HessianCurve.cubic(); the test suite re-derives it symbolically and
-    checks random values, so the formula here is never trusted on its own.
-    """
-    b3 = b * b * b
-    den = (b3 - 1) ** 3
-    if not den:
-        raise ValueError("singular Hessian cubic: b^3 = 1")
-    return 27 * b3 * (b3 + 8) ** 3 / den
-
-
 @lru_cache(maxsize=None)
-def _admissible_hessian_params(p: int) -> tuple[Fp2Elem, ...]:
-    """The b in F_{p^2} with b^(p+1) = -2 and b^3 != 1, in Fp2Field.elements()
-    order, by one sweep per p, cached.
+def _admissible_hessian_params(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (c0, c1) arrays of the b = c0 + c1 w in F_{p^2} with b^(p+1) = -2
+    and b^3 != 1, in Fp2Field.elements() order, by one sweep per p, cached.
 
     b^(p+1) is the F_{p^2}/F_p norm, so the sweep is a plain norm check;
     b^3 != 1 keeps E_b nonsingular.
     """
-    K = Fp2(p)
-    A = _ArrayField(p, K.d)
+    A = _ArrayField(p, least_nonresidue(p))
     b = _fp2_grid(p)
     b30, b31 = A.pow(b, 3)
     keep = (A.norm(b) == -2 % p) & ((b30 != 1) | (b31 != 0))
-    return tuple(K.elem(int(c0), int(c1)) for c0, c1 in zip(b[0][keep], b[1][keep]))
+    params = b[0][keep], b[1][keep]
+    for part in params:
+        part.flags.writeable = False
+    return params
 
 
-def hessian_norm_condition_j_set(p: int) -> set[Fp2Elem]:
-    """{ j(E_b) : b in F_{p^2}, b^(p+1) = -2, E_b nonsingular } minus {0, 1728}."""
-    out: set[Fp2Elem] = set()
-    for b in _admissible_hessian_params(p):
-        j = hessian_j(b)
-        if j and j != 1728:
-            out.add(j)
-    return out
+def hessian_norm_condition_j_set(p: int) -> set[tuple[int, int]]:
+    """{ j(E_b) : b in F_{p^2}, b^(p+1) = -2, E_b nonsingular } minus {0, 1728},
+    as pairs (c0, c1), with j(E_b) = 27 b^3 (b^3 + 8)^3 / (b^3 - 1)^3.
+
+    The closed form comes from the flex reduction implemented in
+    HessianCurve.cubic(); the test suite re-derives it symbolically and checks
+    this array map against it, so the formula here is never trusted on its own.
+    """
+    A = _ArrayField(p, least_nonresidue(p))
+    b3 = A.pow(_admissible_hessian_params(p), 3)
+    num = A.scale(27 % p, A.mul(b3, A.pow(A.add(b3, (8, 0)), 3)))
+    return _j_set(A, num, A.pow(A.add(b3, (-1, 0)), 3))
 
 
 def check_hessian_matches_hex(p: int) -> bool:
@@ -512,7 +497,9 @@ def check_hessian_matches_hex(p: int) -> bool:
         raise ValueError(f"p = {p} beyond the brute-force bound 10^3")
     if hessian_norm_condition_j_set(p) != hex_zero_set(p):
         return False
+    K = Fp2(p)
+    samples = (c[:HESSIAN_TORSION_SAMPLES].tolist() for c in _admissible_hessian_params(p))
     return all(
-        n_torsion_structure(HessianCurve(b), 3) == TorsionStructure(3, 3)
-        for b in _admissible_hessian_params(p)[:HESSIAN_TORSION_SAMPLES]
+        n_torsion_structure(HessianCurve(K.elem(c0, c1)), 3) == TorsionStructure(3, 3)
+        for c0, c1 in zip(*samples)
     )

@@ -6,6 +6,11 @@ residues carried together with their modulus.  F_{p^2} is realized as
 F_p[w]/(w^2 - d) where d is the least quadratic non-residue mod p, so the
 representation is deterministic and reproducible across runs.
 
+The verification lanes carry field values as plain residues: an int for
+F_p and a pair (c0, c1) for c0 + c1 w in F_{p^2} (``fp2_str`` writes one).
+The element objects ``FpElem`` and ``Fp2Elem`` serve curve coefficients
+and the tests.
+
 Nothing here ever touches floating point.
 """
 
@@ -146,8 +151,8 @@ def least_nonresidue(p: int) -> int:
     raise ValueError(f"no non-residue found mod {p}")  # unreachable for p >= 3
 
 
-def cube_root_of_2(p: int) -> "FpElem":
-    """The unique cube root of 2 in F_p, for p = 5 or 11 mod 12.
+def cube_root_of_2(p: int) -> int:
+    """The unique cube root of 2 in F_p, for p = 5 or 11 mod 12, as a residue.
 
     In those residue classes gcd(3, p-1) = 1, so cubing is a bijection on F_p
     and the root is 2^(3^{-1} mod (p-1)).
@@ -155,9 +160,7 @@ def cube_root_of_2(p: int) -> "FpElem":
     _check_odd_prime(p)
     if p % 12 not in (5, 11):
         raise ValueError(f"p = {p} has p = 1 mod 3; cube root of 2 is not unique")
-    inv3 = pow(3, -1, p - 1)
-    x = pow(2, inv3, p)
-    return Fp(p).elem(x)
+    return pow(2, pow(3, -1, p - 1), p)
 
 
 # ---------------------------------------------------------------------------
@@ -205,11 +208,6 @@ class FpField:
                 t[x * x % self.p] = x
             self._sqrt_table = t
         return self._sqrt_table
-
-    def sqrt(self, v: int | "FpElem") -> "FpElem | None":
-        v = int(v) % self.p
-        r = self.squares().get(v)
-        return None if r is None else FpElem(r, self)
 
     def __eq__(self, other):
         return isinstance(other, FpField) and other.p == self.p
@@ -374,10 +372,6 @@ class Fp2Field:
             self._sqrt_table = t
         return self._sqrt_table
 
-    def sqrt(self, z: "Fp2Elem") -> "Fp2Elem | None":
-        r = self.squares().get((z.c0, z.c1))
-        return None if r is None else Fp2Elem(r[0], r[1], self)
-
     def __eq__(self, other):
         return isinstance(other, Fp2Field) and other.p == self.p
 
@@ -468,10 +462,6 @@ class Fp2Elem:
         p, d = self.field.p, self.field.d
         return FpElem((self.c0 * self.c0 - d * self.c1 * self.c1) % p, Fp(p))
 
-    def is_square(self) -> bool:
-        """z is a square in F_{p^2} iff its norm is a square in F_p."""
-        return self.norm().is_square()
-
     def frobenius(self) -> "Fp2Elem":
         """z^p; since w^p = -w this is conjugation c0 - c1*w."""
         return Fp2Elem(self.c0, -self.c1 % self.field.p, self.field)
@@ -524,8 +514,14 @@ class Fp2Elem:
         return self.c0 != 0 or self.c1 != 0
 
     def __repr__(self):
-        if self.c1 == 0:
-            return f"{self.c0}"
-        if self.c0 == 0:
-            return f"{self.c1}w"
-        return f"{self.c0}+{self.c1}w"
+        return fp2_str((self.c0, self.c1))
+
+
+def fp2_str(z: tuple[int, int]) -> str:
+    """c0 + c1 w given as the pair (c0, c1), written 7, 3w or 2+5w."""
+    c0, c1 = z
+    if c1 == 0:
+        return f"{c0}"
+    if c0 == 0:
+        return f"{c1}w"
+    return f"{c0}+{c1}w"

@@ -4,9 +4,10 @@ Coefficients are stored as plain ints in [0, p), lowest degree first, with no
 trailing zeros (the zero polynomial is the empty list).  There is one
 factoring algorithm, ``factor_pattern`` (squarefree decomposition, then
 distinct-degree splitting); the splitting tests ``splits_into_linears`` and
-``splits_over_fp2`` are queries on its result.  Besides that: evaluation at
-F_p and F_{p^2} points, brute-force root scans, and power sums for the mod-p
-reductions of the j-polynomials.
+``splits_over_fp2`` are queries on its result.  Besides that: one Horner
+``evaluate`` at an F_p point (an int) or an F_{p^2} point (a pair (c0, c1)
+for c0 + c1 w, w^2 the least non-residue), brute-force root scans, and power
+sums for the mod-p reductions of the j-polynomials; all return plain ints.
 
 The distinct-degree splitting raises x^(p^d) to the p-th power mod g on int64
 coefficient arrays: each product is one ``np.convolve`` reduced mod p, and
@@ -24,7 +25,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact_arith import Fp, Fp2, Fp2Elem, FpElem, rat_mod
+from .exact_arith import least_nonresidue, rat_mod
+
 
 def _normalize(coeffs: list[int]) -> list[int]:
     while coeffs and coeffs[-1] == 0:
@@ -144,20 +146,22 @@ class FpPoly:
             [i * c % self.p for i, c in enumerate(self.coeffs)][1:], self.p
         )
 
-    def evaluate(self, x: int | FpElem | Fp2Elem) -> FpElem | Fp2Elem:
-        """f(x) by Horner's rule: in plain ints mod p for an int or FpElem, else in F_{p^2}."""
-        if isinstance(x, Fp2Elem):
-            acc = Fp2(self.p).zero
-            for c in reversed(self.coeffs):
-                acc = acc * x + c
-            return acc
+    def evaluate(self, x: int | tuple[int, int]) -> int | tuple[int, int]:
+        """f(x) mod p by Horner's rule: an int for an int x, and the pair
+        (c0, c1) of f(x) for x = x0 + x1 w given as (x0, x1), w^2 = d the
+        least non-residue mod p."""
         p = self.p
-        F = Fp(p)
-        v = F.elem(x).value
+        if isinstance(x, tuple):
+            x0, x1 = x
+            d = least_nonresidue(p)
+            a0 = a1 = 0
+            for c in reversed(self.coeffs):
+                a0, a1 = (a0 * x0 + d * a1 * x1 + c) % p, (a0 * x1 + a1 * x0) % p
+            return a0, a1
         acc = 0
         for c in reversed(self.coeffs):
-            acc = (acc * v + c) % p
-        return FpElem(acc, F)
+            acc = (acc * x + c) % p
+        return acc
 
     def reverse(self) -> "FpPoly":
         """x^deg * f(1/x): the coefficient list read backwards."""
@@ -402,39 +406,31 @@ def splits_over_fp2(f: FpPoly) -> bool:
 # roots
 
 
-def roots_brute(f: FpPoly) -> set[FpElem]:
+def roots_brute(f: FpPoly) -> set[int]:
     """All F_p roots by exhaustive evaluation (multiplicity ignored)."""
     if f.is_zero():
         raise ValueError("zero polynomial")
     if f.p > 10**5:
         raise ValueError(f"p = {f.p} beyond the exhaustive-evaluation bound 10^5")
-    p = f.p
-    F = Fp(p)
-    out = set()
-    for x in range(p):
-        acc = 0
-        for c in reversed(f.coeffs):
-            acc = (acc * x + c) % p
-        if acc == 0:
-            out.add(F.elem(x))
-    return out
+    return {x for x in range(f.p) if not f.evaluate(x)}
 
 
-def roots_fp2_brute(f: FpPoly, bound: int = 500) -> set[Fp2Elem]:
-    """All F_{p^2} roots by exhaustive evaluation over the p^2 elements."""
+def roots_fp2_brute(f: FpPoly, bound: int = 500) -> set[tuple[int, int]]:
+    """All F_{p^2} roots, as pairs (c0, c1), by evaluation at all p^2 pairs."""
     if f.is_zero():
         raise ValueError("zero polynomial")
-    if f.p > bound:
-        raise ValueError(f"p = {f.p} beyond the F_p^2 scan bound {bound}")
-    K = Fp2(f.p)
-    return {z for z in K.elements() if not f.evaluate(z)}
+    p = f.p
+    if p > bound:
+        raise ValueError(f"p = {p} beyond the F_p^2 scan bound {bound}")
+    pairs = ((c0, c1) for c0 in range(p) for c1 in range(p))
+    return {z for z in pairs if f.evaluate(z) == (0, 0)}
 
 
 # ---------------------------------------------------------------------------
 # power sums
 
 
-def power_sums(f: FpPoly, v_max: int) -> list[FpElem]:
+def power_sums(f: FpPoly, v_max: int) -> list[int]:
     """S_v = sum of v-th powers of the roots (with multiplicity), v = 0..v_max.
 
     Computed from the monic coefficients by Newton's identities:
@@ -457,8 +453,7 @@ def power_sums(f: FpPoly, v_max: int) -> list[FpElem]:
         if v <= d:
             acc += v * a[v]
         s.append(-acc % p)
-    F = Fp(p)
-    return [F.elem(x) for x in s]
+    return s
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,13 @@ from .curves import (
     two_torsion_only_j_set,
     two_torsion_only_lambdas,
 )
-from .exact_arith import Fp, Fp2Elem, cube_root_of_2, primes_in_range
+from .exact_arith import (
+    cube_root_of_2,
+    fp2_str,
+    least_nonresidue,
+    legendre_symbol,
+    primes_in_range,
+)
 from .fppoly import (
     FactorPattern,
     FpPoly,
@@ -192,19 +198,20 @@ def _congruence_witness(fa: FpPoly, fb: FpPoly) -> str | None:
 def _product_witness(f: FpPoly, targets) -> str | None:
     """None when f is the monic product of (x - t) over the distinct ``targets``.
 
-    The targets may be ints, F_p or F_{p^2} elements.  A monic f of degree |T|
-    that vanishes at |T| distinct points of a field is exactly that product,
-    so no field element outside the targets is ever evaluated.
+    The targets are all ints (F_p) or all pairs (c0, c1) for c0 + c1 w in
+    F_{p^2}; they are tried in (c1, c0) order.  A monic f of degree |T| that
+    vanishes at |T| distinct points of a field is exactly that product, so no
+    field element outside the targets is ever evaluated.
     """
     targets = set(targets)
     if f.degree != len(targets):
         return f"degree {f.degree} != target set size {len(targets)}"
     if f.leading() != 1:
         return f"leading coefficient {f.leading()} != 1"
-    key = lambda t: (int(t.c1), int(t.c0)) if isinstance(t, Fp2Elem) else (0, int(t))
+    key = lambda t: (t[1], t[0]) if isinstance(t, tuple) else (0, t)
     for t in sorted(targets, key=key):
-        if f.evaluate(t):
-            return f"f({t}) != 0"
+        if f.evaluate(t) not in (0, (0, 0)):
+            return f"f({fp2_str(t) if isinstance(t, tuple) else t}) != 0"
     return None
 
 
@@ -306,7 +313,7 @@ def _background_prime(p: int, order: int | None, ss_cap: int) -> list[Verificati
         _check("bg_congruence", p, k, lambda: _congruence_witness(f(), truncated_poly_mod(fam, n, p))),
         _check("bg_factor_degrees", p, k, lambda: _factor_degrees_witness(pattern())),
         _check("bg_supersingular_set", p, k, lambda: _product_witness(
-            f(), {z for z in supersingular_j_set(p) if not (z == 0 or z == 1728)}), capped),
+            f(), supersingular_j_set(p) - {(0, 0), (1728 % p, 0)}), capped),
         _check("bg_extremal_congruence", p, k,
                lambda: _congruence_witness(reduce_poly(pf_polynomial(QSeries.one(ordv), k), p), f())),
     ]
@@ -361,15 +368,14 @@ def _power_sums_witness(g: FpPoly, p: int) -> str | None:
     rhs = _power_sums_rhs(p)
     s = power_sums(g, len(rhs) - 1)
     for v, (sv, r) in enumerate(zip(s, rhs)):
-        if int(sv) != r:
-            return f"S_{v}: {int(sv)} != {r}"
+        if sv != r:
+            return f"S_{v}: {sv} != {r}"
     return None
 
 
 def _gp_residue_set(p: int) -> list[int]:
     """The roots of G_p: t with t - 1 a nonzero square and t a non-square mod p."""
-    F = Fp(p)
-    return [t for t in range(2, p) if F.elem(t - 1).is_square() and not F.elem(t).is_square()]
+    return [t for t in range(2, p) if legendre_symbol(t - 1, p) == 1 and legendre_symbol(t, p) == -1]
 
 
 def _gp_prime(p: int) -> list[VerificationReport]:
@@ -392,7 +398,7 @@ def _series_constant_witness(p: int) -> str | None:
 
 def _neg4_cube_root_witness(p: int) -> str | None:
     got = pow(-4 % p, (p + 1) // 12, p)
-    want = int(cube_root_of_2(p))
+    want = cube_root_of_2(p)
     return None if got == want else f"(-4)^((p+1)/12) = {got} != 2^(1/3) = {want}"
 
 
@@ -513,7 +519,7 @@ def _show_k52() -> str:
     names = ["D^4*E4", "D^3*E4^4", "D^2*E4^7", "D*E4^10", "E4^13"]
     combo = "\n".join(f"  {c:>15} * {t}" for c, t in zip(coords, names))
     P = pf_polynomial(theta_Z(order), k)
-    roots = sorted(int(r) for r in roots_brute(reduce_poly(P, p)))
+    roots = sorted(roots_brute(reduce_poly(P, p)))
     return "\n".join(
         [
             f"weight-{k} theta form (integer lattice), as a D = Delta, E4 combination:",
@@ -538,18 +544,12 @@ def _show_p107() -> str:
     P = pf_polynomial(theta_H(order), k)
     fp = reduce_poly(P, p)
     roots = roots_fp2_brute(fp)
-    factors = [f"(j + {(-int(z.c0)) % p})" for z in roots if z.c1 == 0]
-    factors.sort()
-    seen = set()
-    for z in sorted(roots, key=lambda z: (int(z.c1), int(z.c0))):
-        if z.c1 == 0 or (int(z.c0), int(z.c1)) in seen:
-            continue
-        zb = z.frobenius()
-        seen.add((int(z.c0), int(z.c1)))
-        seen.add((int(zb.c0), int(zb.c1)))
-        tr = int(z.c0) + int(zb.c0)
-        nm = int(z.norm())
-        factors.append("(" + _poly_str([nm, (-tr) % p, 1]) + ")")
+    factors = sorted(f"(j + {-c0 % p})" for c0, c1 in roots if c1 == 0)
+    # z = c0 + c1 w and its conjugate c0 - c1 w give j^2 - 2 c0 j + N(z); the
+    # pair is named once, by the member with 0 < c1 < p/2
+    d = least_nonresidue(p)
+    for c1, c0 in sorted((c1, c0) for c0, c1 in roots if 0 < 2 * c1 < p):
+        factors.append("(" + _poly_str([(c0 * c0 - d * c1 * c1) % p, -2 * c0 % p, 1]) + ")")
     return "\n".join(
         [
             f"weight-{k} theta form (hexagonal lattice):",

@@ -16,7 +16,6 @@ from theta_forms.curves import (
     TorsionStructure,
     check_hessian_matches_hex,
     curve_from_j,
-    hessian_j,
     hessian_norm_condition_j_set,
     hex_zero_set,
     legendre_image_j_set,
@@ -30,9 +29,11 @@ from theta_forms import curves
 from theta_forms.exact_arith import (
     Fp,
     Fp2,
+    Fp2Elem,
     FpField,
     cube_root_of_2,
     legendre_symbol,
+    least_nonresidue,
     primes_in_range,
 )
 from theta_forms.fppoly import reduce_poly, roots_brute, roots_fp2_brute
@@ -80,6 +81,22 @@ def j_of_legendre(lam):
     num = 256 * (1 - lam + lam * lam) ** 3
     den = lam * lam * (lam - 1) * (lam - 1)
     return num / den
+
+
+def hessian_j(b):
+    """j-invariant of X^3 + Y^3 + 1 = 3b XY: 27 b^3 (b^3 + 8)^3 / (b^3 - 1)^3,
+    on Fractions or field elements: the symbolic reference for the array
+    j-map of hessian_norm_condition_j_set."""
+    b3 = b * b * b
+    den = (b3 - 1) ** 3
+    if not den:
+        raise ValueError("singular Hessian cubic: b^3 = 1")
+    return 27 * b3 * (b3 + 8) ** 3 / den
+
+
+def _pair(z):
+    """An F_{p^2} element object as the pair (c0, c1) the oracles return."""
+    return z.c0, z.c1
 
 
 def _j_from_cubic(c2, c1, c0):
@@ -141,7 +158,8 @@ def _n_torsion_structure_objects(curve, n):
             m2 += 1
             m4 += 1
             continue
-        if n == 2 or not fx.is_square():
+        # over F_{p^2}, z is a square iff its norm is a square in F_p
+        if n == 2 or not (fx.norm() if isinstance(fx, Fp2Elem) else fx).is_square():
             continue
         d = (3 * x + 2 * c2) * x + c1
         x2 = d * d / (4 * fx) - c2 - 2 * x
@@ -160,7 +178,8 @@ def _n_torsion_structure_objects(curve, n):
 
 
 def _hex_zero_set_objects(p):
-    """Reference for hex_zero_set: a^((p+1)/3) by one object power per a."""
+    """Reference for hex_zero_set: a^((p+1)/3) by one object power per a,
+    the j-map on Fp2Elem objects, each value returned as a pair."""
     K = Fp2(p)
     target = -K.from_fp(cube_root_of_2(p))
     out = set()
@@ -172,13 +191,18 @@ def _hex_zero_set_objects(p):
             continue
         j = 6912 * (2 * a - 1) ** 3 / den
         if j and j != 1728:
-            out.add(j)
+            out.add(_pair(j))
     return out
 
 
 def _admissible_hessian_params_objects(p):
     """Reference for _admissible_hessian_params, in Fp2Field.elements() order."""
     return [b for b in Fp2(p).elements() if b.norm() == -2 and b**3 != 1]
+
+
+def _admissible_pairs(p):
+    """_admissible_hessian_params(p) as a list of (c0, c1) pairs."""
+    return list(zip(*(c.tolist() for c in curves._admissible_hessian_params(p))))
 
 
 # ---------------------------------------------------------------------------
@@ -407,9 +431,9 @@ def test_two_torsion_only_lambdas_match_object_sweep():
             continue
         F = Fp(p)
         want = tuple(
-            lam
-            for lam in (F.elem(v) for v in range(2, p))
-            if _n_torsion_structure_objects(LegendreCurve(lam), 4) == TorsionStructure(2, 2)
+            v
+            for v in range(2, p)
+            if _n_torsion_structure_objects(LegendreCurve(F.elem(v)), 4) == TorsionStructure(2, 2)
         )
         assert two_torsion_only_lambdas(p) == want, p
 
@@ -420,11 +444,10 @@ def test_two_torsion_only_lambdas_match_prediction_to_1000():
     for p in primes_in_range(7, 1000):
         if p % 4 != 3:
             continue
-        F = Fp(p)
         want = tuple(
-            lam
-            for lam in (F.elem(v) for v in range(2, p))
-            if legendre_4torsion_predicted(lam, p) == TorsionStructure(2, 2)
+            v
+            for v in range(2, p)
+            if legendre_4torsion_predicted(v, p) == TorsionStructure(2, 2)
         )
         assert two_torsion_only_lambdas(p) == want, p
 
@@ -464,7 +487,7 @@ def test_4torsion_prediction_matches_brute_force():
             predicted = legendre_4torsion_predicted(lam, p)
             assert predicted == n_torsion_structure(LegendreCurve(lam), 4)
             if predicted == TorsionStructure(2, 2):
-                full.append(lam)
+                full.append(v)
         assert two_torsion_only_lambdas(p) == tuple(full)
         assert two_torsion_only_lambdas(p) is two_torsion_only_lambdas(p)
 
@@ -534,7 +557,7 @@ def test_curve_from_j_roundtrip():
 
 
 def test_two_torsion_only_set_at_103():
-    assert {int(j) for j in two_torsion_only_j_set(103)} == {58, 89, 93, 97}
+    assert two_torsion_only_j_set(103) == {58, 89, 93, 97}
 
 
 def test_two_torsion_only_set_matches_polynomial_roots():
@@ -553,12 +576,13 @@ def test_two_torsion_only_set_equals_legendre_image():
 
 
 def _legendre_j_set_objects(lams) -> set:
-    """{ j_of_legendre(lam) : lam in lams } minus {0, 1728}, on FpElem objects."""
+    """{ j_of_legendre(lam) : lam in lams } minus {0, 1728}, on FpElem objects,
+    each value returned as an int."""
     out = set()
     for lam in lams:
         j = j_of_legendre(lam)
         if j and j != 1728:
-            out.add(j)
+            out.add(int(j))
     return out
 
 
@@ -569,7 +593,7 @@ def test_legendre_j_sets_match_object_j_map_to_1000():
         image = [lam for lam in lams if (-lam).is_square() and (lam - 1).is_square()]
         assert legendre_image_j_set(p) == _legendre_j_set_objects(image), p
         if p % 4 == 3:
-            want = _legendre_j_set_objects(two_torsion_only_lambdas(p))
+            want = _legendre_j_set_objects(F.elem(v) for v in two_torsion_only_lambdas(p))
             assert two_torsion_only_j_set(p) == want, p
 
 
@@ -605,7 +629,7 @@ def _fp2_trace_mod_p(p: int, d: int, a, b, x0, x1, chi) -> int:
 def _supersingular_j_set_per_j(p: int) -> set:
     """Reference oracle: one point count per candidate j.  F_p values by exact
     counts over F_p; each quadratic j (one per Frobenius pair) by its own
-    O(p^2) character sum over F_{p^2}."""
+    O(p^2) character sum over F_{p^2}.  Values come back as pairs."""
     F = Fp(p)
     K = Fp2(p)
     out: set = set()
@@ -626,12 +650,12 @@ def _supersingular_j_set_per_j(p: int) -> set:
             if _fp2_trace_mod_p(p, d, E.a, E.b, x0, x1, chi) == 0:
                 out.add(j)
                 out.add(j.frobenius())
-    return out
+    return {_pair(z) for z in out}
 
 
 def test_supersingular_known_small():
-    assert {(z.c0, z.c1) for z in supersingular_j_set(7)} == {(6, 0)}
-    assert {(z.c0, z.c1) for z in supersingular_j_set(11)} == {(0, 0), (1, 0)}
+    assert supersingular_j_set(7) == {(6, 0)}
+    assert supersingular_j_set(11) == {(0, 0), (1, 0)}
 
 
 def test_supersingular_matches_per_j_reference():
@@ -644,9 +668,9 @@ def test_supersingular_mass_formula():
     for p in (7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 101, 211, 499, 997):
         total = Fraction(0)
         for z in supersingular_j_set(p):
-            if z == 0:
+            if z == (0, 0):
                 total += Fraction(1, 6)
-            elif z == 1728:
+            elif z == (1728 % p, 0):
                 total += Fraction(1, 4)
             else:
                 total += Fraction(1, 2)
@@ -662,14 +686,14 @@ def test_supersingular_count_formula():
 def test_supersingular_set_frobenius_stable():
     for p in (23, 31, 37, 101, 211, 499, 997):
         s = supersingular_j_set(p)
-        assert {z.frobenius() for z in s} == s
+        assert {(c0, -c1 % p) for c0, c1 in s} == s
 
 
 def test_supersingular_contains_special_j():
     for p in (7, 11, 19, 23, 31):
-        assert any(z == 1728 for z in supersingular_j_set(p))
+        assert (1728 % p, 0) in supersingular_j_set(p)
     for p in (5, 11, 17, 23, 29):
-        assert any(z == 0 for z in supersingular_j_set(p))
+        assert (0, 0) in supersingular_j_set(p)
 
 
 def test_supersingular_rejects_non_integer_correlation(monkeypatch):
@@ -711,8 +735,9 @@ def test_hex_zero_set_matches_object_sweep():
 def test_hex_zero_set_norm_relation():
     # each member beta satisfies beta^p * beta = 1728^2
     for p in (11, 17, 23, 29, 41, 53):
-        for z in hex_zero_set(p):
-            assert z.norm() == 1728 * 1728
+        d = least_nonresidue(p)
+        for c0, c1 in hex_zero_set(p):
+            assert (c0 * c0 - d * c1 * c1) % p == 1728 * 1728 % p
 
 
 def test_hex_zero_set_rejects():
@@ -772,6 +797,20 @@ def test_hessian_j_matches_model():
         done += 1
 
 
+def test_hessian_j_set_matches_object_j_map_to_400():
+    # the array j-map against hessian_j on Fp2Elem objects, over the same b
+    for p in primes_in_range(5, 400):
+        if p % 12 not in (5, 11):
+            continue
+        K = Fp2(p)
+        want = set()
+        for c0, c1 in _admissible_pairs(p):
+            j = hessian_j(K.elem(c0, c1))
+            if j and j != 1728:
+                want.add(_pair(j))
+        assert hessian_norm_condition_j_set(p) == want, p
+
+
 def test_hessian_norm_condition_curves_have_full_3_torsion():
     K = Fp2(11)
     checked = 0
@@ -800,7 +839,7 @@ def test_hessian_check_sweeps_fp2_once_per_side(monkeypatch):
     sampled = []
 
     def torsion(E, n):
-        sampled.append(E.b)
+        sampled.append(_pair(E.b))
         return TorsionStructure(3, 3)
 
     monkeypatch.setattr(curves, "n_torsion_structure", torsion)
@@ -808,8 +847,8 @@ def test_hessian_check_sweeps_fp2_once_per_side(monkeypatch):
     assert check_hessian_matches_hex(p)
     assert curves._admissible_hessian_params.cache_info().misses == 1
     assert hex_zero_set.cache_info().misses == 1
-    admissible = _admissible_hessian_params_objects(p)
-    assert list(curves._admissible_hessian_params(p)) == admissible
+    admissible = [_pair(b) for b in _admissible_hessian_params_objects(p)]
+    assert _admissible_pairs(p) == admissible
     assert sampled == 2 * admissible[:HESSIAN_TORSION_SAMPLES]
 
 
@@ -817,8 +856,8 @@ def test_admissible_hessian_params_match_object_sweep():
     # same values in the same Fp2Field.elements() order, so the sampled b hold
     for p in primes_in_range(5, 131):
         if p % 12 in (5, 11):
-            got = curves._admissible_hessian_params(p)
-            assert list(got) == _admissible_hessian_params_objects(p), p
+            got = _admissible_pairs(p)
+            assert got == [_pair(b) for b in _admissible_hessian_params_objects(p)], p
             assert len(got) == p + 1  # every norm -2 element: N(b^3) = -8 != 1
 
 

@@ -155,10 +155,10 @@ def test_cube_root_of_2():
     for p in primes_in_range(5, 500):
         if p % 12 in (5, 11):
             r = cube_root_of_2(p)
-            assert pow(r.value, 3, p) == 2
+            assert type(r) is int and pow(r, 3, p) == 2
             # oracle: unique by exhaustive cube search
             all_roots = [x for x in range(p) if pow(x, 3, p) == 2]
-            assert all_roots == [r.value]
+            assert all_roots == [r]
         elif p % 12 in (1, 7):
             with pytest.raises(ValueError):
                 cube_root_of_2(p)
@@ -214,13 +214,14 @@ def test_fp_zero_division():
 
 
 def test_fp_sqrt():
+    # square roots come from the squares() table: x^2 -> x
     F = Fp(103)
     for v in range(103):
-        r = F.sqrt(v)
+        r = F.squares().get(v)
         if legendre_symbol(v, 103) == -1:
             assert r is None
         else:
-            assert r is not None and (r * r).value == v
+            assert r is not None and r * r % 103 == v
     assert F.elem(2).is_square() == (legendre_symbol(2, 103) == 1)
 
 
@@ -285,12 +286,13 @@ def test_fp2_field_axioms_random():
 
 
 def test_fp2_sqrt():
+    # square roots come from the squares() table: z^2 -> z, as pairs
     K = Fp2(13)
     seen = 0
     for z in K.elements():
-        r = K.sqrt(z)
+        r = K.squares().get((z.c0, z.c1))
         if r is not None:
-            assert r * r == z
+            assert K.elem(*r) * K.elem(*r) == z
             seen += 1
     # squares in F_{p^2}*: exactly (p^2 - 1)/2, plus zero
     assert seen == (13**2 - 1) // 2 + 1

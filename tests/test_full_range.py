@@ -12,17 +12,21 @@ lane over 5..1000 with every oracle cap at 1000.  The files were made with
 
 and a change that alters any row must regenerate them the same way and name
 the rows it changed.  The whole comparison takes about a minute, so it runs
-only when THETA_FORMS_FULL_RANGE=1 is set.  The Tier-1 test below reruns the top
+only when THETA_FORMS_FULL_RANGE=1 is set, together with the supersingular
+anchors at every prime up to 1000.  The Tier-1 test below reruns the top
 prime of each lane's residue classes with the caps raised and compares those
 rows, so the files are read on every run.
 """
 
 import json
 import os
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from theta_forms.curves import supersingular_j_set
+from theta_forms.exact_arith import primes_in_range
 from theta_forms.harness import (
     SweepConfig,
     cmd_verify_background,
@@ -72,3 +76,13 @@ def test_full_range_matches_report(lane):
     verify, _ = LANES[lane]
     assert render_json(verify(SweepConfig(p_min=5, p_max=1000, **CAPS))) == _golden(lane)
 
+
+@full_range_only
+def test_supersingular_anchors_to_1000():
+    # Eichler-Deuring: floor(p/12) + eps classes, of total mass (p - 1)/24
+    eps = {1: 0, 5: 1, 7: 1, 11: 2}
+    for p in primes_in_range(5, 1000):
+        s = supersingular_j_set(p)
+        assert len(s) == p // 12 + eps[p % 12], p
+        aut = {(0, 0): 6, (1728 % p, 0): 4}
+        assert sum(Fraction(1, aut.get(z, 2)) for z in s) == Fraction(p - 1, 24), p

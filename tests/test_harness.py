@@ -14,7 +14,16 @@ import pytest
 import theta_forms
 
 from theta_forms import fppoly, harness, modforms
-from theta_forms.exact_arith import Fp, Fp2, primes_in_range, rat_mod
+from theta_forms import curves
+from theta_forms.exact_arith import (
+    Fp2,
+    Fp2Elem,
+    FpElem,
+    fp2_str,
+    least_nonresidue,
+    primes_in_range,
+    rat_mod,
+)
 from theta_forms.fppoly import FpPoly, factor_pattern
 from theta_forms.hyperpoly import pochhammer
 from theta_forms.harness import (
@@ -218,6 +227,47 @@ def _count_calls(monkeypatch, name):
 _UNUSED_BY_LANES = ("roots_brute", "is_squarefree", "splits_into_linears", "splits_over_fp2")
 
 
+def _count_field_objects(monkeypatch) -> dict:
+    """Count every FpElem and Fp2Elem built from here on, by class name."""
+    counts = {"FpElem": 0, "Fp2Elem": 0}
+    for cls in (FpElem, Fp2Elem):
+        def counting(self, *args, _init=cls.__init__, _name=cls.__name__):
+            counts[_name] += 1
+            _init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    return counts
+
+
+def test_theta_z_and_identities_build_no_field_objects(monkeypatch):
+    # the oracles, witnesses and residue rows run on plain ints and pairs
+    for cached in (curves.two_torsion_only_lambdas, curves.hex_zero_set):
+        cached.cache_clear()
+    counts = _count_field_objects(monkeypatch)
+    cmd_verify_theta_z(SweepConfig(p_min=5, p_max=131, curve_cap=131))
+    cmd_verify_identities(SweepConfig(p_min=5, p_max=131))
+    assert counts == {"FpElem": 0, "Fp2Elem": 0}
+
+
+@pytest.mark.parametrize("lane, small, large", [
+    (cmd_verify_theta_hex, 23, 191),  # the sampled Hessian curves
+    (cmd_verify_background, 5, 101),  # the point counts at j = 0 and 1728
+])
+def test_oracle_edges_build_a_constant_number_of_field_objects(monkeypatch, lane, small, large):
+    curves.hex_zero_set.cache_clear()
+    curves._admissible_hessian_params.cache_clear()
+    counts = _count_field_objects(monkeypatch)
+    seen = []
+    for p in (small, large):
+        for name in counts:
+            counts[name] = 0
+        reports = lane(SweepConfig(p_min=p, p_max=p))
+        assert reports and all(r.status == "pass" for r in reports)
+        seen.append(dict(counts))
+    assert seen[0] == seen[1]
+    assert sum(seen[1].values()) <= 64, seen
+
+
 def test_factor_pattern_runs_once_per_prime(monkeypatch):
     calls = _count_calls(monkeypatch, "factor_pattern")
     for name in _UNUSED_BY_LANES:
@@ -276,9 +326,8 @@ def test_product_witness_accepts_the_monic_product():
     f = FpPoly([1], p)
     for t in (2, 5, 7):
         f = f * FpPoly([-t, 1], p)
-    F = Fp(p)
     assert harness._product_witness(f, [7, 2, 5]) is None
-    assert harness._product_witness(f, {F.elem(2), F.elem(5), F.elem(7)}) is None
+    assert harness._product_witness(f, {(2, 0), (5, 0), (7, 0)}) is None  # as F_{p^2} pairs
     assert harness._product_witness(f, [2, 5, 7, 2]) is None  # a target set, not a list
     assert harness._product_witness(FpPoly([1], p), []) is None
 
@@ -297,12 +346,24 @@ def test_product_witness_nonvanishing_targets():
     p = 7
     f = FpPoly([-2, 1], p) * FpPoly([-3, 1], p)
     assert harness._product_witness(f, [2, 4]) == "f(4) != 0"
-    assert harness._product_witness(f, {Fp(p).elem(2), Fp(p).elem(4)}) == "f(4) != 0"
+    assert harness._product_witness(f, {(2, 0), (4, 0)}) == "f(4) != 0"
+    q = FpPoly([-least_nonresidue(p), 0, 1], p)  # x^2 - d, roots +-w in F_{p^2}
+    assert harness._product_witness(q, {(0, 1), (0, p - 1)}) is None
+    witness = harness._product_witness(q, {(0, 1), (1, 1)})
+    assert witness == "f(1+1w) != 0"
+
+
+def test_product_witness_names_targets_as_field_elements():
+    # pairs are tried in (c1, c0) order and printed as Fp2Elem prints them
+    p = 7
     K = Fp2(p)
-    q = FpPoly([-K.d, 0, 1], p)  # x^2 - d, roots +-w in F_{p^2}
-    assert harness._product_witness(q, {K.elem(0, 1), K.elem(0, -1)}) is None
-    witness = harness._product_witness(q, {K.elem(0, 1), K.elem(1, 1)})
-    assert witness == f"f({K.elem(1, 1)}) != 0"
+    q = FpPoly([-K.d, 0, 1], p)
+    assert harness._product_witness(q, {(0, 3), (0, 1)}) == "f(3w) != 0"
+    assert harness._product_witness(q, {(2, 5), (4, 0)}) == "f(4) != 0"
+    assert harness._product_witness(q, {(0, 1), (2, 5)}) == "f(2+5w) != 0"
+    for c0 in range(p):
+        for c1 in range(p):
+            assert fp2_str((c0, c1)) == repr(K.elem(c0, c1))
 
 
 def test_power_sums_rhs_matches_pochhammer_fractions():
@@ -363,8 +424,8 @@ def test_root_set_row_fails_when_oracle_drops_a_value(
         values = orig(p)
         if p != bad_p:
             return values
-        victim = min((z for z in values if not (z == 0 or z == 1728)), key=str)
-        return [z for z in values if z != victim]
+        victim = min((z for z in values if z not in ((0, 0), (1728 % p, 0))), key=str)
+        return type(values)(z for z in values if z != victim)
 
     monkeypatch.setattr(harness, oracle, dropping)
     argv = ["verify", lane, "--p-max", str(p_max), "--format", "json"]
