@@ -101,13 +101,24 @@ def bernoulli(k: int) -> Fraction:
 # residue helpers
 
 
-def legendre_symbol(a: int, p: int) -> int:
-    """Euler's criterion a^((p-1)/2) mod p, mapped onto {-1, 0, 1}."""
-    _check_odd_prime(p)
+def _euler_criterion(a: int, p: int) -> int:
+    """a^((p-1)/2) mod p mapped onto {-1, 0, 1}, for p already known to be an odd prime."""
     r = pow(a % p, (p - 1) // 2, p)
     if r == 0:
         return 0
     return 1 if r == 1 else -1
+
+
+def legendre_symbol(a: int, p: int) -> int:
+    """Euler's criterion a^((p-1)/2) mod p, mapped onto {-1, 0, 1}."""
+    _check_odd_prime(p)
+    return _euler_criterion(a, p)
+
+
+def legendre_symbols(p: int) -> list[int]:
+    """(t/p) for t = 0..p-1, with p checked once rather than per symbol."""
+    _check_odd_prime(p)
+    return [_euler_criterion(t, p) for t in range(p)]
 
 
 def padic_valuation(x: Fraction | int, p: int) -> int:
@@ -146,7 +157,7 @@ def least_nonresidue(p: int) -> int:
     """Smallest quadratic non-residue mod p."""
     _check_odd_prime(p)
     for d in range(2, p):
-        if legendre_symbol(d, p) == -1:
+        if _euler_criterion(d, p) == -1:
             return d
     raise ValueError(f"no non-residue found mod {p}")  # unreachable for p >= 3
 
@@ -341,9 +352,6 @@ class Fp2Field:
     def elem(self, c0: int | FpElem, c1: int | FpElem = 0) -> "Fp2Elem":
         return Fp2Elem(int(c0) % self.p, int(c1) % self.p, self)
 
-    def from_fp(self, x: int | FpElem) -> "Fp2Elem":
-        return self.elem(int(x), 0)
-
     @property
     def zero(self) -> "Fp2Elem":
         return self.elem(0)
@@ -461,10 +469,6 @@ class Fp2Elem:
         """c0^2 - d*c1^2 = z * z^p, an element of F_p."""
         p, d = self.field.p, self.field.d
         return FpElem((self.c0 * self.c0 - d * self.c1 * self.c1) % p, Fp(p))
-
-    def frobenius(self) -> "Fp2Elem":
-        """z^p; since w^p = -w this is conjugation c0 - c1*w."""
-        return Fp2Elem(self.c0, -self.c1 % self.field.p, self.field)
 
     def inverse(self) -> "Fp2Elem":
         n = self.norm().value

@@ -18,10 +18,12 @@ and emits machine-readable reports.  The four lanes are:
 Every row comes from one runner, ``_check``.  Per-prime artefacts (f = P mod
 p for the form's P(j), the factor pattern of f, G_p) are built once, by the
 first row that needs them, so a row's ``ms`` covers its check plus any
-artefact it is first to need.  P(j) is solved from the form's q^0..q^n only,
-all the solve reads, and no row reads P(j) except through f.  The congruence
-rows compare f with the family's truncated hypergeometric polynomial from the
-mod-p stream (``truncated_poly_mod``).  Two witnesses answer the remaining
+artefact it is first to need.  No lane builds P(j) over Q: f is solved mod p
+(``modforms.coordinates_mod_p``) from the residues of the form's q^0..q^n,
+all the solve reads; the background lane takes E_{p-1}'s residues from
+-2k/B_k mod p (``eisenstein_mod``).  The congruence rows compare f with the
+family's truncated hypergeometric polynomial from the mod-p stream
+(``truncated_poly_mod``).  Two witnesses answer the remaining
 polynomial rows: the shape rows read the factor pattern, and the root-set
 rows check that the polynomial is the monic product of (x - t) over the
 oracle's targets t.
@@ -60,7 +62,7 @@ from .exact_arith import (
     cube_root_of_2,
     fp2_str,
     least_nonresidue,
-    legendre_symbol,
+    legendre_symbols,
     primes_in_range,
 )
 from .fppoly import (
@@ -86,8 +88,8 @@ from .hyperpoly import (
     truncated_poly_mod,
     vanishing_window,
 )
-from .modforms import ConfigError, default_order, pf_polynomial, weight_indices
-from .qseries import QSeries, delta, eisenstein, hauptmodul_mismatch, theta_H, theta_Z
+from .modforms import ConfigError, coordinates_mod_p, default_order, pf_polynomial, weight_indices
+from .qseries import QSeries, delta, eisenstein, eisenstein_mod, hauptmodul_mismatch, theta_H, theta_Z
 
 _STATUSES = ("pass", "fail", "skipped")
 
@@ -230,7 +232,7 @@ def _splits_witness(pattern: FactorPattern, max_degree: int) -> str | None:
 
 def _target_order(order: int | None, n: int) -> int:
     """The order of the series a P(j) solve is given: q^0..q^n, all that
-    ``basis_coordinates`` reads, or ``order`` when that is below n + 1, so the
+    ``coordinates_mod_p`` reads, or ``order`` when that is below n + 1, so the
     solve raises ConfigError."""
     return n + 1 if order is None else min(order, n + 1)
 
@@ -246,7 +248,7 @@ def _theta_z_prime(p: int, order: int | None, curve_cap: int) -> list[Verificati
     k = (p + 1) // 2
     n = weight_indices(k).n
     fam = "W0" if p % 24 in (7, 23) else "W1"
-    f = cache(lambda: reduce_poly(pf_polynomial(theta_Z(_target_order(order, n)), k), p))
+    f = cache(lambda: FpPoly(coordinates_mod_p(theta_Z(_target_order(order, n)).coeffs, k, p), p))
     pattern = cache(lambda: factor_pattern(f()))
     capped = None if p <= curve_cap else f"curve sweep capped at {curve_cap}"
     return [
@@ -278,7 +280,7 @@ def _theta_hex_prime(p: int, order: int | None, hessian_cap: int) -> list[Verifi
     k = p + 1
     n = weight_indices(k).n
     fam = "V0" if p % 12 == 11 else "V1"
-    f = cache(lambda: reduce_poly(pf_polynomial(theta_H(_target_order(order, n)), k), p))
+    f = cache(lambda: FpPoly(coordinates_mod_p(theta_H(_target_order(order, n)).coeffs, k, p), p))
     pattern = cache(lambda: factor_pattern(f()))
     capped = None if p <= hessian_cap else f"Hessian sweep capped at {hessian_cap}"
     return [
@@ -306,7 +308,7 @@ def _background_prime(p: int, order: int | None, ss_cap: int) -> list[Verificati
     n = weight_indices(k).n
     ordv = _target_order(order, n)
     fam = "U0" if p % 12 in (1, 5) else "U1"
-    f = cache(lambda: reduce_poly(pf_polynomial(eisenstein(k, ordv), k), p))
+    f = cache(lambda: FpPoly(coordinates_mod_p(eisenstein_mod(k, ordv, p), k, p), p))
     pattern = cache(lambda: factor_pattern(f()))
     capped = None if p <= ss_cap else f"supersingular sweep capped at {ss_cap}"
     return [
@@ -315,7 +317,8 @@ def _background_prime(p: int, order: int | None, ss_cap: int) -> list[Verificati
         _check("bg_supersingular_set", p, k, lambda: _product_witness(
             f(), supersingular_j_set(p) - {(0, 0), (1728 % p, 0)}), capped),
         _check("bg_extremal_congruence", p, k,
-               lambda: _congruence_witness(reduce_poly(pf_polynomial(QSeries.one(ordv), k), p), f())),
+               lambda: _congruence_witness(
+                   FpPoly(coordinates_mod_p(QSeries.one(ordv).coeffs, k, p), p), f())),
     ]
 
 
@@ -375,7 +378,8 @@ def _power_sums_witness(g: FpPoly, p: int) -> str | None:
 
 def _gp_residue_set(p: int) -> list[int]:
     """The roots of G_p: t with t - 1 a nonzero square and t a non-square mod p."""
-    return [t for t in range(2, p) if legendre_symbol(t - 1, p) == 1 and legendre_symbol(t, p) == -1]
+    chi = legendre_symbols(p)
+    return [t for t in range(2, p) if chi[t - 1] == 1 and chi[t] == -1]
 
 
 def _gp_prime(p: int) -> list[VerificationReport]:

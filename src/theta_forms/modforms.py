@@ -18,6 +18,14 @@ back-substitution in plain ints against the table (the target scaled by the
 lcm of its denominators, one division at the end).  Writing the combination
 over the common factor Delta^(n_k) E4^(a_k) E6^(b_k) turns the coordinates
 into a polynomial in j, since E4^3 / Delta = j.
+
+The verify lanes read P(j) only mod p, so they call ``coordinates_mod_p``:
+the same solve run in residues, from the target's residues of q^0..q^(n_k).
+It is exact because U^-1 has integer coefficients (E4 and E6 do, with
+constant term 1) and the t-rows are integer with leading 1, so the map from
+target to coordinates is unimodular over Z and commutes with reduction mod p.
+The exact solve (``basis_coordinates``, ``pf_polynomial``, ``constructor``)
+serves ``show`` and the tests.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
+from .exact_arith import rat_mod
 from .qseries import QSeries, delta, eisenstein, pow_rational
 
 
@@ -160,9 +169,11 @@ def _t_powers(order: int) -> list[list[int]]:
 def _unit(w: WeightIndices, order: int, sign: int) -> QSeries:
     """U^sign for U = E4^(a+3n) E6^b, the factor taking t^(n-l) to basis element l.
 
-    Cached for the last two calls, so the two solves of one background prime
-    (P and the constant form 1) share one U^-1.  Callers only multiply the
-    result, never mutate it.
+    Only the exact solve and its views use it; no verify lane does, since the
+    lanes take U^-1 mod p inside ``coordinates_mod_p``.  Cached for the last
+    two calls, so the exact solves of one weight (the coordinates, P(j) and
+    the constructor of ``show k52``) share U and U^-1.  Callers only multiply
+    the result, never mutate it.
     """
     u = pow_rational(eisenstein(4, order), sign * (w.a + 3 * w.n))
     if w.b:
@@ -210,6 +221,65 @@ def basis_coordinates(f: QSeries, k: int) -> BasisCoordinates:
     if fractional:
         coords = [Fraction(c, den) for c in coords]
     return BasisCoordinates(k, tuple(coords))
+
+
+def _series_pow_mod(f: list[int], r: int, p: int) -> list[int]:
+    """f^r mod p for residues f with f[0] = 1 and an integer r.
+
+    The recurrence k g_k = sum_{i=1..k} ((r+1)i - k) f_i g_(k-i) of
+    ``pow_rational``, run in residues; it divides by k = 1..len(f) - 1, so p
+    must exceed len(f) - 1.
+    """
+    m = len(f)
+    r1 = (r + 1) % p
+    fi = [i * c % p for i, c in enumerate(f)]
+    g = [1] + [0] * (m - 1)
+    for k in range(1, m):
+        back = g[k - 1 :: -1]
+        acc = r1 * sum(map(mul, fi[1 : k + 1], back)) - k * sum(map(mul, f[1 : k + 1], back))
+        g[k] = acc * pow(k, -1, p) % p
+    return g
+
+
+def _series_mul_mod(a: list[int], b: list[int], p: int) -> list[int]:
+    """a * b mod p, truncated to the common length of the two residue lists."""
+    return [sum(map(mul, a[: e + 1], b[e::-1])) % p for e in range(len(a))]
+
+
+def coordinates_mod_p(target, k: int, p: int) -> list[int]:
+    """The coordinates (c_0..c_n) of ``basis_coordinates``, as residues mod p.
+
+    ``target`` lists the target's coefficients of q^0, q^1, ...; only the
+    first n_k + 1 are read, each through ``rat_mod``, so residues pass
+    unchanged and a Fraction with p in its denominator raises ValueError.  A
+    target shorter than n_k + 1 raises ConfigError.  The solve is
+    ``basis_coordinates`` in residues: h = target * U^-1 mod p, with U^-1
+    from the power recurrence on E4 and E6 mod p, then back-substitution
+    against the shared t-table, each row entry reduced as it is used.  The
+    recurrence divides by 1..n_k, so p must exceed n_k; every verify lane has
+    n_k <= (p + 1)/12.
+    """
+    w = weight_indices(k)
+    m = w.n + 1
+    _require_dimension(w, len(target))
+    if p <= w.n:
+        raise ValueError(f"p = {p} does not exceed n = {w.n} of weight {k}")
+    h = [rat_mod(c, p) for c in target[:m]]
+    residues = lambda weight: [c % p for c in eisenstein(weight, m).coeffs]
+    u = _series_pow_mod(residues(4), -(w.a + 3 * w.n), p)
+    if w.b:
+        u = _series_mul_mod(u, _series_pow_mod(residues(6), -1, p), p)
+    residual = _series_mul_mod(h, u, p)
+    rows = _t_powers(m)
+    coords = [0] * m
+    for e in range(m):
+        c = residual[e]
+        coords[w.n - e] = c
+        if c:
+            row = rows[e]
+            for e2 in range(e + 1, m):
+                residual[e2] = (residual[e2] - c * row[e2]) % p
+    return coords
 
 
 def combination(coords: BasisCoordinates, order: int | None = None) -> QSeries:

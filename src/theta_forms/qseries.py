@@ -7,7 +7,9 @@ claims precision beyond what the inputs support.  The shift is 0 for every
 ordinary series; only the j-function (and quotients that produce it) carry
 shift -1, giving a single Laurent object without a general Laurent type.
 
-Coefficients are Python ints or Fractions; nothing is ever rounded.
+Coefficients are Python ints or Fractions; nothing is ever rounded.  The one
+function that leaves QSeries, ``eisenstein_mod``, lists E_k's coefficients as
+residues mod p.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exact_arith import Rat, bernoulli
+from .exact_arith import Rat, bernoulli, rat_mod
 
 
 class QSeries:
@@ -345,6 +347,25 @@ def eisenstein(k: int, n: int) -> QSeries:
     if factor.denominator == 1 or n < 2:
         return QSeries([1] + [factor.numerator * s for s in sig[1:]])
     return QSeries([Fraction(1)] + [factor * s for s in sig[1:]])
+
+
+def eisenstein_mod(k: int, n: int, p: int) -> list[int]:
+    """The coefficients of q^0..q^(n-1) of E_k, reduced mod p.
+
+    -2k/B_k is reduced once, by ``rat_mod`` on the exact Bernoulli number, so
+    p in the denominator of 2k/B_k raises ValueError; for k = p - 1 von
+    Staudt-Clausen puts p in the denominator of B_k, and the factor comes out
+    0 from the computed B_k.  Each sigma_(k-1)(m) is summed from d^(k-1) mod p.
+    """
+    if k < 4 or k % 2:
+        raise ValueError(f"weight must be even and >= 4, got {k}")
+    factor = rat_mod(Fraction(-2 * k) / bernoulli(k), p)
+    sig = [0] * n
+    for d in range(1, n):
+        dk = pow(d, k - 1, p)
+        for m in range(d, n, d):
+            sig[m] += dk
+    return [1] + [factor * s % p for s in sig[1:]]
 
 
 def euler_product(n: int, step: int = 1) -> QSeries:

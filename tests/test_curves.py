@@ -181,7 +181,7 @@ def _hex_zero_set_objects(p):
     """Reference for hex_zero_set: a^((p+1)/3) by one object power per a,
     the j-map on Fp2Elem objects, each value returned as a pair."""
     K = Fp2(p)
-    target = -K.from_fp(cube_root_of_2(p))
+    target = -K.elem(cube_root_of_2(p))
     out = set()
     for a in K.elements():
         if a ** ((p + 1) // 3) != target:
@@ -634,9 +634,8 @@ def _supersingular_j_set_per_j(p: int) -> set:
     K = Fp2(p)
     out: set = set()
     for v in range(p):
-        j = F.elem(v)
-        if point_count(curve_from_j(j)) == p + 1:
-            out.add(K.from_fp(j))
+        if point_count(curve_from_j(F.elem(v))) == p + 1:
+            out.add((v, 0))
     d = K.d
     xs = np.arange(p * p, dtype=np.int64)
     x0, x1 = xs % p, xs // p
@@ -648,9 +647,9 @@ def _supersingular_j_set_per_j(p: int) -> set:
             j = K.elem(c0, c1)
             E = curve_from_j(j)
             if _fp2_trace_mod_p(p, d, E.a, E.b, x0, x1, chi) == 0:
-                out.add(j)
-                out.add(j.frobenius())
-    return {_pair(z) for z in out}
+                out.add((c0, c1))
+                out.add((c0, p - c1))  # the Frobenius conjugate c0 - c1 w
+    return out
 
 
 def test_supersingular_known_small():

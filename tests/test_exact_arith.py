@@ -16,6 +16,7 @@ from theta_forms.exact_arith import (
     is_prime,
     least_nonresidue,
     legendre_symbol,
+    legendre_symbols,
     padic_valuation,
     primes_in_range,
 )
@@ -120,6 +121,19 @@ def test_legendre_symbol_oracle():
         for a in range(2 * p):
             want = 0 if a % p == 0 else (1 if a % p in squares else -1)
             assert legendre_symbol(a, p) == want, (a, p)
+
+
+def test_legendre_symbols_table_checks_p_once(monkeypatch):
+    for p in [3, 5, 7, 103, 991]:
+        assert legendre_symbols(p) == [legendre_symbol(t, p) for t in range(p)]
+    for bad in (1, 2, 9, 91):
+        with pytest.raises(ValueError, match="not an odd prime"):
+            legendre_symbols(bad)
+    checks = []
+    check = exact_arith._check_odd_prime
+    monkeypatch.setattr(exact_arith, "_check_odd_prime", lambda p: checks.append(p) or check(p))
+    legendre_symbols(103)
+    assert checks == [103]
 
 
 def test_legendre_multiplicative():
@@ -250,12 +264,17 @@ def test_fp2_structure():
     assert K.order() == 49
 
 
+def _frobenius(z):
+    """Reference z^p: since w^p = -w, conjugation c0 - c1 w."""
+    return z.field.elem(z.c0, -z.c1)
+
+
 def test_fp2_frobenius_and_norm():
     for p in [5, 7, 11, 23]:
         K = Fp2(p)
         for z in K.elements():
-            assert z.frobenius() == z**p
-            assert z * z.frobenius() == K.from_fp(int(z.norm()))
+            assert _frobenius(z) == z**p
+            assert z * _frobenius(z) == K.elem(int(z.norm()))
             assert z.norm() == (z ** (p + 1)).c0
             if z:
                 assert z * z.inverse() == 1

@@ -13,9 +13,10 @@ lane over 5..1000 with every oracle cap at 1000.  The files were made with
 and a change that alters any row must regenerate them the same way and name
 the rows it changed.  The whole comparison takes about a minute, so it runs
 only when THETA_FORMS_FULL_RANGE=1 is set, together with the supersingular
-anchors at every prime up to 1000.  The Tier-1 test below reruns the top
-prime of each lane's residue classes with the caps raised and compares those
-rows, so the files are read on every run.
+anchors and the mod-p solve's agreement with the exact one at every prime up
+to 1000.  The Tier-1 test below reruns the top prime of each lane's residue
+classes with the caps raised and compares those rows, so the files are read
+on every run.
 """
 
 import json
@@ -24,6 +25,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from test_modforms import check_solve_mod_p_matches_exact
 
 from theta_forms.curves import supersingular_j_set
 from theta_forms.exact_arith import primes_in_range
@@ -86,3 +88,9 @@ def test_supersingular_anchors_to_1000():
         assert len(s) == p // 12 + eps[p % 12], p
         aut = {(0, 0): 6, (1728 % p, 0): 4}
         assert sum(Fraction(1, aut.get(z, 2)) for z in s) == Fraction(p - 1, 24), p
+
+
+@full_range_only
+def test_solve_mod_p_matches_exact_to_1000():
+    for p in primes_in_range(5, 1000):
+        check_solve_mod_p_matches_exact(p)

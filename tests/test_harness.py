@@ -292,26 +292,34 @@ def test_factor_pattern_runs_once_per_prime(monkeypatch):
     assert all(r.status != "fail" for r in reports)
 
 
-def test_pf_polynomial_built_once_per_series(monkeypatch):
-    calls = _count_calls(monkeypatch, "pf_polynomial")
-    weights = lambda: sorted(k for _, k in calls)
+def test_pf_mod_p_solved_once_per_series(monkeypatch):
+    calls = _count_calls(monkeypatch, "coordinates_mod_p")
+    weights = lambda: sorted(k for _, k, _ in calls)
     cmd_verify_theta_z(SweepConfig(p_min=5, p_max=59))
     assert weights() == [(p + 1) // 2 for p in primes_in_range(7, 59) if p % 4 == 3]
     calls.clear()
     cmd_verify_theta_hex(SweepConfig(p_min=5, p_max=59))
     assert weights() == [p + 1 for p in primes_in_range(5, 59) if p % 12 in (5, 11)]
     calls.clear()
-    # the background lane also builds the extremal form's P(j) at each prime
+    # the background lane also solves the extremal form's P(j) at each prime
     cmd_verify_background(SweepConfig(p_min=5, p_max=31))
     assert weights() == sorted(2 * [p - 1 for p in primes_in_range(5, 31)])
 
 
 def test_lanes_solve_without_the_basis(monkeypatch):
-    # every P(j) comes from the shared t-table; basis() is a view for tests and tracing
-    def refuse(*args):
-        raise AssertionError("a lane called modforms.basis")
+    # every P(j) mod p comes from the mod-p solve against the shared t-table;
+    # basis() and the exact solve serve show, the tests and tracing
+    for module, name in (
+        (modforms, "basis"),
+        (modforms, "basis_coordinates"),
+        (modforms, "pf_polynomial"),
+        (fppoly, "reduce_poly"),
+    ):
+        def refuse(*args, name=name):
+            raise AssertionError(f"a lane called {name}")
 
-    monkeypatch.setattr(modforms, "basis", refuse)
+        monkeypatch.setattr(module, name, refuse)
+        monkeypatch.setattr(harness, name, refuse, raising=False)
     for lane in (cmd_verify_theta_z, cmd_verify_theta_hex, cmd_verify_background):
         reports = lane(SweepConfig(p_min=5, p_max=31))
         assert all(r.status != "fail" for r in reports)
@@ -438,7 +446,7 @@ def test_root_set_row_fails_when_oracle_drops_a_value(
 
 
 _ORACLE_PRIME = lambda p: p
-_THETA_Z_PRIME = lambda f, k: 2 * k - 1  # theta-z builds P(j) at weight (p+1)/2
+_SOLVE_PRIME = lambda target, k, p: p
 
 # (lane, oracle or artefact builder in harness, its prime from its arguments,
 #  the prime where it raises, p_max, the rows that fail)
@@ -446,7 +454,7 @@ _RAISING = [
     ("theta-z", "legendre_image_j_set", _ORACLE_PRIME, 23, 31, ["theta_z_legendre_set"]),
     ("theta-hex", "hex_zero_set", _ORACLE_PRIME, 17, 23, ["hex_zero_set"]),
     # a failed P(j) is not cached: every row that needs it fails with its own witness
-    ("theta-z", "pf_polynomial", _THETA_Z_PRIME, 23, 31, list(harness.THETA_Z_CHECKS)),
+    ("theta-z", "coordinates_mod_p", _SOLVE_PRIME, 23, 31, list(harness.THETA_Z_CHECKS)),
 ]
 
 
@@ -478,7 +486,7 @@ def test_raising_check_becomes_fail_row(
 
 def test_config_error_inside_a_check_propagates():
     with pytest.raises(harness.ConfigError):
-        harness._check("row", 5, 4, lambda: harness.pf_polynomial(harness.QSeries.one(1), 52))
+        harness._check("row", 103, 52, lambda: harness.coordinates_mod_p([1], 52, 103))
 
 
 def test_parallel_sweep_matches_serial():

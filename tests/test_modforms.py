@@ -8,7 +8,8 @@ from functools import lru_cache
 import pytest
 
 from theta_forms import modforms
-from theta_forms.exact_arith import rat_mod
+from theta_forms.exact_arith import primes_in_range, rat_mod
+from theta_forms.fppoly import FpPoly, reduce_poly
 from theta_forms.modforms import (
     BasisCoordinates,
     ConfigError,
@@ -17,11 +18,12 @@ from theta_forms.modforms import (
     basis_coordinates,
     combination,
     constructor,
+    coordinates_mod_p,
     default_order,
     pf_polynomial,
     weight_indices,
 )
-from theta_forms.qseries import QSeries, delta, eisenstein, theta_H, theta_Z
+from theta_forms.qseries import QSeries, delta, eisenstein, eisenstein_mod, theta_H, theta_Z
 
 # ---------------------------------------------------------------------------
 # RatPoly
@@ -333,6 +335,78 @@ def test_unit_cache_matches_fresh_build_and_stays_unchanged():
     unit = modforms._unit(w, m, 1)
     assert unit.coeffs == modforms._unit.__wrapped__(w, m, 1).coeffs
     assert (unit * cached).coeffs == QSeries.one(m).coeffs
+
+
+# ---------------------------------------------------------------------------
+# the mod-p solve
+
+
+def lane_targets(p: int) -> list[tuple[str, int, QSeries, list[int]]]:
+    """(name, weight, exact target, residue target) for each form a lane solves at p.
+
+    The residue targets are what the lanes pass to ``coordinates_mod_p``: the
+    theta coefficients as they are, E_(p-1) from ``eisenstein_mod``.
+    """
+    out = []
+    if p % 4 == 3:
+        k = (p + 1) // 2
+        f = theta_Z(weight_indices(k).n + 1)
+        out.append(("theta_Z", k, f, f.coeffs))
+    if p % 12 in (5, 11):
+        k = p + 1
+        f = theta_H(weight_indices(k).n + 1)
+        out.append(("theta_H", k, f, f.coeffs))
+    k = p - 1
+    m = weight_indices(k).n + 1
+    out.append(("E_(p-1)", k, eisenstein(k, m), eisenstein_mod(k, m, p)))
+    out.append(("one", k, QSeries.one(m), QSeries.one(m).coeffs))
+    return out
+
+
+def check_solve_mod_p_matches_exact(p: int) -> None:
+    for name, k, exact, residues in lane_targets(p):
+        want = reduce_poly(pf_polynomial(exact, k), p)
+        assert FpPoly(coordinates_mod_p(residues, k, p), p) == want, (name, k, p)
+
+
+@pytest.mark.parametrize("p", primes_in_range(5, 200) + [983, 991, 997])
+def test_solve_mod_p_matches_reduced_exact_solve(p):
+    check_solve_mod_p_matches_exact(p)
+
+
+@pytest.mark.parametrize("k, p", [(4, 5), (12, 7), (16, 13), (52, 103), (102, 103), (996, 997)])
+def test_eisenstein_mod_is_the_reduced_series(k, p):
+    exact = eisenstein(k, 30)
+    assert eisenstein_mod(k, 30, p) == [rat_mod(c, p) for c in exact.coeffs]
+
+
+def test_eisenstein_mod_rejects_p_in_the_factor_denominator():
+    # -2k/B_k = 65520/691 for k = 12
+    with pytest.raises(ValueError, match="divides a denominator"):
+        eisenstein_mod(12, 5, 691)
+
+
+def test_solve_mod_p_reads_q_to_the_n_only():
+    k, p = 52, 103
+    want = coordinates_mod_p(theta_Z(5).coeffs, k, p)
+    assert coordinates_mod_p(theta_Z(30).coeffs, k, p) == want
+    assert want == [c % p for c in basis_coordinates(theta_Z(5), k).coords]
+
+
+def test_solve_mod_p_takes_p_integral_fractions():
+    k, p = 52, 103
+    f = theta_Z(5) * Fraction(1, 3)
+    got = coordinates_mod_p(f.coeffs, k, p)
+    assert got == [rat_mod(c, p) for c in basis_coordinates(f, k).coords]
+
+
+def test_solve_mod_p_rejects_short_or_non_integral_targets():
+    with pytest.raises(ConfigError, match="below dimension 5"):
+        coordinates_mod_p(theta_Z(4).coeffs, 52, 103)
+    with pytest.raises(ValueError, match="p = 7 divides a denominator"):
+        coordinates_mod_p([1, Fraction(1, 7), 0, 0, 0], 52, 7)
+    with pytest.raises(ValueError, match="does not exceed n = 4"):
+        coordinates_mod_p(theta_Z(5).coeffs, 52, 3)
 
 
 def test_solve_rejects_order_below_dimension():
