@@ -16,11 +16,11 @@ classifies every lambda at once on one lambda-by-x grid.  The four j-maps
 (Legendre, hexagonal, supersingular, Hessian) are array expressions over the
 swept parameters, divided through ``recip``, so every set comes back as plain
 residues: ints for F_p values and pairs (c0, c1) for c0 + c1 w in F_{p^2}.
-Field-element objects appear only at two edges: the Hessian curves whose
-3-torsion is sampled and the two point counts at j = 0 and j = 1728.
 
-Models are kept as y^2 = x^3 + c2 x^2 + c1 x + c0 internally; the Hessian
-cubic is brought to that shape through its rational inflection point.
+A curve is its cubic: the coefficients (c2, c1, c0) of the model
+y^2 = x^3 + c2 x^2 + c1 x + c0, given in the same residues (the convention
+of ``FpPoly.evaluate``).  The Hessian cubic is brought to that shape through
+its rational inflection point.  No field-element object is built here.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exact_arith import Fp, Fp2, FpField, cube_root_of_2, least_nonresidue
+from .exact_arith import cube_root_of_2, is_prime, least_nonresidue, legendre_symbols
 
 
 @dataclass(frozen=True)
@@ -43,65 +43,6 @@ class TorsionStructure:
     def __post_init__(self):
         if self.d1 < 1 or self.d2 % self.d1 != 0:
             raise ValueError(f"({self.d1}, {self.d2}) is not a valid structure pair")
-
-
-def _same_field(*elems):
-    field = elems[0].field
-    for e in elems[1:]:
-        if e.field != field:
-            raise ValueError("curve coefficients from different fields")
-    return field
-
-
-class ShortWeierstrass:
-    """y^2 = x^3 + a x + b with 4a^3 + 27b^2 != 0."""
-
-    __slots__ = ("a", "b", "field")
-
-    def __init__(self, a, b):
-        self.field = _same_field(a, b)
-        if not (4 * a * a * a + 27 * b * b):
-            raise ValueError("singular curve: 4a^3 + 27b^2 = 0")
-        self.a = a
-        self.b = b
-
-    def cubic(self):
-        return self.field.zero, self.a, self.b
-
-    def __repr__(self):
-        return f"ShortWeierstrass(a={self.a}, b={self.b} over {self.field})"
-
-
-class HessianCurve:
-    """The plane cubic X^3 + Y^3 + 1 = 3b XY, nonsingular iff b^3 != 1.
-
-    Its inflection point (1 : -1 : 0) is rational, so the classical flex
-    reduction gives a Weierstrass model over any field of characteristic
-    at least 5; singularity shows up there as a vanishing discriminant.
-    """
-
-    __slots__ = ("b", "field")
-
-    def __init__(self, b):
-        self.field = b.field
-        if b * b * b == 1:
-            raise ValueError("singular Hessian cubic: b^3 = 1")
-        self.b = b
-
-    def cubic(self):
-        """Weierstrass model y^2 = x^3 - 27b^2 x^2 + 216b(b^3-1) x - 432(b^3-1)^2.
-
-        Obtained by sending the flex to infinity and its tangent line
-        X + Y + bZ = 0 to the line at infinity, then completing the square;
-        the substitution is checked symbolically in the test suite, so the
-        model is an isomorphism over the base field (not merely a twist).
-        """
-        b = self.b
-        b3m1 = b * b * b - 1
-        return -27 * b * b, 216 * b * b3m1, -432 * b3m1 * b3m1
-
-    def __repr__(self):
-        return f"HessianCurve(b={self.b} over {self.field})"
 
 
 # ---------------------------------------------------------------------------
@@ -117,9 +58,7 @@ class HessianCurve:
 @lru_cache(maxsize=None)
 def _chi(p: int) -> np.ndarray:
     """chi[v] = (v / p), the quadratic character of F_p, with chi[0] = 0."""
-    chi = np.full(p, -1, dtype=np.int64)
-    chi[np.arange(1, p, dtype=np.int64) ** 2 % p] = 1
-    chi[0] = 0
+    chi = np.array(legendre_symbols(p), dtype=np.int64)
     chi.flags.writeable = False
     return chi
 
@@ -212,23 +151,32 @@ class _ArrayField:
 # point counting and torsion
 
 
-def point_count(curve) -> int:
-    """#E(F_p) = p + 1 + sum_x chi(f(x)), by exhaustive x."""
-    field = curve.field
-    if not isinstance(field, FpField):
+def _check_characteristic(p: int) -> None:
+    if p < 5 or not is_prime(p):
+        raise ValueError(f"field characteristic must be a prime >= 5, got {p}")
+
+
+def point_count(cubic, p: int) -> int:
+    """#E(F_p) = p + 1 + sum_x chi(f(x)) for E: y^2 = f(x) with
+    f = x^3 + c2 x^2 + c1 x + c0 and ``cubic`` = (c2, c1, c0) as ints, by
+    exhaustive x."""
+    if any(isinstance(c, tuple) for c in cubic):
         raise ValueError("point_count runs over F_p only")
-    p = field.p
+    _check_characteristic(p)
     if p > 10**4:
         raise ValueError(f"p = {p} beyond the exhaustive bound 10^4")
-    c2, c1, c0 = (int(c) for c in curve.cubic())
+    c2, c1, c0 = (int(c) % p for c in cubic)
     x = np.arange(p, dtype=np.int64)
     fx = (((x + c2) * x + c1) % p * x + c0) % p
     return p + 1 + int(_chi(p)[fx].sum())
 
 
-def n_torsion_structure(curve, n: int) -> TorsionStructure:
-    """Structure of E[n](field) for n in {2, 3, 4}, by one sweep over x.
+def n_torsion_structure(cubic, n: int, p: int) -> TorsionStructure:
+    """Structure of E[n] for n in {2, 3, 4} and E: y^2 = x^3 + c2 x^2 + c1 x + c0,
+    by one sweep over x.
 
+    ``cubic`` = (c2, c1, c0) as ints gives E over F_p, and as pairs (c0, c1)
+    gives E over F_{p^2} = F_p[w]/(w^2 - d), d the least non-residue mod p.
     A root of the cubic f is a point of order 2.  A nonzero square f(x)
     gives the two points (x, +-y), both with x([2]P) = f'(x)^2 / (4 f(x)) -
     c2 - 2x; such a point has [3]P = O iff x([2]P) = x and [4]P = O iff
@@ -237,17 +185,19 @@ def n_torsion_structure(curve, n: int) -> TorsionStructure:
     """
     if n not in (2, 3, 4):
         raise ValueError("n must be 2, 3, or 4")
-    field = curve.field
-    p = field.p
-    if isinstance(field, FpField):
+    _check_characteristic(p)
+    pairs = [isinstance(c, tuple) for c in cubic]
+    if all(pairs):
+        A, x = _ArrayField(p, least_nonresidue(p)), _fp2_grid(p)
+        coeffs = [(int(c0) % p, int(c1) % p) for c0, c1 in cubic]
+    elif not any(pairs):
         A, x = _ArrayField(p), (np.arange(p, dtype=np.int64),)
-        cubic = [(int(c),) for c in curve.cubic()]
+        coeffs = [(int(c) % p,) for c in cubic]
     else:
-        A, x = _ArrayField(p, field.d), _fp2_grid(p)
-        cubic = [(c.c0, c.c1) for c in curve.cubic()]
+        raise ValueError("cubic mixes F_p and F_{p^2} coefficients")
     a2 = an = 0
     for block in _blocks(x):
-        b2, bn = _affine_torsion_counts(A, block, *cubic, n)
+        b2, bn = _affine_torsion_counts(A, block, *coeffs, n)
         a2, an = a2 + int(b2), an + int(bn)
     return _torsion_structure(1 + a2, 1 + an, n)
 
@@ -283,25 +233,6 @@ def _torsion_structure(m2: int, mn: int, n: int) -> TorsionStructure:
         return TorsionStructure(mn // 4, 4)
     d2 = n if mn > 1 else 1
     return TorsionStructure(mn // d2, d2)
-
-
-# ---------------------------------------------------------------------------
-# a curve with a given j-invariant
-
-
-def curve_from_j(j) -> ShortWeierstrass:
-    """A short Weierstrass curve with the requested j-invariant.
-
-    For j outside {0, 1728} the standard model a = 3j(1728 - j),
-    b = 2j(1728 - j)^2 works over any field of characteristic >= 5.
-    """
-    field = j.field
-    if not j:
-        return ShortWeierstrass(field.zero, field.one)
-    if j == 1728:
-        return ShortWeierstrass(field.one, field.zero)
-    t = 1728 - j
-    return ShortWeierstrass(3 * j * t, 2 * j * t * t)
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +328,9 @@ def supersingular_j_set(p: int) -> set[tuple[int, int]]:
     """
     if p > 10**3:
         raise ValueError(f"p = {p} beyond the sweep bound 10^3")
-    F = Fp(p)
-    out = {(j % p, 0) for j in (0, 1728) if point_count(curve_from_j(F.elem(j))) == p + 1}
+    # y^2 = x^3 + 1 has j = 0 and y^2 = x^3 + x has j = 1728
+    special = {0: (0, 0, 1), 1728: (0, 1, 0)}
+    out = {(j % p, 0) for j, cubic in special.items() if point_count(cubic, p) == p + 1}
     A = _ArrayField(p, least_nonresidue(p))
     # flat index c0 p + c1 of z = c0 + c1 w, the grid order, so reshape(p, p)
     # indexes [c0, c1]
@@ -451,6 +383,28 @@ def hex_zero_set(p: int) -> frozenset[tuple[int, int]]:
 HESSIAN_TORSION_SAMPLES = 3  # admissible curves whose 3-torsion it checks
 
 
+def _hessian_cubics(p: int, b) -> list[tuple[tuple[int, int], ...]]:
+    """The cubic (c2, c1, c0) of the Weierstrass model of each Hessian curve
+    E_b: X^3 + Y^3 + 1 = 3b XY, for b over the (c0, c1) arrays ``b``, with
+    every coefficient a pair reduced into [0, p):
+
+        y^2 = x^3 - 27b^2 x^2 + 216b(b^3 - 1) x - 432(b^3 - 1)^2.
+
+    The inflection point (1 : -1 : 0) of E_b is rational, so sending it to
+    infinity and its tangent line X + Y + bZ = 0 to the line at infinity,
+    then completing the square, gives this model over any field of
+    characteristic at least 5.  The test suite checks the substitution
+    symbolically, so the model is isomorphic to E_b over the base field (not
+    merely a twist); it is singular exactly when b^3 = 1.
+    """
+    A = _ArrayField(p, least_nonresidue(p))
+    b2 = A.mul(b, b)
+    b3m1 = A.add(A.mul(b2, b), (-1, 0))
+    model = A.scale(-27, b2), A.scale(216, A.mul(b, b3m1)), A.scale(-432, A.mul(b3m1, b3m1))
+    coeffs = [list(zip((c0 % p).tolist(), (c1 % p).tolist())) for c0, c1 in model]
+    return list(zip(*coeffs))
+
+
 @lru_cache(maxsize=None)
 def _admissible_hessian_params(p: int) -> tuple[np.ndarray, np.ndarray]:
     """The (c0, c1) arrays of the b = c0 + c1 w in F_{p^2} with b^(p+1) = -2
@@ -473,9 +427,9 @@ def hessian_norm_condition_j_set(p: int) -> set[tuple[int, int]]:
     """{ j(E_b) : b in F_{p^2}, b^(p+1) = -2, E_b nonsingular } minus {0, 1728},
     as pairs (c0, c1), with j(E_b) = 27 b^3 (b^3 + 8)^3 / (b^3 - 1)^3.
 
-    The closed form comes from the flex reduction implemented in
-    HessianCurve.cubic(); the test suite re-derives it symbolically and checks
-    this array map against it, so the formula here is never trusted on its own.
+    The closed form comes from the flex reduction in _hessian_cubics; the
+    test suite re-derives it symbolically and checks this array map against
+    it, so the formula here is never trusted on its own.
     """
     A = _ArrayField(p, least_nonresidue(p))
     b3 = A.pow(_admissible_hessian_params(p), 3)
@@ -497,9 +451,8 @@ def check_hessian_matches_hex(p: int) -> bool:
         raise ValueError(f"p = {p} beyond the brute-force bound 10^3")
     if hessian_norm_condition_j_set(p) != hex_zero_set(p):
         return False
-    K = Fp2(p)
-    samples = (c[:HESSIAN_TORSION_SAMPLES].tolist() for c in _admissible_hessian_params(p))
+    samples = tuple(c[:HESSIAN_TORSION_SAMPLES] for c in _admissible_hessian_params(p))
     return all(
-        n_torsion_structure(HessianCurve(K.elem(c0, c1)), 3) == TorsionStructure(3, 3)
-        for c0, c1 in zip(*samples)
+        n_torsion_structure(cubic, 3, p) == TorsionStructure(3, 3)
+        for cubic in _hessian_cubics(p, samples)
     )

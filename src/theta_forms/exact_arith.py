@@ -8,8 +8,8 @@ representation is deterministic and reproducible across runs.
 
 The verification lanes carry field values as plain residues: an int for
 F_p and a pair (c0, c1) for c0 + c1 w in F_{p^2} (``fp2_str`` writes one).
-The element objects ``FpElem`` and ``Fp2Elem`` serve curve coefficients
-and the tests.
+No module of the package builds the element objects ``FpElem`` and
+``Fp2Elem``; they remain as the reference arithmetic of the tests.
 
 Nothing here ever touches floating point.
 """
@@ -116,9 +116,17 @@ def legendre_symbol(a: int, p: int) -> int:
 
 
 def legendre_symbols(p: int) -> list[int]:
-    """(t/p) for t = 0..p-1, with p checked once rather than per symbol."""
+    """(t/p) for t = 0..p-1, with p checked once rather than per symbol.
+
+    The nonzero squares mod p are x^2 for x = 1..(p-1)/2, since x and -x
+    square alike; every other nonzero t is a non-residue.
+    """
     _check_odd_prime(p)
-    return [_euler_criterion(t, p) for t in range(p)]
+    chi = [-1] * p
+    chi[0] = 0
+    for x in range(1, (p - 1) // 2 + 1):
+        chi[x * x % p] = 1
+    return chi
 
 
 def padic_valuation(x: Fraction | int, p: int) -> int:

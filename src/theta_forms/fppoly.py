@@ -415,13 +415,13 @@ def roots_brute(f: FpPoly) -> set[int]:
     return {x for x in range(f.p) if not f.evaluate(x)}
 
 
-def roots_fp2_brute(f: FpPoly, bound: int = 500) -> set[tuple[int, int]]:
+def roots_fp2_brute(f: FpPoly) -> set[tuple[int, int]]:
     """All F_{p^2} roots, as pairs (c0, c1), by evaluation at all p^2 pairs."""
     if f.is_zero():
         raise ValueError("zero polynomial")
     p = f.p
-    if p > bound:
-        raise ValueError(f"p = {p} beyond the F_p^2 scan bound {bound}")
+    if p > 500:
+        raise ValueError(f"p = {p} beyond the F_p^2 scan bound 500")
     pairs = ((c0, c1) for c0 in range(p) for c1 in range(p))
     return {z for z in pairs if f.evaluate(z) == (0, 0)}
 

@@ -434,7 +434,9 @@ def _run_over_primes(fn, primes, jobs: int):
     if jobs <= 1 or len(primes) <= 1:
         batches = [fn(p) for p in primes]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # the pool starts all its workers at once, so it gets no more than
+        # there are primes
+        with ProcessPoolExecutor(max_workers=min(jobs, len(primes))) as pool:
             batches = list(pool.map(fn, primes))
     return [r for batch in batches for r in batch]
 

@@ -11,11 +11,8 @@ import sympy as sp
 
 from theta_forms.curves import (
     HESSIAN_TORSION_SAMPLES,
-    HessianCurve,
-    ShortWeierstrass,
     TorsionStructure,
     check_hessian_matches_hex,
-    curve_from_j,
     hessian_norm_condition_j_set,
     hex_zero_set,
     legendre_image_j_set,
@@ -39,6 +36,59 @@ from theta_forms.exact_arith import (
 from theta_forms.fppoly import reduce_poly, roots_brute, roots_fp2_brute
 from theta_forms.modforms import default_order, pf_polynomial
 from theta_forms.qseries import theta_H, theta_Z
+
+
+class CubicCurve:
+    """y^2 = x^3 + c2 x^2 + c1 x + c0 with field-element coefficients: a curve
+    object for the object-level references."""
+
+    __slots__ = ("coeffs", "field")
+
+    def __init__(self, c2, c1, c0):
+        self.field = c0.field
+        self.coeffs = c2, c1, c0
+
+    def cubic(self):
+        return self.coeffs
+
+    def __repr__(self):
+        return f"CubicCurve{self.coeffs} over {self.field}"
+
+
+def short_weierstrass(a, b):
+    """y^2 = x^3 + a x + b as a curve object."""
+    return CubicCurve(a.field.zero, a, b)
+
+
+def hessian_curve(b):
+    """The Weierstrass model of the Hessian curve X^3 + Y^3 + 1 = 3b XY
+    (b^3 != 1) as a curve object: the object reference for
+    curves._hessian_cubics."""
+    b3m1 = b * b * b - 1
+    return CubicCurve(-27 * b * b, 216 * b * b3m1, -432 * b3m1 * b3m1)
+
+
+def curve_from_j(j):
+    """A short Weierstrass curve object with j-invariant j: y^2 = x^3 + 1 for
+    j = 0, y^2 = x^3 + x for j = 1728 (the models supersingular_j_set counts
+    points on), else a = 3j(1728 - j), b = 2j(1728 - j)^2."""
+    field = j.field
+    if not j:
+        return short_weierstrass(field.zero, field.one)
+    if j == 1728:
+        return short_weierstrass(field.one, field.zero)
+    t = 1728 - j
+    return short_weierstrass(3 * j * t, 2 * j * t * t)
+
+
+def _residues(curve):
+    """The cubic of a curve object as the oracles take it: ints over F_p,
+    pairs (c0, c1) over F_{p^2}."""
+    return tuple(_pair(c) if isinstance(c, Fp2Elem) else int(c) for c in curve.cubic())
+
+
+def _torsion(curve, n):
+    return n_torsion_structure(_residues(curve), n, curve.field.p)
 
 
 class LegendreCurve:
@@ -218,15 +268,6 @@ def test_torsion_structure_pairs():
         TorsionStructure(0, 2)
 
 
-def test_short_weierstrass_rejects_singular():
-    F = Fp(11)
-    with pytest.raises(ValueError):
-        ShortWeierstrass(F.zero, F.zero)
-    # 4*(-3)^3 + 27*2^2 = 0 in any field
-    with pytest.raises(ValueError):
-        ShortWeierstrass(F.elem(-3), F.elem(2))
-
-
 def test_legendre_rejects_bad_lambda():
     F = Fp(7)
     with pytest.raises(ValueError):
@@ -235,33 +276,18 @@ def test_legendre_rejects_bad_lambda():
         LegendreCurve(F.one)
 
 
-def test_hessian_rejects_singular():
-    K = Fp2(7)
-    with pytest.raises(ValueError):
-        HessianCurve(K.one)
-    # F_25 contains the nontrivial cube roots of unity; they are singular too
-    K5 = Fp2(5)
-    roots = [z for z in K5.elements() if z**3 == 1 and z != 1]
-    assert len(roots) == 2
-    for z in roots:
-        with pytest.raises(ValueError):
-            HessianCurve(z)
-
-
 # ---------------------------------------------------------------------------
 # point counting
 
 
 def test_point_count_known_values():
-    F = Fp(7)
-    assert point_count(ShortWeierstrass(F.one, F.zero)) == 8
+    assert point_count((0, 1, 0), 7) == 8
 
 
 def test_point_count_supersingular_1728():
     # y^2 = x^3 + x is supersingular for p = 3 mod 4, so it has p + 1 points
     for p in (7, 11, 19, 23, 103):
-        F = Fp(p)
-        assert point_count(ShortWeierstrass(F.one, F.zero)) == p + 1
+        assert point_count((0, 1, 0), p) == p + 1
 
 
 def test_point_count_matches_naive_oracle():
@@ -273,8 +299,8 @@ def test_point_count_matches_naive_oracle():
             a, b = F.elem(rng.randrange(p)), F.elem(rng.randrange(p))
             if not (4 * a * a * a + 27 * b * b):
                 continue
-            E = ShortWeierstrass(a, b)
-            assert point_count(E) == len(_points_naive(E))
+            E = short_weierstrass(a, b)
+            assert point_count(_residues(E), p) == len(_points_naive(E))
             done += 1
 
 
@@ -283,29 +309,30 @@ def test_point_count_hasse_bound():
     primes = primes_in_range(5, 199)
     for _ in range(500):
         p = rng.choice(primes)
-        F = Fp(p)
-        a, b = F.elem(rng.randrange(p)), F.elem(rng.randrange(p))
-        if not (4 * a * a * a + 27 * b * b):
+        a, b = rng.randrange(p), rng.randrange(p)
+        if (4 * a**3 + 27 * b * b) % p == 0:
             continue
-        t = p + 1 - point_count(ShortWeierstrass(a, b))
+        t = p + 1 - point_count((0, a, b), p)
         assert t * t <= 4 * p
 
 
 def test_point_count_rejects():
-    F = Fp(10007)
     with pytest.raises(ValueError):
-        point_count(ShortWeierstrass(F.one, F.one))
-    K = Fp2(7)
+        point_count((0, 1, 1), 10007)
+    # a pair coefficient is a curve over F_{p^2}
     with pytest.raises(ValueError):
-        point_count(HessianCurve(K.elem(2)))
+        point_count(_residues(hessian_curve(Fp2(7).elem(2))), 7)
+    with pytest.raises(ValueError):
+        point_count((0, 1, 0), 3)
+    with pytest.raises(ValueError):
+        point_count((0, 1, 0), 25)
 
 
 def test_legendre_group_order_divisible_by_4():
     # full 2-torsion plus a rational point of order 4 or a (2,2) subgroup
     for p in (7, 11, 13, 17):
-        F = Fp(p)
         for v in range(2, p):
-            assert point_count(LegendreCurve(F.elem(v))) % 4 == 0
+            assert point_count((-1 - v, v, 0), p) % 4 == 0
 
 
 # ---------------------------------------------------------------------------
@@ -313,9 +340,9 @@ def test_legendre_group_order_divisible_by_4():
 
 
 def test_n_torsion_known_values():
-    F = Fp(7)
-    assert n_torsion_structure(LegendreCurve(F.elem(3)), 4) == TorsionStructure(2, 2)
-    assert n_torsion_structure(LegendreCurve(F.elem(2)), 4) == TorsionStructure(2, 4)
+    # y^2 = x(x - 1)(x - lam) at lam = 3 and lam = 2
+    assert n_torsion_structure((-4, 3, 0), 4, 7) == TorsionStructure(2, 2)
+    assert n_torsion_structure((-3, 2, 0), 4, 7) == TorsionStructure(2, 4)
 
 
 def test_legendre_two_torsion_always_full():
@@ -323,21 +350,19 @@ def test_legendre_two_torsion_always_full():
         F = Fp(p)
         for v in range(2, p):
             E = LegendreCurve(F.elem(v))
-            assert n_torsion_structure(E, 2) == TorsionStructure(2, 2)
+            assert _torsion(E, 2) == TorsionStructure(2, 2)
 
 
 def test_n_torsion_order_divides_group_order():
     rng = random.Random(3)
     for _ in range(20):
         p = rng.choice((7, 11, 13, 17, 19))
-        F = Fp(p)
-        a, b = F.elem(rng.randrange(p)), F.elem(rng.randrange(p))
-        if not (4 * a * a * a + 27 * b * b):
+        a, b = rng.randrange(p), rng.randrange(p)
+        if (4 * a**3 + 27 * b * b) % p == 0:
             continue
-        E = ShortWeierstrass(a, b)
-        N = point_count(E)
+        N = point_count((0, a, b), p)
         for n in (2, 3, 4):
-            t = n_torsion_structure(E, n)
+            t = n_torsion_structure((0, a, b), n, p)
             assert N % (t.d1 * t.d2) == 0
 
 
@@ -353,11 +378,11 @@ def _torsion_reference_curves():
             a, b = F.elem(rng.randrange(p)), F.elem(rng.randrange(p))
             if not (4 * a * a * a + 27 * b * b):
                 continue
-            yield ShortWeierstrass(a, b)
+            yield short_weierstrass(a, b)
             done += 1
     for b in Fp2(5).elements():
         if b**3 != 1:
-            yield HessianCurve(b)
+            yield hessian_curve(b)
 
 
 def test_n_torsion_matches_repeated_addition():
@@ -374,7 +399,7 @@ def test_n_torsion_matches_repeated_addition():
                     acc = _add(acc, P, c2, c1)
                 if acc is None:
                     killed.append(P)
-            t = n_torsion_structure(E, n)
+            t = _torsion(E, n)
             assert t.d1 * t.d2 == len(killed), (E, n)
             for P in killed:
                 for Q in killed:
@@ -396,16 +421,16 @@ def _torsion_sweep_curves():
             a, b = F.elem(rng.randrange(p)), F.elem(rng.randrange(p))
             if not (4 * a * a * a + 27 * b * b):
                 continue
-            yield ShortWeierstrass(a, b)
+            yield short_weierstrass(a, b)
             done += 1
     for p in (5, 7, 11, 17, 23):
         K = Fp2(p)
         for v in range(0, p * p, 7):
             b = K.elem(v // p, v % p)
             if b**3 != 1:
-                yield HessianCurve(b)
+                yield hessian_curve(b)
     # F_{191^2} spans two blocks of the array sweep
-    yield HessianCurve(Fp2(191).elem(3, 5))
+    yield hessian_curve(Fp2(191).elem(3, 5))
 
 
 def test_n_torsion_matches_object_sweep():
@@ -415,7 +440,7 @@ def test_n_torsion_matches_object_sweep():
     for E in _torsion_sweep_curves():
         fields.add(isinstance(E.field, FpField))
         for n in (2, 3, 4):
-            t = n_torsion_structure(E, n)
+            t = _torsion(E, n)
             assert t == _n_torsion_structure_objects(E, n), (E, n)
             structures.add((n, t.d1, t.d2))
     assert fields == {True, False}
@@ -469,13 +494,17 @@ def test_curves_imports_no_module_under_test():
 
 
 def test_n_torsion_rejects():
-    F = Fp(7)
-    E = LegendreCurve(F.elem(3))
     with pytest.raises(ValueError):
-        n_torsion_structure(E, 5)
-    F2 = Fp(1009)
+        n_torsion_structure((-4, 3, 0), 5, 7)
     with pytest.raises(ValueError):
-        n_torsion_structure(LegendreCurve(F2.elem(3)), 2)
+        n_torsion_structure((-4, 3, 0), 2, 1009)
+    with pytest.raises(ValueError):
+        n_torsion_structure(((0, 0), (3, 0), (1, 0)), 2, 1009)
+    with pytest.raises(ValueError, match="mixes"):
+        n_torsion_structure(((0, 0), 3, 1), 2, 7)
+    for bad in (3, 25):
+        with pytest.raises(ValueError):
+            n_torsion_structure((-4, 3, 0), 2, bad)
 
 
 def test_4torsion_prediction_matches_brute_force():
@@ -485,7 +514,7 @@ def test_4torsion_prediction_matches_brute_force():
         for v in range(2, p):
             lam = F.elem(v)
             predicted = legendre_4torsion_predicted(lam, p)
-            assert predicted == n_torsion_structure(LegendreCurve(lam), 4)
+            assert predicted == n_torsion_structure((-1 - v, v, 0), 4, p)
             if predicted == TorsionStructure(2, 2):
                 full.append(v)
         assert two_torsion_only_lambdas(p) == tuple(full)
@@ -634,7 +663,7 @@ def _supersingular_j_set_per_j(p: int) -> set:
     K = Fp2(p)
     out: set = set()
     for v in range(p):
-        if point_count(curve_from_j(F.elem(v))) == p + 1:
+        if point_count(_residues(curve_from_j(F.elem(v))), p) == p + 1:
             out.add((v, 0))
     d = K.d
     xs = np.arange(p * p, dtype=np.int64)
@@ -645,8 +674,8 @@ def _supersingular_j_set_per_j(p: int) -> set:
     for c1 in range(1, (p - 1) // 2 + 1):
         for c0 in range(p):
             j = K.elem(c0, c1)
-            E = curve_from_j(j)
-            if _fp2_trace_mod_p(p, d, E.a, E.b, x0, x1, chi) == 0:
+            _, a, b = curve_from_j(j).cubic()
+            if _fp2_trace_mod_p(p, d, a, b, x0, x1, chi) == 0:
                 out.add((c0, c1))
                 out.add((c0, p - c1))  # the Frobenius conjugate c0 - c1 w
     return out
@@ -765,6 +794,33 @@ def test_hessian_model_substitution_oracle():
     num = sp.numer(sp.together(sp.expand(residue)))
     _, rem = sp.div(sp.expand(num), hessian, x)
     assert sp.simplify(rem) == 0
+    # the residue model the 3-torsion samples run on is this one, at every b
+    model = [[int(c) for c in sp.Poly(c, b).all_coeffs()] for c in (c2, c1, c0)]
+    for p in (5, 11, 23):
+        K = Fp2(p)
+        want = []
+        for v in K.elements():
+            cubic = []
+            for coeffs in model:
+                acc = K.zero
+                for c in coeffs:
+                    acc = acc * v + c
+                cubic.append(_pair(acc))
+            want.append(tuple(cubic))
+        assert curves._hessian_cubics(p, curves._fp2_grid(p)) == want, p
+
+
+def test_hessian_model_singular_exactly_at_cube_roots_of_unity():
+    # 1728 Delta = c4^3 - c6^2 of the residue model vanishes iff b^3 = 1
+    for p in (5, 11, 17):
+        K = Fp2(p)
+        grid = curves._fp2_grid(p)
+        for v, cubic in zip(K.elements(), curves._hessian_cubics(p, grid)):
+            c2, c1, c0 = (K.elem(*c) for c in cubic)
+            b2, b4, b6 = 4 * c2, 2 * c1, 4 * c0
+            c4 = b2 * b2 - 24 * b4
+            c6 = -(b2 * b2 * b2) + 36 * b2 * b4 - 216 * b6
+            assert (not (c4 * c4 * c4 - c6 * c6)) == (v**3 == 1), (p, v)
 
 
 def test_hessian_j_symbolic_closed_form():
@@ -792,7 +848,8 @@ def test_hessian_j_matches_model():
         v = K.elem(rng.randrange(p), rng.randrange(p))
         if v**3 == 1:
             continue
-        assert hessian_j(v) == _j_from_cubic(*HessianCurve(v).cubic())
+        (cubic,) = curves._hessian_cubics(p, (np.array([v.c0]), np.array([v.c1])))
+        assert hessian_j(v) == _j_from_cubic(*(K.elem(*c) for c in cubic))
         done += 1
 
 
@@ -818,8 +875,7 @@ def test_hessian_norm_condition_curves_have_full_3_torsion():
             break
         if v.norm() != -2 or v**3 == 1:
             continue
-        E = HessianCurve(v)
-        assert n_torsion_structure(E, 3) == TorsionStructure(3, 3)
+        assert _torsion(hessian_curve(v), 3) == TorsionStructure(3, 3)
         checked += 1
     assert checked == 4
 
@@ -837,8 +893,9 @@ def test_hessian_check_sweeps_fp2_once_per_side(monkeypatch):
     hex_zero_set.cache_clear()
     sampled = []
 
-    def torsion(E, n):
-        sampled.append(_pair(E.b))
+    def torsion(cubic, n, q):
+        assert (n, q) == (3, p)
+        sampled.append(cubic)
         return TorsionStructure(3, 3)
 
     monkeypatch.setattr(curves, "n_torsion_structure", torsion)
@@ -846,9 +903,10 @@ def test_hessian_check_sweeps_fp2_once_per_side(monkeypatch):
     assert check_hessian_matches_hex(p)
     assert curves._admissible_hessian_params.cache_info().misses == 1
     assert hex_zero_set.cache_info().misses == 1
-    admissible = [_pair(b) for b in _admissible_hessian_params_objects(p)]
-    assert _admissible_pairs(p) == admissible
-    assert sampled == 2 * admissible[:HESSIAN_TORSION_SAMPLES]
+    admissible = _admissible_hessian_params_objects(p)
+    assert _admissible_pairs(p) == [_pair(b) for b in admissible]
+    models = [_residues(hessian_curve(b)) for b in admissible[:HESSIAN_TORSION_SAMPLES]]
+    assert sampled == 2 * models
 
 
 def test_admissible_hessian_params_match_object_sweep():

@@ -404,6 +404,10 @@ def test_roots_fp2_brute():
     f = FpPoly([-d, 0, 1], p)  # x^2 - d = (x-w)(x+w)
     roots = roots_fp2_brute(f)
     assert roots == {(0, 1), (0, p - 1)}
+    with pytest.raises(ValueError):
+        roots_fp2_brute(FpPoly([1, 1], 503))
+    with pytest.raises(ValueError):
+        roots_fp2_brute(FpPoly([0], p))
 
 
 # ---------------------------------------------------------------------------

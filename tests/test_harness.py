@@ -253,19 +253,22 @@ def test_theta_z_and_identities_build_no_field_objects(monkeypatch):
     (cmd_verify_theta_hex, 23, 191),  # the sampled Hessian curves
     (cmd_verify_background, 5, 101),  # the point counts at j = 0 and 1728
 ])
-def test_oracle_edges_build_a_constant_number_of_field_objects(monkeypatch, lane, small, large):
+def test_oracle_edges_build_no_field_objects(monkeypatch, lane, small, large):
+    # the curve oracles take their cubics as residues, so no edge is left
     curves.hex_zero_set.cache_clear()
     curves._admissible_hessian_params.cache_clear()
     counts = _count_field_objects(monkeypatch)
-    seen = []
     for p in (small, large):
-        for name in counts:
-            counts[name] = 0
         reports = lane(SweepConfig(p_min=p, p_max=p))
         assert reports and all(r.status == "pass" for r in reports)
-        seen.append(dict(counts))
-    assert seen[0] == seen[1]
-    assert sum(seen[1].values()) <= 64, seen
+    assert counts == {"FpElem": 0, "Fp2Elem": 0}
+
+
+def test_show_examples_build_no_field_objects(monkeypatch):
+    counts = _count_field_objects(monkeypatch)
+    for example in ("k52", "p107", "w0-4-mod103"):
+        cmd_show(example)
+    assert counts == {"FpElem": 0, "Fp2Elem": 0}
 
 
 def test_factor_pattern_runs_once_per_prime(monkeypatch):
@@ -487,6 +490,38 @@ def test_raising_check_becomes_fail_row(
 def test_config_error_inside_a_check_propagates():
     with pytest.raises(harness.ConfigError):
         harness._check("row", 103, 52, lambda: harness.coordinates_mod_p([1], 52, 103))
+
+
+def test_process_pool_bounded_by_primes(monkeypatch):
+    # a pool forks all its workers up front, so a huge --jobs must not reach it
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    strip = lambda rs: [(r.check_id, r.p, r.k, r.status, r.witness) for r in rs]
+    serial = cmd_verify_theta_hex(SweepConfig(p_min=5, p_max=29))
+    assert sizes == []
+    pooled = cmd_verify_theta_hex(SweepConfig(p_min=5, p_max=29, jobs=5000))
+    assert sizes == [5]  # 5, 11, 17, 23, 29
+    assert strip(pooled) == strip(serial)
+    sizes.clear()
+    cmd_verify_identities(SweepConfig(p_min=5, p_max=29, jobs=3))
+    assert sizes == [3, 3]
+    sizes.clear()
+    cmd_verify_identities(SweepConfig(p_min=5, p_max=29, jobs=5000))
+    assert sizes == [4, 5]  # gp rows at 7, 11, 19, 23; residue rows at the hex primes
 
 
 def test_parallel_sweep_matches_serial():
