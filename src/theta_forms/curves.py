@@ -10,9 +10,9 @@ from the polynomial identities they verify.
 
 The sweeps run on int64 arrays of residues mod p, through one private
 layer: per-p tables of the quadratic character and of inverses, the grid of
-F_{p^2} in Fp2Field.elements() order, and F_p / F_{p^2} arithmetic on
-coefficient arrays (``_ArrayField``).  The Legendre 4-torsion sweep
-classifies every lambda at once on one lambda-by-x grid.  The four j-maps
+F_{p^2} in c0-major order (c0 + c1 w at flat index c0 p + c1), and F_p /
+F_{p^2} arithmetic on coefficient arrays (``_ArrayField``).  The Legendre
+4-torsion sweep classifies every lambda at once on one lambda-by-x grid.  The four j-maps
 (Legendre, hexagonal, supersingular, Hessian) are array expressions over the
 swept parameters, divided through ``recip``, so every set comes back as plain
 residues: ints for F_p values and pairs (c0, c1) for c0 + c1 w in F_{p^2}.
@@ -74,7 +74,7 @@ def _inv(p: int) -> np.ndarray:
 
 @lru_cache(maxsize=1)  # shared by the sweeps of one prime; p^2 pairs, so not kept
 def _fp2_grid(p: int) -> tuple[np.ndarray, np.ndarray]:
-    """(c0, c1) of every c0 + c1 w in F_{p^2}, in Fp2Field.elements() order."""
+    """(c0, c1) of every c0 + c1 w in F_{p^2}, c0-major: flat index c0 p + c1."""
     c = np.arange(p, dtype=np.int64)
     grid = np.repeat(c, p), np.tile(c, p)
     for part in grid:
@@ -408,7 +408,7 @@ def _hessian_cubics(p: int, b) -> list[tuple[tuple[int, int], ...]]:
 @lru_cache(maxsize=None)
 def _admissible_hessian_params(p: int) -> tuple[np.ndarray, np.ndarray]:
     """The (c0, c1) arrays of the b = c0 + c1 w in F_{p^2} with b^(p+1) = -2
-    and b^3 != 1, in Fp2Field.elements() order, by one sweep per p, cached.
+    and b^3 != 1, in the c0-major grid order, by one sweep per p, cached.
 
     b^(p+1) is the F_{p^2}/F_p norm, so the sweep is a plain norm check;
     b^3 != 1 keeps E_b nonsingular.

@@ -1,15 +1,15 @@
 """Exact rational and finite-field scalar arithmetic.
 
-Every computation in this package is exact: rationals are arbitrary-precision
-`fractions.Fraction` values (aliased as `Rat`), and finite-field elements are
-residues carried together with their modulus.  F_{p^2} is realized as
-F_p[w]/(w^2 - d) where d is the least quadratic non-residue mod p, so the
-representation is deterministic and reproducible across runs.
+Every computation here is exact: rationals are arbitrary-precision
+`fractions.Fraction` values (aliased as `Rat`), and finite-field values are
+plain residues: an int for F_p and a pair (c0, c1) for c0 + c1 w in
+F_{p^2} = F_p[w]/(w^2 - d), where d is the least quadratic non-residue mod p
+(``least_nonresidue``), so the representation is deterministic and
+reproducible across runs.  ``fp2_str`` writes a pair as 7, 3w or 2+5w.
 
-The verification lanes carry field values as plain residues: an int for
-F_p and a pair (c0, c1) for c0 + c1 w in F_{p^2} (``fp2_str`` writes one).
-No module of the package builds the element objects ``FpElem`` and
-``Fp2Elem``; they remain as the reference arithmetic of the tests.
+Beside primes, Bernoulli numbers and the residue helpers, the module keeps
+``FpField``/``Fp2Field`` (built by ``Fp``/``Fp2``) only as the hooks the
+benchmark's layer tracer wraps; no module of the package calls them.
 
 Nothing here ever touches floating point.
 """
@@ -101,20 +101,6 @@ def bernoulli(k: int) -> Fraction:
 # residue helpers
 
 
-def _euler_criterion(a: int, p: int) -> int:
-    """a^((p-1)/2) mod p mapped onto {-1, 0, 1}, for p already known to be an odd prime."""
-    r = pow(a % p, (p - 1) // 2, p)
-    if r == 0:
-        return 0
-    return 1 if r == 1 else -1
-
-
-def legendre_symbol(a: int, p: int) -> int:
-    """Euler's criterion a^((p-1)/2) mod p, mapped onto {-1, 0, 1}."""
-    _check_odd_prime(p)
-    return _euler_criterion(a, p)
-
-
 def legendre_symbols(p: int) -> list[int]:
     """(t/p) for t = 0..p-1, with p checked once rather than per symbol.
 
@@ -163,11 +149,7 @@ def rat_mod(x: Fraction | int, p: int) -> int:
 @lru_cache(maxsize=None)
 def least_nonresidue(p: int) -> int:
     """Smallest quadratic non-residue mod p."""
-    _check_odd_prime(p)
-    for d in range(2, p):
-        if _euler_criterion(d, p) == -1:
-            return d
-    raise ValueError(f"no non-residue found mod {p}")  # unreachable for p >= 3
+    return legendre_symbols(p).index(-1)
 
 
 def cube_root_of_2(p: int) -> int:
@@ -183,11 +165,14 @@ def cube_root_of_2(p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# F_p
+# benchmark hooks
 
 
 class FpField:
-    """The prime field F_p.  Construct via Fp(p) to share square-root tables."""
+    """F_p as the benchmark's layer tracer sees it: ``p``, the ints 0..p-1 of
+    ``elements()`` and the root table of ``squares()``.  No module of the
+    package calls these hooks; ROADMAP item 1 removes them with the tracer
+    change.  Construct via Fp(p)."""
 
     __slots__ = ("p", "_sqrt_table")
 
@@ -195,345 +180,51 @@ class FpField:
         if p < 5 or not is_prime(p):
             raise ValueError(f"field characteristic must be a prime >= 5, got {p}")
         self.p = p
-        self._sqrt_table: dict[int, int] | None = None
-
-    def elem(self, v: int | "FpElem") -> "FpElem":
-        if isinstance(v, FpElem):
-            if v.field.p != self.p:
-                raise ValueError("modulus mismatch")
-            return v
-        return FpElem(int(v) % self.p, self)
-
-    @property
-    def zero(self) -> "FpElem":
-        return FpElem(0, self)
-
-    @property
-    def one(self) -> "FpElem":
-        return FpElem(1, self)
+        self._sqrt_table = None
 
     def elements(self):
-        for v in range(self.p):
-            yield FpElem(v, self)
-
-    def order(self) -> int:
-        return self.p
+        return iter(range(self.p))
 
     def squares(self) -> dict[int, int]:
         """Map x^2 -> x over F_p (one representative root per square)."""
         if self._sqrt_table is None:
-            t: dict[int, int] = {}
-            for x in range((self.p + 1) // 2, -1, -1):
-                t[x * x % self.p] = x
-            self._sqrt_table = t
+            p = self.p
+            self._sqrt_table = {x * x % p: x for x in range((p + 1) // 2, -1, -1)}
         return self._sqrt_table
 
-    def __eq__(self, other):
-        return isinstance(other, FpField) and other.p == self.p
 
-    def __hash__(self):
-        return hash(("FpField", self.p))
+class Fp2Field(FpField):
+    """F_{p^2} = F_p[w]/(w^2 - d) as the tracer sees it: ``p``, ``d``, the
+    pairs (c0, c1) of ``elements()`` in the c0-major grid order of
+    ``curves._fp2_grid`` and the root table of ``squares()``.  ROADMAP item 1
+    removes these hooks with the tracer change.  Construct via Fp2(p)."""
 
-    def __repr__(self):
-        return f"F_{self.p}"
-
-
-@lru_cache(maxsize=None)
-def Fp(p: int) -> FpField:
-    return FpField(p)
-
-
-class FpElem:
-    """A residue mod p.  Immutable; mixes freely with Python ints."""
-
-    __slots__ = ("value", "field")
-
-    def __init__(self, value: int, field: FpField):
-        self.value = value
-        self.field = field
-
-    @property
-    def p(self) -> int:
-        return self.field.p
-
-    def _coerce(self, other):
-        if isinstance(other, FpElem):
-            if other.field.p != self.field.p:
-                raise ValueError("modulus mismatch")
-            return other.value
-        if isinstance(other, int):
-            return other % self.field.p
-        return None
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return FpElem((self.value + v) % self.field.p, self.field)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return FpElem((self.value - v) % self.field.p, self.field)
-
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return FpElem((v - self.value) % self.field.p, self.field)
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return FpElem(self.value * v % self.field.p, self.field)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FpElem(-self.value % self.field.p, self.field)
-
-    def inverse(self) -> "FpElem":
-        if self.value == 0:
-            raise ZeroDivisionError("inverse of 0 in F_p")
-        return FpElem(pow(self.value, -1, self.field.p), self.field)
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        if v == 0:
-            raise ZeroDivisionError("division by 0 in F_p")
-        return FpElem(self.value * pow(v, -1, self.field.p) % self.field.p, self.field)
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        return FpElem(pow(self.value, e, self.field.p), self.field)
-
-    def is_square(self) -> bool:
-        return self.value in self.field.squares()
-
-    def __eq__(self, other):
-        if isinstance(other, FpElem):
-            return other.field.p == self.field.p and other.value == self.value
-        if isinstance(other, int):
-            return self.value == other % self.field.p
-        if isinstance(other, Fp2Elem):
-            return other == self
-        return NotImplemented
-
-    def __hash__(self):
-        # hash matches the plain integer so {FpElem(3), 3} collapses;
-        # sets in this package never mix moduli.
-        return hash(self.value)
-
-    def __int__(self):
-        return self.value
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __repr__(self):
-        return f"{self.value}"
-
-
-# ---------------------------------------------------------------------------
-# F_{p^2}
-
-
-class Fp2Field:
-    """F_{p^2} = F_p[w]/(w^2 - d), d the least quadratic non-residue mod p."""
-
-    __slots__ = ("p", "d", "_sqrt_table")
+    __slots__ = ("d",)
 
     def __init__(self, p: int):
-        if p < 5 or not is_prime(p):
-            raise ValueError(f"field characteristic must be a prime >= 5, got {p}")
-        self.p = p
+        super().__init__(p)
         self.d = least_nonresidue(p)
-        self._sqrt_table: dict[tuple[int, int], tuple[int, int]] | None = None
-
-    def elem(self, c0: int | FpElem, c1: int | FpElem = 0) -> "Fp2Elem":
-        return Fp2Elem(int(c0) % self.p, int(c1) % self.p, self)
-
-    @property
-    def zero(self) -> "Fp2Elem":
-        return self.elem(0)
-
-    @property
-    def one(self) -> "Fp2Elem":
-        return self.elem(1)
 
     def elements(self):
-        for c0 in range(self.p):
-            for c1 in range(self.p):
-                yield Fp2Elem(c0, c1, self)
-
-    def order(self) -> int:
-        return self.p * self.p
+        return ((c0, c1) for c0 in range(self.p) for c1 in range(self.p))
 
     def squares(self) -> dict[tuple[int, int], tuple[int, int]]:
-        """Map z^2 -> z over all of F_{p^2}.  Built once, O(p^2) entries."""
+        """Map z^2 -> z over all of F_{p^2}, as pairs.  Built once, O(p^2) entries."""
         if self._sqrt_table is None:
             p, d = self.p, self.d
-            t: dict[tuple[int, int], tuple[int, int]] = {}
-            for a in range(p):
-                aa = a * a % p
-                for b in range(p):
-                    t.setdefault(((aa + d * b * b) % p, 2 * a * b % p), (a, b))
-            self._sqrt_table = t
+            # descending, so the root kept for each square is the first in grid order
+            down = range(p - 1, -1, -1)
+            self._sqrt_table = {
+                ((a * a + d * b * b) % p, 2 * a * b % p): (a, b) for a in down for b in down
+            }
         return self._sqrt_table
 
-    def __eq__(self, other):
-        return isinstance(other, Fp2Field) and other.p == self.p
 
-    def __hash__(self):
-        return hash(("Fp2Field", self.p))
-
-    def __repr__(self):
-        return f"F_{self.p}^2"
-
-
-@lru_cache(maxsize=None)
-def Fp2(p: int) -> Fp2Field:
-    return Fp2Field(p)
-
-
-class Fp2Elem:
-    """c0 + c1*w with w^2 = d, coefficients mod p.
-
-    Equality and hashing agree with FpElem/int when c1 = 0, so mixed sets of
-    F_p and F_{p^2} values (single modulus) compare the natural way.
-    """
-
-    __slots__ = ("c0", "c1", "field")
-
-    def __init__(self, c0: int, c1: int, field: Fp2Field):
-        self.c0 = c0
-        self.c1 = c1
-        self.field = field
-
-    @property
-    def p(self) -> int:
-        return self.field.p
-
-    def _coerce(self, other) -> "Fp2Elem | None":
-        if isinstance(other, Fp2Elem):
-            if other.field.p != self.field.p:
-                raise ValueError("modulus mismatch")
-            return other
-        if isinstance(other, int):
-            return Fp2Elem(other % self.field.p, 0, self.field)
-        if isinstance(other, FpElem):
-            if other.field.p != self.field.p:
-                raise ValueError("modulus mismatch")
-            return Fp2Elem(other.value, 0, self.field)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        p = self.field.p
-        return Fp2Elem((self.c0 + o.c0) % p, (self.c1 + o.c1) % p, self.field)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        p = self.field.p
-        return Fp2Elem((self.c0 - o.c0) % p, (self.c1 - o.c1) % p, self.field)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        p, d = self.field.p, self.field.d
-        return Fp2Elem(
-            (self.c0 * o.c0 + d * self.c1 * o.c1) % p,
-            (self.c0 * o.c1 + self.c1 * o.c0) % p,
-            self.field,
-        )
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        p = self.field.p
-        return Fp2Elem(-self.c0 % p, -self.c1 % p, self.field)
-
-    def norm(self) -> FpElem:
-        """c0^2 - d*c1^2 = z * z^p, an element of F_p."""
-        p, d = self.field.p, self.field.d
-        return FpElem((self.c0 * self.c0 - d * self.c1 * self.c1) % p, Fp(p))
-
-    def inverse(self) -> "Fp2Elem":
-        n = self.norm().value
-        if n == 0:
-            raise ZeroDivisionError("inverse of 0 in F_{p^2}")
-        p = self.field.p
-        ninv = pow(n, -1, p)
-        return Fp2Elem(self.c0 * ninv % p, -self.c1 * ninv % p, self.field)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        r = self.field.one
-        b = self
-        while e:
-            if e & 1:
-                r = r * b
-            b = b * b
-            e >>= 1
-        return r
-
-    def __eq__(self, other):
-        if isinstance(other, Fp2Elem):
-            return (
-                other.field.p == self.field.p
-                and other.c0 == self.c0
-                and other.c1 == self.c1
-            )
-        if isinstance(other, FpElem):
-            return other.field.p == self.field.p and self.c1 == 0 and self.c0 == other.value
-        if isinstance(other, int):
-            return self.c1 == 0 and self.c0 == other % self.field.p
-        return NotImplemented
-
-    def __hash__(self):
-        if self.c1 == 0:
-            return hash(self.c0)
-        return hash((self.c0, self.c1))
-
-    def __bool__(self):
-        return self.c0 != 0 or self.c1 != 0
-
-    def __repr__(self):
-        return fp2_str((self.c0, self.c1))
+Fp = lru_cache(maxsize=None)(FpField)
+Fp2 = lru_cache(maxsize=None)(Fp2Field)
 
 
 def fp2_str(z: tuple[int, int]) -> str:
     """c0 + c1 w given as the pair (c0, c1), written 7, 3w or 2+5w."""
     c0, c1 = z
-    if c1 == 0:
-        return f"{c0}"
-    if c0 == 0:
-        return f"{c1}w"
-    return f"{c0}+{c1}w"
+    return f"{c0}" if c1 == 0 else f"{c1}w" if c0 == 0 else f"{c0}+{c1}w"

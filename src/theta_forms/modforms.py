@@ -37,7 +37,7 @@ from functools import lru_cache
 from operator import mul
 
 from .exact_arith import rat_mod
-from .qseries import QSeries, delta, eisenstein, pow_rational
+from .qseries import QSeries, delta, eisenstein, eisenstein_mod, pow_rational
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +126,10 @@ def weight_indices(k: int) -> WeightIndices:
 
 
 def default_order(k: int) -> int:
-    """Verification order used throughout: 2*(n_k + 1) + 10."""
+    """The order 2*(n_k + 1) + 10 that ``show`` expands its worked examples
+    to and the benchmark's reference check records per weight; also the
+    default order of ``basis`` and ``combination``.  No verify lane reads it:
+    the lanes solve from the target's q^0..q^(n_k)."""
     return 2 * (weight_indices(k).n + 1) + 10
 
 
@@ -254,10 +257,10 @@ def coordinates_mod_p(target, k: int, p: int) -> list[int]:
     unchanged and a Fraction with p in its denominator raises ValueError.  A
     target shorter than n_k + 1 raises ConfigError.  The solve is
     ``basis_coordinates`` in residues: h = target * U^-1 mod p, with U^-1
-    from the power recurrence on E4 and E6 mod p, then back-substitution
-    against the shared t-table, each row entry reduced as it is used.  The
-    recurrence divides by 1..n_k, so p must exceed n_k; every verify lane has
-    n_k <= (p + 1)/12.
+    from the power recurrence on E4 and E6 mod p (``eisenstein_mod``), then
+    back-substitution against the shared t-table, each row entry reduced as
+    it is used.  The recurrence divides by 1..n_k, so p must exceed n_k;
+    every verify lane has n_k <= (p + 1)/12.
     """
     w = weight_indices(k)
     m = w.n + 1
@@ -265,10 +268,9 @@ def coordinates_mod_p(target, k: int, p: int) -> list[int]:
     if p <= w.n:
         raise ValueError(f"p = {p} does not exceed n = {w.n} of weight {k}")
     h = [rat_mod(c, p) for c in target[:m]]
-    residues = lambda weight: [c % p for c in eisenstein(weight, m).coeffs]
-    u = _series_pow_mod(residues(4), -(w.a + 3 * w.n), p)
+    u = _series_pow_mod(eisenstein_mod(4, m, p), -(w.a + 3 * w.n), p)
     if w.b:
-        u = _series_mul_mod(u, _series_pow_mod(residues(6), -1, p), p)
+        u = _series_mul_mod(u, _series_pow_mod(eisenstein_mod(6, m, p), -1, p), p)
     residual = _series_mul_mod(h, u, p)
     rows = _t_powers(m)
     coords = [0] * m

@@ -23,91 +23,60 @@ from theta_forms.curves import (
     two_torsion_only_lambdas,
 )
 from theta_forms import curves
-from theta_forms.exact_arith import (
-    Fp,
-    Fp2,
-    Fp2Elem,
-    FpField,
-    cube_root_of_2,
-    legendre_symbol,
-    least_nonresidue,
-    primes_in_range,
-)
+from theta_forms.exact_arith import cube_root_of_2, least_nonresidue, primes_in_range
 from theta_forms.fppoly import reduce_poly, roots_brute, roots_fp2_brute
 from theta_forms.modforms import default_order, pf_polynomial
 from theta_forms.qseries import theta_H, theta_Z
 
+from field_ref import elements, euler, fp, fp2
 
-class CubicCurve:
-    """y^2 = x^3 + c2 x^2 + c1 x + c0 with field-element coefficients: a curve
-    object for the object-level references."""
-
-    __slots__ = ("coeffs", "field")
-
-    def __init__(self, c2, c1, c0):
-        self.field = c0.field
-        self.coeffs = c2, c1, c0
-
-    def cubic(self):
-        return self.coeffs
-
-    def __repr__(self):
-        return f"CubicCurve{self.coeffs} over {self.field}"
+# The object-level references below take a curve as its cubic (c2, c1, c0),
+# y^2 = x^3 + c2 x^2 + c1 x + c0, with El coefficients of one field, the
+# way the oracles take it in residues.
 
 
 def short_weierstrass(a, b):
-    """y^2 = x^3 + a x + b as a curve object."""
-    return CubicCurve(a.field.zero, a, b)
+    """y^2 = x^3 + a x + b."""
+    return 0 * a, a, b
 
 
 def hessian_curve(b):
     """The Weierstrass model of the Hessian curve X^3 + Y^3 + 1 = 3b XY
-    (b^3 != 1) as a curve object: the object reference for
-    curves._hessian_cubics."""
+    (b^3 != 1): the object reference for curves._hessian_cubics."""
     b3m1 = b * b * b - 1
-    return CubicCurve(-27 * b * b, 216 * b * b3m1, -432 * b3m1 * b3m1)
+    return -27 * b * b, 216 * b * b3m1, -432 * b3m1 * b3m1
 
 
 def curve_from_j(j):
-    """A short Weierstrass curve object with j-invariant j: y^2 = x^3 + 1 for
-    j = 0, y^2 = x^3 + x for j = 1728 (the models supersingular_j_set counts
-    points on), else a = 3j(1728 - j), b = 2j(1728 - j)^2."""
-    field = j.field
+    """A short Weierstrass curve with j-invariant j: y^2 = x^3 + 1 for j = 0,
+    y^2 = x^3 + x for j = 1728 (the models supersingular_j_set counts points
+    on), else a = 3j(1728 - j), b = 2j(1728 - j)^2."""
     if not j:
-        return short_weierstrass(field.zero, field.one)
+        return short_weierstrass(0 * j, 0 * j + 1)
     if j == 1728:
-        return short_weierstrass(field.one, field.zero)
+        return short_weierstrass(0 * j + 1, 0 * j)
     t = 1728 - j
     return short_weierstrass(3 * j * t, 2 * j * t * t)
 
 
+def legendre_curve(lam):
+    """y^2 = x(x-1)(x-lam) with lam not in {0, 1}, for the object-level
+    references of the lambda sweeps."""
+    if not lam or lam == 1:
+        raise ValueError("lambda must avoid 0 and 1")
+    return -(1 + lam), lam, 0 * lam
+
+
 def _residues(curve):
-    """The cubic of a curve object as the oracles take it: ints over F_p,
-    pairs (c0, c1) over F_{p^2}."""
-    return tuple(_pair(c) if isinstance(c, Fp2Elem) else int(c) for c in curve.cubic())
+    """The cubic as the oracles take it: ints over F_p, pairs over F_{p^2}."""
+    return tuple(c.residue() for c in curve)
 
 
 def _torsion(curve, n):
-    return n_torsion_structure(_residues(curve), n, curve.field.p)
+    return n_torsion_structure(_residues(curve), n, curve[0].p)
 
 
-class LegendreCurve:
-    """y^2 = x(x-1)(x-lam) with lam not in {0, 1}: the Legendre model as a
-    curve object, for the object-level references of the lambda sweeps."""
-
-    __slots__ = ("lam", "field")
-
-    def __init__(self, lam):
-        self.field = lam.field
-        if not lam or lam == 1:
-            raise ValueError("lambda must avoid 0 and 1")
-        self.lam = lam
-
-    def cubic(self):
-        return -(1 + self.lam), self.lam, self.field.zero
-
-
-def legendre_4torsion_predicted(lam, p: int) -> TorsionStructure:
+def legendre_4torsion_predicted(lam: int, p: int) -> TorsionStructure:
     """(2,2) iff -lam and lam-1 are both nonzero squares, else (2,4).
 
     Stated for p = 3 mod 4 only (that hypothesis makes the two cosets work
@@ -115,7 +84,7 @@ def legendre_4torsion_predicted(lam, p: int) -> TorsionStructure:
     """
     if p % 4 != 3:
         raise ValueError(f"p = {p} = 1 mod 4 is outside the classification hypothesis")
-    lam = Fp(p).elem(lam)
+    lam = fp(p, lam)
     if not lam or lam == 1:
         raise ValueError("lambda must avoid 0 and 1")
     if (-lam).is_square() and (lam - 1).is_square():
@@ -142,11 +111,6 @@ def hessian_j(b):
     if not den:
         raise ValueError("singular Hessian cubic: b^3 = 1")
     return 27 * b3 * (b3 + 8) ** 3 / den
-
-
-def _pair(z):
-    """An F_{p^2} element object as the pair (c0, c1) the oracles return."""
-    return z.c0, z.c1
 
 
 def _j_from_cubic(c2, c1, c0):
@@ -187,29 +151,26 @@ def _add(P, Q, c2, c1):
 
 def _points_naive(curve):
     """Every point of the curve, from all (x, y) pairs, plus None."""
-    field = curve.field
-    c2, c1, c0 = curve.cubic()
+    c2, c1, c0 = curve
     pts = [None]
-    for x in field.elements():
+    for x in elements(c0.p, c0.deg):
         fx = ((x + c2) * x + c1) * x + c0
-        pts.extend((x, y) for y in field.elements() if y * y == fx)
+        pts.extend((x, y) for y in elements(c0.p, c0.deg) if y * y == fx)
     return pts
 
 
 def _n_torsion_structure_objects(curve, n):
     """Reference for the array sweep in n_torsion_structure: the same x-only
     doubling test, one field-element object at a time."""
-    field = curve.field
-    c2, c1, c0 = curve.cubic()
+    c2, c1, c0 = curve
     m2 = m3 = m4 = 1  # the point at infinity
-    for x in field.elements():
+    for x in elements(c0.p, c0.deg):
         fx = ((x + c2) * x + c1) * x + c0
         if not fx:
             m2 += 1
             m4 += 1
             continue
-        # over F_{p^2}, z is a square iff its norm is a square in F_p
-        if n == 2 or not (fx.norm() if isinstance(fx, Fp2Elem) else fx).is_square():
+        if n == 2 or not fx.is_square():
             continue
         d = (3 * x + 2 * c2) * x + c1
         x2 = d * d / (4 * fx) - c2 - 2 * x
@@ -229,11 +190,10 @@ def _n_torsion_structure_objects(curve, n):
 
 def _hex_zero_set_objects(p):
     """Reference for hex_zero_set: a^((p+1)/3) by one object power per a,
-    the j-map on Fp2Elem objects, each value returned as a pair."""
-    K = Fp2(p)
-    target = -K.elem(cube_root_of_2(p))
+    the j-map on El objects, each value returned as a pair."""
+    target = -fp2(p, cube_root_of_2(p))
     out = set()
-    for a in K.elements():
+    for a in elements(p, 2):
         if a ** ((p + 1) // 3) != target:
             continue
         den = a * (a + 4) ** 3
@@ -241,13 +201,13 @@ def _hex_zero_set_objects(p):
             continue
         j = 6912 * (2 * a - 1) ** 3 / den
         if j and j != 1728:
-            out.add(_pair(j))
+            out.add(j.residue())
     return out
 
 
 def _admissible_hessian_params_objects(p):
-    """Reference for _admissible_hessian_params, in Fp2Field.elements() order."""
-    return [b for b in Fp2(p).elements() if b.norm() == -2 and b**3 != 1]
+    """Reference for _admissible_hessian_params, in the c0-major grid order."""
+    return [b for b in elements(p, 2) if b.norm() == -2 and b**3 != 1]
 
 
 def _admissible_pairs(p):
@@ -269,11 +229,10 @@ def test_torsion_structure_pairs():
 
 
 def test_legendre_rejects_bad_lambda():
-    F = Fp(7)
     with pytest.raises(ValueError):
-        LegendreCurve(F.zero)
+        legendre_curve(fp(7, 0))
     with pytest.raises(ValueError):
-        LegendreCurve(F.one)
+        legendre_curve(fp(7, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -293,10 +252,9 @@ def test_point_count_supersingular_1728():
 def test_point_count_matches_naive_oracle():
     rng = random.Random(7)
     for p in (5, 13, 17):
-        F = Fp(p)
         done = 0
         while done < 5:
-            a, b = F.elem(rng.randrange(p)), F.elem(rng.randrange(p))
+            a, b = fp(p, rng.randrange(p)), fp(p, rng.randrange(p))
             if not (4 * a * a * a + 27 * b * b):
                 continue
             E = short_weierstrass(a, b)
@@ -321,7 +279,7 @@ def test_point_count_rejects():
         point_count((0, 1, 1), 10007)
     # a pair coefficient is a curve over F_{p^2}
     with pytest.raises(ValueError):
-        point_count(_residues(hessian_curve(Fp2(7).elem(2))), 7)
+        point_count(_residues(hessian_curve(fp2(7, 2))), 7)
     with pytest.raises(ValueError):
         point_count((0, 1, 0), 3)
     with pytest.raises(ValueError):
@@ -347,9 +305,8 @@ def test_n_torsion_known_values():
 
 def test_legendre_two_torsion_always_full():
     for p in (7, 11, 13):
-        F = Fp(p)
         for v in range(2, p):
-            E = LegendreCurve(F.elem(v))
+            E = legendre_curve(fp(p, v))
             assert _torsion(E, 2) == TorsionStructure(2, 2)
 
 
@@ -367,20 +324,18 @@ def test_n_torsion_order_divides_group_order():
 
 
 def _torsion_reference_curves():
-    F11 = Fp(11)
     for v in range(2, 11):
-        yield LegendreCurve(F11.elem(v))
+        yield legendre_curve(fp(11, v))
     rng = random.Random(23)
     for p in (5, 7, 13):
-        F = Fp(p)
         done = 0
         while done < 6:
-            a, b = F.elem(rng.randrange(p)), F.elem(rng.randrange(p))
+            a, b = fp(p, rng.randrange(p)), fp(p, rng.randrange(p))
             if not (4 * a * a * a + 27 * b * b):
                 continue
             yield short_weierstrass(a, b)
             done += 1
-    for b in Fp2(5).elements():
+    for b in elements(5, 2):
         if b**3 != 1:
             yield hessian_curve(b)
 
@@ -389,7 +344,7 @@ def test_n_torsion_matches_repeated_addition():
     # the x-only sweep against chord-and-tangent arithmetic on every point
     checked = 0
     for E in _torsion_reference_curves():
-        c2, c1, _ = E.cubic()
+        c2, c1, _ = E
         pts = _points_naive(E)
         for n in (2, 3, 4):
             killed = []
@@ -410,40 +365,37 @@ def test_n_torsion_matches_repeated_addition():
 
 def _torsion_sweep_curves():
     for p in (7, 11, 13, 19, 23):
-        F = Fp(p)
         for v in range(2, p):
-            yield LegendreCurve(F.elem(v))
+            yield legendre_curve(fp(p, v))
     rng = random.Random(29)
     for p in (5, 7, 11, 13, 17, 37, 101):
-        F = Fp(p)
         done = 0
         while done < 8:
-            a, b = F.elem(rng.randrange(p)), F.elem(rng.randrange(p))
+            a, b = fp(p, rng.randrange(p)), fp(p, rng.randrange(p))
             if not (4 * a * a * a + 27 * b * b):
                 continue
             yield short_weierstrass(a, b)
             done += 1
     for p in (5, 7, 11, 17, 23):
-        K = Fp2(p)
         for v in range(0, p * p, 7):
-            b = K.elem(v // p, v % p)
+            b = fp2(p, v // p, v % p)
             if b**3 != 1:
                 yield hessian_curve(b)
     # F_{191^2} spans two blocks of the array sweep
-    yield hessian_curve(Fp2(191).elem(3, 5))
+    yield hessian_curve(fp2(191, 3, 5))
 
 
 def test_n_torsion_matches_object_sweep():
     # the int64 sweep against the same x-only test on field-element objects
     structures = set()
-    fields = set()
+    degrees = set()
     for E in _torsion_sweep_curves():
-        fields.add(isinstance(E.field, FpField))
+        degrees.add(E[0].deg)
         for n in (2, 3, 4):
             t = _torsion(E, n)
             assert t == _n_torsion_structure_objects(E, n), (E, n)
             structures.add((n, t.d1, t.d2))
-    assert fields == {True, False}
+    assert degrees == {1, 2}
     # every shape the sweep can report occurs, so no branch goes untested
     for want in ((2, 1, 1), (2, 1, 2), (2, 2, 2), (3, 1, 1), (3, 1, 3), (3, 3, 3),
                  (4, 1, 2), (4, 2, 2), (4, 1, 4), (4, 2, 4), (4, 4, 4)):
@@ -454,11 +406,10 @@ def test_two_torsion_only_lambdas_match_object_sweep():
     for p in primes_in_range(7, 199):
         if p % 4 != 3:
             continue
-        F = Fp(p)
         want = tuple(
             v
             for v in range(2, p)
-            if _n_torsion_structure_objects(LegendreCurve(F.elem(v)), 4) == TorsionStructure(2, 2)
+            if _n_torsion_structure_objects(legendre_curve(fp(p, v)), 4) == TorsionStructure(2, 2)
         )
         assert two_torsion_only_lambdas(p) == want, p
 
@@ -509,11 +460,9 @@ def test_n_torsion_rejects():
 
 def test_4torsion_prediction_matches_brute_force():
     for p in (7, 11, 19, 23, 31):
-        F = Fp(p)
         full = []
         for v in range(2, p):
-            lam = F.elem(v)
-            predicted = legendre_4torsion_predicted(lam, p)
+            predicted = legendre_4torsion_predicted(v, p)
             assert predicted == n_torsion_structure((-1 - v, v, 0), 4, p)
             if predicted == TorsionStructure(2, 2):
                 full.append(v)
@@ -523,9 +472,9 @@ def test_4torsion_prediction_matches_brute_force():
 
 def test_4torsion_prediction_rejects():
     with pytest.raises(ValueError):
-        legendre_4torsion_predicted(Fp(13).elem(2), 13)
+        legendre_4torsion_predicted(2, 13)
     with pytest.raises(ValueError):
-        legendre_4torsion_predicted(Fp(7).zero, 7)
+        legendre_4torsion_predicted(0, 7)
 
 
 # ---------------------------------------------------------------------------
@@ -536,10 +485,9 @@ def test_j_of_legendre_special_values():
     assert j_of_legendre(Fraction(-1)) == 1728
     assert j_of_legendre(Fraction(2)) == 1728
     assert j_of_legendre(Fraction(1, 2)) == 1728
-    F = Fp(7)
-    assert j_of_legendre(F.elem(-1)) == 1728 % 7
+    assert j_of_legendre(fp(7, -1)) == 1728 % 7
     with pytest.raises(ValueError):
-        j_of_legendre(F.zero)
+        j_of_legendre(fp(7, 0))
     with pytest.raises(ValueError):
         j_of_legendre(Fraction(1))
 
@@ -549,11 +497,8 @@ def test_j_of_legendre_matches_invariant_oracle():
     done = 0
     while done < 50:
         p = rng.choice((7, 11, 13, 17, 19, 23))
-        F = Fp(p)
-        v = rng.randrange(2, p)
-        lam = F.elem(v)
-        E = LegendreCurve(lam)
-        assert j_of_legendre(lam) == _j_from_cubic(*E.cubic())
+        lam = fp(p, rng.randrange(2, p))
+        assert j_of_legendre(lam) == _j_from_cubic(*legendre_curve(lam))
         done += 1
 
 
@@ -561,24 +506,20 @@ def test_j_of_legendre_six_fold_symmetry():
     rng = random.Random(9)
     for _ in range(20):
         p = rng.choice((11, 13, 17, 19))
-        F = Fp(p)
-        lam = F.elem(rng.randrange(2, p))
+        lam = fp(p, rng.randrange(2, p))
         j = j_of_legendre(lam)
-        assert j_of_legendre(lam.inverse()) == j
+        assert j_of_legendre(1 / lam) == j
         assert j_of_legendre(1 - lam) == j
 
 
 def test_curve_from_j_roundtrip():
     rng = random.Random(13)
     for p in (7, 11, 23):
-        F = Fp(p)
-        for v in range(p):
-            j = F.elem(v)
-            assert _j_from_cubic(*curve_from_j(j).cubic()) == j
-        K = Fp2(p)
+        for j in elements(p, 1):
+            assert _j_from_cubic(*curve_from_j(j)) == j
         for _ in range(10):
-            j = K.elem(rng.randrange(p), rng.randrange(p))
-            assert _j_from_cubic(*curve_from_j(j).cubic()) == j
+            j = fp2(p, rng.randrange(p), rng.randrange(p))
+            assert _j_from_cubic(*curve_from_j(j)) == j
 
 
 # ---------------------------------------------------------------------------
@@ -605,24 +546,23 @@ def test_two_torsion_only_set_equals_legendre_image():
 
 
 def _legendre_j_set_objects(lams) -> set:
-    """{ j_of_legendre(lam) : lam in lams } minus {0, 1728}, on FpElem objects,
+    """{ j_of_legendre(lam) : lam in lams } minus {0, 1728}, on El objects,
     each value returned as an int."""
     out = set()
     for lam in lams:
         j = j_of_legendre(lam)
         if j and j != 1728:
-            out.add(int(j))
+            out.add(j.residue())
     return out
 
 
 def test_legendre_j_sets_match_object_j_map_to_1000():
     for p in primes_in_range(5, 1000):
-        F = Fp(p)
-        lams = [F.elem(v) for v in range(2, p)]
+        lams = [fp(p, v) for v in range(2, p)]
         image = [lam for lam in lams if (-lam).is_square() and (lam - 1).is_square()]
         assert legendre_image_j_set(p) == _legendre_j_set_objects(image), p
         if p % 4 == 3:
-            want = _legendre_j_set_objects(F.elem(v) for v in two_torsion_only_lambdas(p))
+            want = _legendre_j_set_objects(fp(p, v) for v in two_torsion_only_lambdas(p))
             assert two_torsion_only_j_set(p) == want, p
 
 
@@ -659,22 +599,17 @@ def _supersingular_j_set_per_j(p: int) -> set:
     """Reference oracle: one point count per candidate j.  F_p values by exact
     counts over F_p; each quadratic j (one per Frobenius pair) by its own
     O(p^2) character sum over F_{p^2}.  Values come back as pairs."""
-    F = Fp(p)
-    K = Fp2(p)
     out: set = set()
-    for v in range(p):
-        if point_count(_residues(curve_from_j(F.elem(v))), p) == p + 1:
-            out.add((v, 0))
-    d = K.d
+    for j in elements(p, 1):
+        if point_count(_residues(curve_from_j(j)), p) == p + 1:
+            out.add((j.c0, 0))
+    d = least_nonresidue(p)
     xs = np.arange(p * p, dtype=np.int64)
     x0, x1 = xs % p, xs // p
-    chi = np.zeros(p, dtype=np.int64)
-    for v in range(1, p):
-        chi[v] = legendre_symbol(v, p)
+    chi = np.array([euler(v, p) for v in range(p)], dtype=np.int64)
     for c1 in range(1, (p - 1) // 2 + 1):
         for c0 in range(p):
-            j = K.elem(c0, c1)
-            _, a, b = curve_from_j(j).cubic()
+            _, a, b = curve_from_j(fp2(p, c0, c1))
             if _fp2_trace_mod_p(p, d, a, b, x0, x1, chi) == 0:
                 out.add((c0, c1))
                 out.add((c0, p - c1))  # the Frobenius conjugate c0 - c1 w
@@ -797,15 +732,14 @@ def test_hessian_model_substitution_oracle():
     # the residue model the 3-torsion samples run on is this one, at every b
     model = [[int(c) for c in sp.Poly(c, b).all_coeffs()] for c in (c2, c1, c0)]
     for p in (5, 11, 23):
-        K = Fp2(p)
         want = []
-        for v in K.elements():
+        for v in elements(p, 2):
             cubic = []
             for coeffs in model:
-                acc = K.zero
+                acc = 0 * v
                 for c in coeffs:
                     acc = acc * v + c
-                cubic.append(_pair(acc))
+                cubic.append(acc.residue())
             want.append(tuple(cubic))
         assert curves._hessian_cubics(p, curves._fp2_grid(p)) == want, p
 
@@ -813,10 +747,9 @@ def test_hessian_model_substitution_oracle():
 def test_hessian_model_singular_exactly_at_cube_roots_of_unity():
     # 1728 Delta = c4^3 - c6^2 of the residue model vanishes iff b^3 = 1
     for p in (5, 11, 17):
-        K = Fp2(p)
         grid = curves._fp2_grid(p)
-        for v, cubic in zip(K.elements(), curves._hessian_cubics(p, grid)):
-            c2, c1, c0 = (K.elem(*c) for c in cubic)
+        for v, cubic in zip(elements(p, 2), curves._hessian_cubics(p, grid)):
+            c2, c1, c0 = (fp2(p, *c) for c in cubic)
             b2, b4, b6 = 4 * c2, 2 * c1, 4 * c0
             c4 = b2 * b2 - 24 * b4
             c6 = -(b2 * b2 * b2) + 36 * b2 * b4 - 216 * b6
@@ -844,33 +777,30 @@ def test_hessian_j_matches_model():
     done = 0
     while done < 30:
         p = rng.choice((5, 7, 11, 13, 17))
-        K = Fp2(p)
-        v = K.elem(rng.randrange(p), rng.randrange(p))
+        v = fp2(p, rng.randrange(p), rng.randrange(p))
         if v**3 == 1:
             continue
         (cubic,) = curves._hessian_cubics(p, (np.array([v.c0]), np.array([v.c1])))
-        assert hessian_j(v) == _j_from_cubic(*(K.elem(*c) for c in cubic))
+        assert hessian_j(v) == _j_from_cubic(*(fp2(p, *c) for c in cubic))
         done += 1
 
 
 def test_hessian_j_set_matches_object_j_map_to_400():
-    # the array j-map against hessian_j on Fp2Elem objects, over the same b
+    # the array j-map against hessian_j on El objects, over the same b
     for p in primes_in_range(5, 400):
         if p % 12 not in (5, 11):
             continue
-        K = Fp2(p)
         want = set()
         for c0, c1 in _admissible_pairs(p):
-            j = hessian_j(K.elem(c0, c1))
+            j = hessian_j(fp2(p, c0, c1))
             if j and j != 1728:
-                want.add(_pair(j))
+                want.add(j.residue())
         assert hessian_norm_condition_j_set(p) == want, p
 
 
 def test_hessian_norm_condition_curves_have_full_3_torsion():
-    K = Fp2(11)
     checked = 0
-    for v in K.elements():
+    for v in elements(11, 2):
         if checked >= 4:
             break
         if v.norm() != -2 or v**3 == 1:
@@ -904,17 +834,17 @@ def test_hessian_check_sweeps_fp2_once_per_side(monkeypatch):
     assert curves._admissible_hessian_params.cache_info().misses == 1
     assert hex_zero_set.cache_info().misses == 1
     admissible = _admissible_hessian_params_objects(p)
-    assert _admissible_pairs(p) == [_pair(b) for b in admissible]
+    assert _admissible_pairs(p) == [b.residue() for b in admissible]
     models = [_residues(hessian_curve(b)) for b in admissible[:HESSIAN_TORSION_SAMPLES]]
     assert sampled == 2 * models
 
 
 def test_admissible_hessian_params_match_object_sweep():
-    # same values in the same Fp2Field.elements() order, so the sampled b hold
+    # same values in the same c0-major grid order, so the sampled b hold
     for p in primes_in_range(5, 131):
         if p % 12 in (5, 11):
             got = _admissible_pairs(p)
-            assert got == [_pair(b) for b in _admissible_hessian_params_objects(p)], p
+            assert got == [b.residue() for b in _admissible_hessian_params_objects(p)], p
             assert len(got) == p + 1  # every norm -2 element: N(b^3) = -8 != 1
 
 

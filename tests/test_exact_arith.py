@@ -1,4 +1,5 @@
-"""Tests for exact scalar arithmetic: rationals, Bernoulli, F_p, F_{p^2}."""
+"""Tests for exact scalar arithmetic: rationals, Bernoulli, residues, the F_p
+and F_{p^2} benchmark hooks and the tests' reference element class."""
 
 import math
 import random
@@ -7,7 +8,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from theta_forms import exact_arith
+from theta_forms import curves, exact_arith
 from theta_forms.exact_arith import (
     Fp,
     Fp2,
@@ -15,11 +16,12 @@ from theta_forms.exact_arith import (
     cube_root_of_2,
     is_prime,
     least_nonresidue,
-    legendre_symbol,
     legendre_symbols,
     padic_valuation,
     primes_in_range,
 )
+
+from field_ref import elements, euler, fp, fp2, nonresidue
 
 
 def test_is_prime_against_sieve():
@@ -115,17 +117,18 @@ def test_bernoulli_order_independent(monkeypatch):
 
 
 def test_legendre_symbol_oracle():
-    # oracle: enumerate squares directly
+    # oracle: enumerate squares directly; the tests' Euler criterion agrees
     for p in [5, 7, 11, 13, 101, 103]:
         squares = {x * x % p for x in range(1, p)}
+        chi = legendre_symbols(p)
         for a in range(2 * p):
             want = 0 if a % p == 0 else (1 if a % p in squares else -1)
-            assert legendre_symbol(a, p) == want, (a, p)
+            assert chi[a % p] == euler(a, p) == want, (a, p)
 
 
 def test_legendre_symbols_table_checks_p_once(monkeypatch):
     for p in [3, 5, 7, 103, 991]:
-        assert legendre_symbols(p) == [legendre_symbol(t, p) for t in range(p)]
+        assert legendre_symbols(p) == [euler(t, p) for t in range(p)]
     for bad in (1, 2, 9, 91):
         with pytest.raises(ValueError, match="not an odd prime"):
             legendre_symbols(bad)
@@ -141,7 +144,8 @@ def test_legendre_multiplicative():
     for _ in range(300):
         p = rng.choice([7, 11, 13, 103, 199])
         a, b = rng.randrange(1, p), rng.randrange(1, p)
-        assert legendre_symbol(a * b, p) == legendre_symbol(a, p) * legendre_symbol(b, p)
+        chi = legendre_symbols(p)
+        assert chi[a * b % p] == chi[a] * chi[b]
 
 
 def test_padic_valuation():
@@ -163,6 +167,10 @@ def test_least_nonresidue():
         assert d not in squares
         for smaller in range(2, d):
             assert smaller in squares
+    for p in primes_in_range(3, 1000):
+        assert least_nonresidue(p) == nonresidue(p), p
+    with pytest.raises(ValueError, match="not an odd prime"):
+        least_nonresidue(91)
 
 
 def test_cube_root_of_2():
@@ -185,67 +193,64 @@ def test_cube_root_of_2_known():
 
 
 # ---------------------------------------------------------------------------
-# F_p
+# F_p: the reference element class of the tests and the benchmark hooks
 
 
 def test_fp_basic_ops():
-    F = Fp(13)
-    a, b = F.elem(7), F.elem(9)
-    assert (a + b).value == 3
-    assert (a - b).value == 11
-    assert (a * b).value == 63 % 13
+    a, b = fp(13, 7), fp(13, 9)
+    assert (a + b).c0 == 3
+    assert (a - b).c0 == 11
+    assert (a * b).c0 == 63 % 13
     assert (a / b) * b == a
-    assert (-a).value == 6
+    assert (-a).c0 == 6
     assert a + 6 == 0
     assert 6 + a == 0
-    assert 2 - a == F.elem(-5)
-    assert (a**0).value == 1
+    assert 2 - a == fp(13, -5)
+    assert (a**0).c0 == 1
     assert a ** (13 - 1) == 1
-    assert a**-1 == a.inverse()
-    assert int(a) == 7
+    assert a**-1 == a.inverse() == 1 / a
+    assert a.residue() == 7
 
 
 def test_fp_eq_hash_with_ints():
-    F = Fp(11)
-    assert F.elem(8) == 8
-    assert F.elem(8) == 19
-    assert hash(F.elem(8)) == hash(8)
-    assert {F.elem(3), 3} == {3}
-    assert F.elem(4) != F.elem(5)
+    # an int compares by its residue; elements stay out of sets, so no set
+    # silently mixes them with ints
+    assert fp(11, 8) == 8
+    assert fp(11, 8) == 19
+    assert fp(11, 4) != fp(11, 5)
+    with pytest.raises(TypeError):
+        hash(fp(11, 8))
 
 
 def test_fp_modulus_mismatch():
     with pytest.raises(ValueError):
-        Fp(7).elem(1) + Fp(11).elem(1)
+        fp(7, 1) + fp(11, 1)
 
 
 def test_fp_zero_division():
-    F = Fp(7)
     with pytest.raises(ZeroDivisionError):
-        F.elem(3) / F.zero
+        fp(7, 3) / fp(7, 0)
     with pytest.raises(ZeroDivisionError):
-        F.zero.inverse()
+        fp(7, 0).inverse()
 
 
 def test_fp_sqrt():
-    # square roots come from the squares() table: x^2 -> x
+    # the hook's squares() table maps x^2 -> x; the hook's elements() are ints
     F = Fp(103)
+    assert list(F.elements()) == list(range(103))
     for v in range(103):
         r = F.squares().get(v)
-        if legendre_symbol(v, 103) == -1:
+        if euler(v, 103) == -1:
             assert r is None
         else:
             assert r is not None and r * r % 103 == v
-    assert F.elem(2).is_square() == (legendre_symbol(2, 103) == 1)
+        assert fp(103, v).is_square() == (r is not None)
 
 
 def test_fp_field_axioms_random():
     rng = random.Random(11)
-    F = Fp(101)
     for _ in range(200):
-        a = F.elem(rng.randrange(101))
-        b = F.elem(rng.randrange(101))
-        c = F.elem(rng.randrange(101))
+        a, b, c = (fp(101, rng.randrange(101)) for _ in range(3))
         assert a * (b + c) == a * b + a * c
         assert (a + b) + c == a + (b + c)
         if b:
@@ -258,43 +263,47 @@ def test_fp_field_axioms_random():
 
 def test_fp2_structure():
     K = Fp2(7)
-    assert K.d == least_nonresidue(7)
-    w = K.elem(0, 1)
+    assert K.d == least_nonresidue(7) == nonresidue(7)
+    w = fp2(7, 0, 1)
     assert w * w == K.d
-    assert K.order() == 49
+    # the hook's pairs come in the grid order of the curve sweeps
+    assert list(K.elements()) == list(zip(*(c.tolist() for c in curves._fp2_grid(7))))
+    assert [z.residue() for z in elements(7, 2)] == list(K.elements())
 
 
 def _frobenius(z):
     """Reference z^p: since w^p = -w, conjugation c0 - c1 w."""
-    return z.field.elem(z.c0, -z.c1)
+    return fp2(z.p, z.c0, -z.c1)
 
 
 def test_fp2_frobenius_and_norm():
     for p in [5, 7, 11, 23]:
-        K = Fp2(p)
-        for z in K.elements():
+        for z in elements(p, 2):
             assert _frobenius(z) == z**p
-            assert z * _frobenius(z) == K.elem(int(z.norm()))
+            assert z * _frobenius(z) == z.norm()
             assert z.norm() == (z ** (p + 1)).c0
+            assert z.is_square() == (z ** ((p * p - 1) // 2) != -1)
             if z:
                 assert z * z.inverse() == 1
 
 
 def test_fp2_eq_hash_cross_type():
+    # an F_p element is its own image in F_{p^2}: equal coefficients, equal
+    # elements, and mixed arithmetic lands in F_{p^2}
     p = 11
-    K, F = Fp2(p), Fp(p)
-    assert K.elem(4, 0) == F.elem(4)
-    assert K.elem(4, 0) == 4
-    assert F.elem(4) == K.elem(4, 0)
-    assert hash(K.elem(4, 0)) == hash(F.elem(4)) == hash(4)
-    assert K.elem(4, 1) != F.elem(4)
-    assert {K.elem(3, 0), F.elem(3), 3} == {3}
+    assert fp2(p, 4, 0) == fp(p, 4) == 4
+    assert fp(p, 4) == fp2(p, 4, 0)
+    assert fp2(p, 4, 1) != fp(p, 4)
+    assert (fp(p, 3) * fp2(p, 0, 1)).residue() == (0, 3)
+    assert (fp(p, 3) + fp2(p, 0)).deg == 2
+    assert not fp(p, 2).is_square() and fp2(p, 2).is_square()
+    with pytest.raises(TypeError):
+        {fp2(p, 3, 0)}
 
 
 def test_fp2_field_axioms_random():
     rng = random.Random(13)
-    K = Fp2(23)
-    es = [K.elem(rng.randrange(23), rng.randrange(23)) for _ in range(60)]
+    es = [fp2(23, rng.randrange(23), rng.randrange(23)) for _ in range(60)]
     for i in range(0, 57, 3):
         a, b, c = es[i], es[i + 1], es[i + 2]
         assert a * (b + c) == a * b + a * c
@@ -305,22 +314,22 @@ def test_fp2_field_axioms_random():
 
 
 def test_fp2_sqrt():
-    # square roots come from the squares() table: z^2 -> z, as pairs
+    # the hook's squares() table maps z^2 -> z, as pairs
     K = Fp2(13)
     seen = 0
     for z in K.elements():
-        r = K.squares().get((z.c0, z.c1))
+        r = K.squares().get(z)
         if r is not None:
-            assert K.elem(*r) * K.elem(*r) == z
+            assert fp2(13, *r) * fp2(13, *r) == fp2(13, *z)
             seen += 1
+        assert fp2(13, *z).is_square() == (r is not None)
     # squares in F_{p^2}*: exactly (p^2 - 1)/2, plus zero
     assert seen == (13**2 - 1) // 2 + 1
 
 
 def test_fp2_pow_matches_repeated_mul():
-    K = Fp2(19)
-    z = K.elem(3, 5)
-    acc = K.one
+    z = fp2(19, 3, 5)
+    acc = fp2(19, 1)
     for e in range(1, 40):
         acc = acc * z
         assert z**e == acc

@@ -1,7 +1,9 @@
 """Tests for the verification harness: reports, sweeps, rendering, CLI."""
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -16,9 +18,10 @@ import theta_forms
 from theta_forms import fppoly, harness, modforms
 from theta_forms import curves
 from theta_forms.exact_arith import (
+    Fp,
     Fp2,
-    Fp2Elem,
-    FpElem,
+    Fp2Field,
+    FpField,
     fp2_str,
     least_nonresidue,
     primes_in_range,
@@ -39,6 +42,8 @@ from theta_forms.harness import (
     render_json,
     render_table,
 )
+
+from field_ref import fp2
 
 
 # ---------------------------------------------------------------------------
@@ -227,26 +232,44 @@ def _count_calls(monkeypatch, name):
 _UNUSED_BY_LANES = ("roots_brute", "is_squarefree", "splits_into_linears", "splits_over_fp2")
 
 
-def _count_field_objects(monkeypatch) -> dict:
-    """Count every FpElem and Fp2Elem built from here on, by class name."""
-    counts = {"FpElem": 0, "Fp2Elem": 0}
-    for cls in (FpElem, Fp2Elem):
-        def counting(self, *args, _init=cls.__init__, _name=cls.__name__):
+def _count_field_scans(monkeypatch) -> dict:
+    """Count every call to the benchmark hooks' elements() from here on."""
+    counts = {"FpField": 0, "Fp2Field": 0}
+    for cls in (FpField, Fp2Field):
+        def counting(self, _elements=cls.elements, _name=cls.__name__):
             counts[_name] += 1
-            _init(self, *args)
+            return _elements(self)
 
-        monkeypatch.setattr(cls, "__init__", counting)
+        monkeypatch.setattr(cls, "elements", counting)
     return counts
+
+
+def _assert_field_values_are_residues():
+    """No module of the package defines a field-element class: the only
+    classes with ring arithmetic are the series and polynomial types, and
+    the benchmark hooks' elements() yield ints and (c0, c1) pairs."""
+    rings = set()
+    for info in pkgutil.iter_modules(theta_forms.__path__):
+        module = importlib.import_module(f"theta_forms.{info.name}")
+        for name, obj in vars(module).items():
+            if isinstance(obj, type) and obj.__module__ == module.__name__:
+                assert not name.endswith("Elem"), name
+                if "__mul__" in vars(obj):
+                    rings.add(name)
+    assert rings == {"FpPoly", "QSeries"}
+    assert {type(v) for v in Fp(7).elements()} == {int}
+    assert {tuple(map(type, z)) for z in Fp2(7).elements()} == {(int, int)}
 
 
 def test_theta_z_and_identities_build_no_field_objects(monkeypatch):
     # the oracles, witnesses and residue rows run on plain ints and pairs
     for cached in (curves.two_torsion_only_lambdas, curves.hex_zero_set):
         cached.cache_clear()
-    counts = _count_field_objects(monkeypatch)
+    counts = _count_field_scans(monkeypatch)
     cmd_verify_theta_z(SweepConfig(p_min=5, p_max=131, curve_cap=131))
     cmd_verify_identities(SweepConfig(p_min=5, p_max=131))
-    assert counts == {"FpElem": 0, "Fp2Elem": 0}
+    assert counts == {"FpField": 0, "Fp2Field": 0}
+    _assert_field_values_are_residues()
 
 
 @pytest.mark.parametrize("lane, small, large", [
@@ -257,7 +280,7 @@ def test_oracle_edges_build_a_constant_number_of_field_objects(monkeypatch, lane
     # the curve oracles take their cubics as residues, so the constant is 0
     curves.hex_zero_set.cache_clear()
     curves._admissible_hessian_params.cache_clear()
-    counts = _count_field_objects(monkeypatch)
+    counts = _count_field_scans(monkeypatch)
     seen = []
     for p in (small, large):
         for name in counts:
@@ -265,14 +288,16 @@ def test_oracle_edges_build_a_constant_number_of_field_objects(monkeypatch, lane
         reports = lane(SweepConfig(p_min=p, p_max=p))
         assert reports and all(r.status == "pass" for r in reports)
         seen.append(dict(counts))
-    assert seen[0] == seen[1] == {"FpElem": 0, "Fp2Elem": 0}
+    assert seen[0] == seen[1] == {"FpField": 0, "Fp2Field": 0}
+    _assert_field_values_are_residues()
 
 
 def test_show_examples_build_no_field_objects(monkeypatch):
-    counts = _count_field_objects(monkeypatch)
+    counts = _count_field_scans(monkeypatch)
     for example in ("k52", "p107", "w0-4-mod103"):
         cmd_show(example)
-    assert counts == {"FpElem": 0, "Fp2Elem": 0}
+    assert counts == {"FpField": 0, "Fp2Field": 0}
+    _assert_field_values_are_residues()
 
 
 def test_factor_pattern_runs_once_per_prime(monkeypatch):
@@ -369,16 +394,15 @@ def test_product_witness_nonvanishing_targets():
 
 
 def test_product_witness_names_targets_as_field_elements():
-    # pairs are tried in (c1, c0) order and printed as Fp2Elem prints them
+    # pairs are tried in (c1, c0) order and printed as the tests' El prints them
     p = 7
-    K = Fp2(p)
-    q = FpPoly([-K.d, 0, 1], p)
+    q = FpPoly([-least_nonresidue(p), 0, 1], p)
     assert harness._product_witness(q, {(0, 3), (0, 1)}) == "f(3w) != 0"
     assert harness._product_witness(q, {(2, 5), (4, 0)}) == "f(4) != 0"
     assert harness._product_witness(q, {(0, 1), (2, 5)}) == "f(2+5w) != 0"
     for c0 in range(p):
         for c1 in range(p):
-            assert fp2_str((c0, c1)) == repr(K.elem(c0, c1))
+            assert fp2_str((c0, c1)) == repr(fp2(p, c0, c1))
 
 
 def test_power_sums_rhs_matches_pochhammer_fractions():
@@ -410,7 +434,7 @@ def test_splits_witness_failure_paths():
     assert harness._splits_witness(factor_pattern(cubic * lin), 2) == (
         "polynomial does not split over F_{p^2}"
     )
-    quad = FpPoly([-Fp2(p).d, 0, 1], p)
+    quad = FpPoly([-least_nonresidue(p), 0, 1], p)
     assert harness._splits_witness(factor_pattern(quad * lin), 1) == (
         "polynomial does not split over F_p"
     )

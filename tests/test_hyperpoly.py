@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from theta_forms.exact_arith import legendre_symbol, primes_in_range, rat_mod
+from theta_forms.exact_arith import primes_in_range, rat_mod
 from theta_forms.fppoly import FpPoly, reduce_poly, roots_brute
 from theta_forms.hyperpoly import (
     FAMILY_PARAMS,
