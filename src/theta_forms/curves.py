@@ -1,21 +1,17 @@
-"""Brute-force elliptic curve arithmetic over F_p and F_{p^2}.
+"""Elliptic curve oracles over F_p and F_{p^2}, in exact residue arithmetic.
 
-Everything here is desk-scale and exhaustive on purpose: point counts by
-character sums, torsion by one sweep over x with the x-only doubling
-formula, and the j-value sets by sweeping every parameter value in the
-field (for the supersingular set, every F_{p^2} character sum at once as
-one correlation).  The sets serve as independent oracles for the
-finite-field sweeps, so they must come from direct arithmetic rather than
-from the polynomial identities they verify.
+Point counts come from character sums, torsion from one sweep over x with
+the x-only doubling formula, the supersingular j-set from a walk over the
+2-isogeny graph, and the other j-sets from sweeping every parameter value
+in the field.  These serve as oracles for the finite-field sweeps, so they
+come from curve arithmetic, not from the polynomial identities they verify.
 
 The sweeps run on int64 arrays of residues mod p, through one private
 layer: per-p tables of the quadratic character and of inverses, the grid of
 F_{p^2} in c0-major order (c0 + c1 w at flat index c0 p + c1), and F_p /
-F_{p^2} arithmetic on coefficient arrays (``_ArrayField``).  The Legendre
-4-torsion sweep classifies every lambda at once on one lambda-by-x grid.  The four j-maps
-(Legendre, hexagonal, supersingular, Hessian) are array expressions over the
-swept parameters, divided through ``recip``, so every set comes back as plain
-residues: ints for F_p values and pairs (c0, c1) for c0 + c1 w in F_{p^2}.
+F_{p^2} arithmetic on coefficient arrays or single pairs (``_ArrayField``).
+Every set comes back as plain residues: ints for F_p values and pairs
+(c0, c1) for c0 + c1 w in F_{p^2}.
 
 A curve is its cubic: the coefficients (c2, c1, c0) of the model
 y^2 = x^3 + c2 x^2 + c1 x + c0, given in the same residues (the convention
@@ -26,7 +22,7 @@ its rational inflection point.  No field-element object is built here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -307,54 +303,58 @@ def _legendre_j_set(p: int, lams: np.ndarray) -> set[int]:
     return _j_set(A, num, A.mul(A.mul(lam, lam), A.mul(lam1, lam1)))
 
 
+# Phi_2(X, Y) = sum of _PHI2[k][i] X^i Y^k, the modular polynomial of level 2
+_PHI2 = (
+    (-157464000000000, 8748000000, -162000, 1),
+    (8748000000, 40773375, 1488, 0),
+    (-162000, 1488, -1, 0),
+    (1, 0, 0, 0),
+)
+
+
 def supersingular_j_set(p: int) -> set[tuple[int, int]]:
     """All supersingular j-invariants over F_p-bar, as pairs (c0, c1) for
-    c0 + c1 w in F_{p^2}.
+    c0 + c1 w in F_{p^2}, by a walk over the 2-isogeny graph, which is
+    connected (Mestre 1986; Pizer 1990): the neighbours of j are the roots of
+    the cubic Phi_2(j, Y) = Y^3 + c2 Y^2 + c1 Y + c0.
 
-    j = 0 and j = 1728 go through exact point counts over F_p (trace 0
-    exactly).  Every other j is the invariant 6912a / (4a + 27) of exactly
-    one curve E_a: y^2 = x^3 + a x + a, a in F_{p^2} minus {0, -27/4}, and
-    E_a is supersingular iff its trace -S(a) over F_{p^2} is 0 mod p, where
-    S(a) = sum_x X(x^3 + a x + a) and X(z) = chi_p(N(z)) is the quadratic
-    character of F_{p^2}.  Since x^3 + a x + a = (x + 1)(r(x) + a) with
-    r(x) = x^3 / (x + 1), and x = -1 contributes X(-1) = 1,
-
-        S(a) = 1 + sum_z h(z) X(z + a),   h(z) = sum_{x != -1, r(x) = z} X(x + 1),
-
-    a cross-correlation over the additive group (Z/p)^2 of F_{p^2}, computed
-    for every a at once with one 2-D real FFT on p x p arrays.  The j-map
-    6912a / (4a + 27) then runs over the array of trace-0 parameters; it
-    never gives 0 or 1728, since 6912a = 1728 (4a + 27) has no solution.
+    The walk starts at j_0 = 1728 for p = 3 mod 4, 0 for p = 2 mod 3, and
+    otherwise the least j (not 0 or 1728, where the model is y^2 = x^3) whose
+    y^2 = x^3 + 3j(1728 - j) x + 2j(1728 - j)^2 has p + 1 points.  Its cubic
+    lies in F_p[Y] with roots in F_{p^2}, so a scan of F_p finds a root.  Each
+    later j comes from a root r of its cubic (Phi_2 is symmetric); the other
+    two roots solve Y^2 + b Y + c1 + r b = 0, b = c2 + r.  The discriminant
+    a + c w has the root x + y w with x^2 = (a +- n)/2, n^2 = N(a + c w),
+    the sign giving a square, and y = c/(2x); if neither does, y^2 = a/d.
     """
-    if p > 10**3:
-        raise ValueError(f"p = {p} beyond the sweep bound 10^3")
-    # y^2 = x^3 + 1 has j = 0 and y^2 = x^3 + x has j = 1728
-    special = {0: (0, 0, 1), 1728: (0, 1, 0)}
-    out = {(j % p, 0) for j, cubic in special.items() if point_count(cubic, p) == p + 1}
+    _check_characteristic(p)
     A = _ArrayField(p, least_nonresidue(p))
-    # flat index c0 p + c1 of z = c0 + c1 w, the grid order, so reshape(p, p)
-    # indexes [c0, c1]
-    X = np.empty(p * p, dtype=np.int64)
-    h = np.zeros(p * p, dtype=np.int64)
-    lo = 0
-    for x in _blocks(_fp2_grid(p)):
-        hi = lo + len(x[0])
-        X[lo:hi] = A.chi[A.norm(x)]
-        u = A.add(x, (1, 0))
-        nu = A.norm(u)
-        r0, r1 = A.mul(A.mul(A.mul(x, x), x), A.recip(u))  # x = -1 has weight chi[0] = 0
-        np.add.at(h, r0 * p + r1, A.chi[nu])
-        lo = hi
-    X, h = X.reshape(p, p), h.reshape(p, p)
-    corr = np.fft.irfft2(np.conj(np.fft.rfft2(h)) * np.fft.rfft2(X), s=(p, p))
-    rounded = np.rint(corr)
-    err = float(np.abs(corr - rounded).max())
-    if err >= 1e-3:
-        raise ArithmeticError(f"character-sum correlation off an integer by {err} at p = {p}")
-    trace0 = (rounded.astype(np.int64) + 1) % p == 0
-    trace0[0, 0] = trace0[-27 * pow(4, -1, p) % p, 0] = False  # singular E_a
-    a = np.nonzero(trace0)
-    return out | _j_set(A, A.scale(6912 % p, a), A.add(A.scale(4, a), (27, 0)))
+    half, root = (p + 1) // 2, {x * x % p: x for x in range(p)}
+
+    def cubic(j):  # (c2, c1, c0) of Phi_2(j, Y), by Horner in j
+        return [reduce(lambda c, k: A.add(A.mul(c, j), (k % p, 0)), row[::-1], (0, 0))
+                for row in _PHI2[2::-1]]
+
+    j0 = 1728 % p if p % 4 == 3 else 0 if p % 3 == 2 else next(
+        j for j in range(1, p) if j != 1728 % p
+        and point_count((0, 3 * j * (1728 - j), 2 * j * (1728 - j) ** 2), p) == p + 1
+    )
+    (c2, _), (c1, _), (c0, _) = cubic((j0, 0))
+    r0 = next(y for y in range(p) if (((y + c2) * y + c1) * y + c0) % p == 0)
+    seen, todo = {(j0, 0)}, [((j0, 0), (r0, 0))]
+    while todo:
+        j, r = todo.pop()
+        c2, c1, _ = cubic(j)
+        b = A.add(c2, r)
+        a, c = A.add(A.mul(b, b), A.scale(-4, A.add(c1, A.mul(r, b))))
+        n = root[A.norm((a, c))]
+        x2 = [t for t in ((a + n) * half % p, (a - n) * half % p) if A.chi[t] == 1]
+        s = (root[x2[0]], c * A.inv[2 * root[x2[0]] % p] % p) if x2 else (0, root[a * A.inv[A.d] % p])
+        for k in (r, A.mul((half, 0), A.add(s, A.scale(-1, b))), A.mul((p - half, 0), A.add(s, b))):
+            if k not in seen:
+                seen.add(k)
+                todo.append((k, j))
+    return {(int(c0), int(c1)) for c0, c1 in seen}
 
 
 @lru_cache(maxsize=None)

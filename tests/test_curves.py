@@ -26,7 +26,7 @@ from theta_forms import curves
 from theta_forms.exact_arith import cube_root_of_2, least_nonresidue, primes_in_range
 from theta_forms.fppoly import reduce_poly, roots_brute, roots_fp2_brute
 from theta_forms.modforms import default_order, pf_polynomial
-from theta_forms.qseries import theta_H, theta_Z
+from theta_forms.qseries import j_invariant, theta_H, theta_Z
 
 from field_ref import elements, euler, fp, fp2
 
@@ -49,7 +49,7 @@ def hessian_curve(b):
 
 def curve_from_j(j):
     """A short Weierstrass curve with j-invariant j: y^2 = x^3 + 1 for j = 0,
-    y^2 = x^3 + x for j = 1728 (the models supersingular_j_set counts points
+    y^2 = x^3 + x for j = 1728 (the models supersingular_j_set_fft counts points
     on), else a = 3j(1728 - j), b = 2j(1728 - j)^2."""
     if not j:
         return short_weierstrass(0 * j, 0 * j + 1)
@@ -616,6 +616,55 @@ def _supersingular_j_set_per_j(p: int) -> set:
     return out
 
 
+def supersingular_j_set_fft(p: int) -> set:
+    """Reference oracle: every F_{p^2} character sum at once, as one float64
+    correlation.
+
+    j = 0 and j = 1728 go through exact point counts over F_p (trace 0
+    exactly).  Every other j is the invariant 6912a / (4a + 27) of exactly
+    one curve E_a: y^2 = x^3 + a x + a, a in F_{p^2} minus {0, -27/4}, and
+    E_a is supersingular iff its trace -S(a) over F_{p^2} is 0 mod p, where
+    S(a) = sum_x X(x^3 + a x + a) and X(z) = chi_p(N(z)) is the quadratic
+    character of F_{p^2}.  Since x^3 + a x + a = (x + 1)(r(x) + a) with
+    r(x) = x^3 / (x + 1), and x = -1 contributes X(-1) = 1,
+
+        S(a) = 1 + sum_z h(z) X(z + a),   h(z) = sum_{x != -1, r(x) = z} X(x + 1),
+
+    a cross-correlation over the additive group (Z/p)^2 of F_{p^2}, computed
+    for every a at once with one 2-D real FFT on p x p arrays and rounded to
+    integers; a value off an integer by 10^-3 or more raises ArithmeticError.
+    The j-map 6912a / (4a + 27) never gives 0 or 1728, since
+    6912a = 1728 (4a + 27) has no solution.
+    """
+    # y^2 = x^3 + 1 has j = 0 and y^2 = x^3 + x has j = 1728
+    special = {0: (0, 0, 1), 1728: (0, 1, 0)}
+    out = {(j % p, 0) for j, cubic in special.items() if point_count(cubic, p) == p + 1}
+    A = curves._ArrayField(p, least_nonresidue(p))
+    # flat index c0 p + c1 of z = c0 + c1 w, the grid order, so reshape(p, p)
+    # indexes [c0, c1]
+    X = np.empty(p * p, dtype=np.int64)
+    h = np.zeros(p * p, dtype=np.int64)
+    lo = 0
+    for x in curves._blocks(curves._fp2_grid(p)):
+        hi = lo + len(x[0])
+        X[lo:hi] = A.chi[A.norm(x)]
+        u = A.add(x, (1, 0))
+        nu = A.norm(u)
+        r0, r1 = A.mul(A.mul(A.mul(x, x), x), A.recip(u))  # x = -1 has weight chi[0] = 0
+        np.add.at(h, r0 * p + r1, A.chi[nu])
+        lo = hi
+    X, h = X.reshape(p, p), h.reshape(p, p)
+    corr = np.fft.irfft2(np.conj(np.fft.rfft2(h)) * np.fft.rfft2(X), s=(p, p))
+    rounded = np.rint(corr)
+    err = float(np.abs(corr - rounded).max())
+    if err >= 1e-3:
+        raise ArithmeticError(f"character-sum correlation off an integer by {err} at p = {p}")
+    trace0 = (rounded.astype(np.int64) + 1) % p == 0
+    trace0[0, 0] = trace0[-27 * pow(4, -1, p) % p, 0] = False  # singular E_a
+    a = np.nonzero(trace0)
+    return out | curves._j_set(A, A.scale(6912 % p, a), A.add(A.scale(4, a), (27, 0)))
+
+
 def test_supersingular_known_small():
     assert supersingular_j_set(7) == {(6, 0)}
     assert supersingular_j_set(11) == {(0, 0), (1, 0)}
@@ -624,6 +673,20 @@ def test_supersingular_known_small():
 def test_supersingular_matches_per_j_reference():
     for p in primes_in_range(5, 61):
         assert supersingular_j_set(p) == _supersingular_j_set_per_j(p), p
+
+
+def test_supersingular_walk_matches_fft_reference():
+    for p in primes_in_range(5, 211):
+        assert supersingular_j_set(p) == supersingular_j_set_fft(p), p
+
+
+def test_phi2_vanishes_on_j_of_q_and_q_squared():
+    # Phi_2(j(q), j(q^2)) = 0 checks every constant of curves._PHI2; the
+    # product windows leave q^-6 .. q^31
+    x, y = j_invariant(38), j_invariant(23).dilate(2)
+    phi = sum(c * x**i * y**k for k, row in enumerate(curves._PHI2) for i, c in enumerate(row) if c)
+    assert (phi.shift, phi.order) == (-6, 32)
+    assert not any(phi.coeffs)
 
 
 def test_supersingular_mass_formula():
@@ -663,12 +726,13 @@ def test_supersingular_rejects_non_integer_correlation(monkeypatch):
     irfft2 = np.fft.irfft2
     monkeypatch.setattr(np.fft, "irfft2", lambda *a, **kw: irfft2(*a, **kw) + 0.25)
     with pytest.raises(ArithmeticError):
-        supersingular_j_set(13)
+        supersingular_j_set_fft(13)
 
 
 def test_supersingular_rejects_large_p():
-    with pytest.raises(ValueError):
-        supersingular_j_set(1009)
+    for p in (3, 9, 1009):
+        with pytest.raises(ValueError):
+            supersingular_j_set(p)
 
 
 # ---------------------------------------------------------------------------

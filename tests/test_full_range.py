@@ -12,11 +12,12 @@ lane over 5..1000 with every oracle cap at 1000.  The files were made with
 
 and a change that alters any row must regenerate them the same way and name
 the rows it changed.  The whole comparison takes about a minute, so it runs
-only when THETA_FORMS_FULL_RANGE=1 is set, together with the supersingular
-anchors and the mod-p solve's agreement with the exact one at every prime up
-to 1000.  The Tier-1 test below reruns the top prime of each lane's residue
-classes with the caps raised and compares those rows, so the files are read
-on every run.
+only when THETA_FORMS_FULL_RANGE=1 is set, together with the mod-p solve's
+agreement with the exact one and the supersingular walk's agreement with the
+FFT reference, at every prime up to 1000.  The Tier-1 tests below rerun the
+top prime of each lane's residue classes with the caps raised and compare
+those rows, so the files are read on every run, and check the supersingular
+anchors at every prime up to 1000.
 """
 
 import json
@@ -25,6 +26,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from test_curves import supersingular_j_set_fft
 from test_modforms import check_solve_mod_p_matches_exact
 
 from theta_forms.curves import supersingular_j_set
@@ -79,7 +81,6 @@ def test_full_range_matches_report(lane):
     assert render_json(verify(SweepConfig(p_min=5, p_max=1000, **CAPS))) == _golden(lane)
 
 
-@full_range_only
 def test_supersingular_anchors_to_1000():
     # Eichler-Deuring: floor(p/12) + eps classes, of total mass (p - 1)/24
     eps = {1: 0, 5: 1, 7: 1, 11: 2}
@@ -94,3 +95,9 @@ def test_supersingular_anchors_to_1000():
 def test_solve_mod_p_matches_exact_to_1000():
     for p in primes_in_range(5, 1000):
         check_solve_mod_p_matches_exact(p)
+
+
+@full_range_only
+def test_supersingular_walk_matches_fft_to_1000():
+    for p in primes_in_range(5, 1000):
+        assert supersingular_j_set(p) == supersingular_j_set_fft(p), p

@@ -722,30 +722,44 @@ def test_main_negative_curve_or_hessian_cap_exits_two(flag, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
-@pytest.mark.skipif(
-    int(np.__version__.split(".")[0]) < 2, reason="numpy < 2 imports numpy.fft eagerly"
-)
-def test_harness_import_leaves_numpy_fft_unloaded():
-    code = "import sys, theta_forms.harness; print('numpy.fft' in sys.modules)"
+def _loaded_after(code: str, module: str) -> bool:
+    """Whether ``module`` is in sys.modules after running ``code`` in a fresh
+    interpreter."""
+    code = f"import sys; {code}; print({module!r} in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(Path(theta_forms.__file__).parents[1])}
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     ).stdout
-    assert out.strip() == "False"
+    return out.strip() == "True"
+
+
+numpy_2 = pytest.mark.skipif(
+    int(np.__version__.split(".")[0]) < 2, reason="numpy < 2 imports numpy.fft eagerly"
+)
+
+
+@numpy_2
+def test_harness_import_leaves_numpy_fft_unloaded():
+    assert not _loaded_after("import theta_forms.harness", "numpy.fft")
+
+
+@numpy_2
+def test_background_lane_leaves_numpy_fft_unloaded():
+    # the supersingular rows up to the default cap run in-process (jobs = 1)
+    code = (
+        "from theta_forms.harness import cmd_verify_background, SweepConfig; "
+        "cmd_verify_background(SweepConfig(p_min=5, p_max=103))"
+    )
+    assert not _loaded_after(code, "numpy.fft")
 
 
 def test_polynomial_and_legendre_rows_leave_numpy_ma_unloaded():
     # np.unique would pull in numpy.ma, about 1 MB of peak RSS per sweep
     code = (
-        "import sys; from theta_forms.harness import cmd_verify_theta_z, SweepConfig; "
-        "cmd_verify_theta_z(SweepConfig(p_min=19, p_max=23, curve_cap=0)); "
-        "print('numpy.ma' in sys.modules)"
+        "from theta_forms.harness import cmd_verify_theta_z, SweepConfig; "
+        "cmd_verify_theta_z(SweepConfig(p_min=19, p_max=23, curve_cap=0))"
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(theta_forms.__file__).parents[1])}
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
-    ).stdout
-    assert out.strip() == "False"
+    assert not _loaded_after(code, "numpy.ma")
 
 
 def test_main_bad_usage_exits_two():
