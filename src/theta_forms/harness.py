@@ -42,7 +42,6 @@ import contextlib
 import csv
 import io
 import json
-import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -88,7 +87,7 @@ from .hyperpoly import (
     truncated_poly_mod,
     vanishing_window,
 )
-from .modforms import ConfigError, coordinates_mod_p, default_order, pf_polynomial, weight_indices
+from .modforms import coordinates_mod_p, default_order, pf_polynomial, weight_indices
 from .qseries import QSeries, delta, eisenstein, eisenstein_mod, hauptmodul_mismatch, theta_H, theta_Z
 
 _STATUSES = ("pass", "fail", "skipped")
@@ -123,6 +122,8 @@ class VerificationReport:
 class SweepConfig:
     """Sweep bounds and output options.
 
+    ``order`` is the identities lane's series order (None for 40).  The
+    per-prime lanes ignore it: each solve reads exactly q^0..q^n of its form.
     The caps are the largest primes at which the brute-force oracles run:
     ``curve_cap`` for the Legendre 4-torsion curve set (theta-z),
     ``hessian_cap`` for the Hessian parametrization and its 3-torsion samples
@@ -172,9 +173,7 @@ def _check(check_id: str, p, k, witness, skip: str | None = None) -> Verificatio
 
     An exception from the check makes a fail row with an ``exception:``
     witness, so the rest of the sweep still runs; the artefact thunks cache no
-    exception, so each later row that needs a failed artefact fails too.  A
-    ``ConfigError`` is the sweep's configuration, not the check, and
-    propagates.
+    exception, so each later row that needs a failed artefact fails too.
     """
     if skip is not None:
         return VerificationReport(check_id, p, k, "skipped", skip)
@@ -182,8 +181,6 @@ def _check(check_id: str, p, k, witness, skip: str | None = None) -> Verificatio
     start = clock()
     try:
         w = witness()
-    except ConfigError:
-        raise
     except Exception as exc:
         w = f"exception: {type(exc).__name__}: {exc}"
     ms = int((clock() - start) * 1000)
@@ -230,25 +227,18 @@ def _splits_witness(pattern: FactorPattern, max_degree: int) -> str | None:
     return None
 
 
-def _target_order(order: int | None, n: int) -> int:
-    """The order of the series a P(j) solve is given: q^0..q^n, all that
-    ``coordinates_mod_p`` reads, or ``order`` when that is below n + 1, so the
-    solve raises ConfigError."""
-    return n + 1 if order is None else min(order, n + 1)
-
-
 # ---------------------------------------------------------------------------
 # theta-z lane
 
 
-def _theta_z_prime(p: int, order: int | None, curve_cap: int) -> list[VerificationReport]:
+def _theta_z_prime(p: int, curve_cap: int) -> list[VerificationReport]:
     if p % 4 == 1:
         reason = "p = 1 mod 4: weight (p+1)/2 is odd, outside the even-weight setting"
         return [_check(cid, p, None, None, reason) for cid in THETA_Z_CHECKS]
     k = (p + 1) // 2
     n = weight_indices(k).n
     fam = "W0" if p % 24 in (7, 23) else "W1"
-    f = cache(lambda: FpPoly(coordinates_mod_p(theta_Z(_target_order(order, n)).coeffs, k, p), p))
+    f = cache(lambda: FpPoly(coordinates_mod_p(theta_Z(n + 1).coeffs, k, p), p))
     pattern = cache(lambda: factor_pattern(f()))
     capped = None if p <= curve_cap else f"curve sweep capped at {curve_cap}"
     return [
@@ -276,11 +266,11 @@ def _hex_pattern_witness(f: FpPoly, pattern: FactorPattern, n: int) -> str | Non
     return None
 
 
-def _theta_hex_prime(p: int, order: int | None, hessian_cap: int) -> list[VerificationReport]:
+def _theta_hex_prime(p: int, hessian_cap: int) -> list[VerificationReport]:
     k = p + 1
     n = weight_indices(k).n
     fam = "V0" if p % 12 == 11 else "V1"
-    f = cache(lambda: FpPoly(coordinates_mod_p(theta_H(_target_order(order, n)).coeffs, k, p), p))
+    f = cache(lambda: FpPoly(coordinates_mod_p(theta_H(n + 1).coeffs, k, p), p))
     pattern = cache(lambda: factor_pattern(f()))
     capped = None if p <= hessian_cap else f"Hessian sweep capped at {hessian_cap}"
     return [
@@ -303,12 +293,11 @@ def _factor_degrees_witness(pattern: FactorPattern) -> str | None:
     return None if degs <= {1, 2} else f"factor degrees {sorted(degs)} not within {{1, 2}}"
 
 
-def _background_prime(p: int, order: int | None, ss_cap: int) -> list[VerificationReport]:
+def _background_prime(p: int, ss_cap: int) -> list[VerificationReport]:
     k = p - 1
     n = weight_indices(k).n
-    ordv = _target_order(order, n)
     fam = "U0" if p % 12 in (1, 5) else "U1"
-    f = cache(lambda: FpPoly(coordinates_mod_p(eisenstein_mod(k, ordv, p), k, p), p))
+    f = cache(lambda: FpPoly(coordinates_mod_p(eisenstein_mod(k, n + 1, p), k, p), p))
     pattern = cache(lambda: factor_pattern(f()))
     capped = None if p <= ss_cap else f"supersingular sweep capped at {ss_cap}"
     return [
@@ -318,7 +307,7 @@ def _background_prime(p: int, order: int | None, ss_cap: int) -> list[Verificati
             f(), supersingular_j_set(p) - {(0, 0), (1728 % p, 0)}), capped),
         _check("bg_extremal_congruence", p, k,
                lambda: _congruence_witness(
-                   FpPoly(coordinates_mod_p(QSeries.one(ordv).coeffs, k, p), p), f())),
+                   FpPoly(coordinates_mod_p(QSeries.one(n + 1).coeffs, k, p), p), f())),
     ]
 
 
@@ -447,19 +436,19 @@ def _sorted_rows(reports) -> list[VerificationReport]:
 
 def cmd_verify_theta_z(cfg: SweepConfig) -> list[VerificationReport]:
     primes = primes_in_range(cfg.p_min, cfg.p_max)
-    worker = partial(_theta_z_prime, order=cfg.order, curve_cap=cfg.curve_cap)
+    worker = partial(_theta_z_prime, curve_cap=cfg.curve_cap)
     return _sorted_rows(_run_over_primes(worker, primes, cfg.jobs))
 
 
 def cmd_verify_theta_hex(cfg: SweepConfig) -> list[VerificationReport]:
     primes = [p for p in primes_in_range(cfg.p_min, cfg.p_max) if p % 12 in (5, 11)]
-    worker = partial(_theta_hex_prime, order=cfg.order, hessian_cap=cfg.hessian_cap)
+    worker = partial(_theta_hex_prime, hessian_cap=cfg.hessian_cap)
     return _sorted_rows(_run_over_primes(worker, primes, cfg.jobs))
 
 
 def cmd_verify_background(cfg: SweepConfig) -> list[VerificationReport]:
     primes = primes_in_range(cfg.p_min, cfg.p_max)
-    worker = partial(_background_prime, order=cfg.order, ss_cap=cfg.supersingular_cap)
+    worker = partial(_background_prime, ss_cap=cfg.supersingular_cap)
     return _sorted_rows(_run_over_primes(worker, primes, cfg.jobs))
 
 
@@ -658,9 +647,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run a verification lane over a prime range")
     v.add_argument("lane", choices=sorted(_LANES))
-    v.add_argument("--p-min", type=int, default=5)
-    v.add_argument("--p-max", type=int, default=199)
-    v.add_argument("--order", type=int, default=None, help="series order override")
+    v.add_argument("--p-min", type=int, default=SweepConfig.p_min)
+    v.add_argument("--p-max", type=int, default=SweepConfig.p_max)
+    v.add_argument("--order", type=int, default=None, help="series order of the identities lane")
     v.add_argument(
         "--curve-cap",
         type=int,
@@ -679,16 +668,11 @@ def _build_parser() -> argparse.ArgumentParser:
         default=SweepConfig.supersingular_cap,
         help="largest p whose supersingular j-set is computed (default %(default)s)",
     )
-    jobs = os.environ.get("THETA_FORMS_JOBS", "1")
-    try:
-        default_jobs = int(jobs)
-    except ValueError:
-        raise ValueError(f"THETA_FORMS_JOBS must be an integer, got {jobs!r}") from None
     v.add_argument(
         "--jobs",
         type=int,
-        default=default_jobs,
-        help="parallel worker processes (default THETA_FORMS_JOBS or 1)",
+        default=SweepConfig.jobs,
+        help="parallel worker processes (default %(default)s)",
     )
     v.add_argument("--format", choices=sorted(_RENDERERS), default="table")
     v.add_argument("--out", default=None, help="write the report to a file")
@@ -700,12 +684,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        parser = _build_parser()
-    except ValueError as e:
-        print(f"configuration error: {e}", file=sys.stderr)
-        return 2
-    try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
 
@@ -714,6 +693,8 @@ def main(argv=None) -> int:
         return 0
 
     try:
+        if args.order is not None and args.lane != "identities":
+            raise ValueError(f"--order applies only to the identities lane, not {args.lane}")
         cfg = SweepConfig(
             p_min=args.p_min,
             p_max=args.p_max,
@@ -731,11 +712,7 @@ def main(argv=None) -> int:
         return 2
 
     with out as fh:
-        try:
-            reports = _LANES[args.lane](cfg)
-        except ConfigError as e:
-            print(f"configuration error: {e}", file=sys.stderr)
-            return 2
+        reports = _LANES[args.lane](cfg)
         fh.write(_RENDERERS[cfg.fmt](reports))
     return 1 if any(r.status == "fail" for r in reports) else 0
 

@@ -134,7 +134,8 @@ def default_order(k: int) -> int:
 
 
 class ConfigError(ValueError):
-    """A series order below dim M_k: a sweep's ``--order`` too small for one of its weights."""
+    """A series order below dim M_k: the solve's guard against a target too
+    short to determine the form.  No verify sweep raises it."""
 
 
 def _require_dimension(w: WeightIndices, order: int) -> None:

@@ -689,26 +689,6 @@ def test_phi2_vanishes_on_j_of_q_and_q_squared():
     assert not any(phi.coeffs)
 
 
-def test_supersingular_mass_formula():
-    # sum of 1/|Aut| over supersingular j equals (p - 1)/24
-    for p in (7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 101, 211, 499, 997):
-        total = Fraction(0)
-        for z in supersingular_j_set(p):
-            if z == (0, 0):
-                total += Fraction(1, 6)
-            elif z == (1728 % p, 0):
-                total += Fraction(1, 4)
-            else:
-                total += Fraction(1, 2)
-        assert total == Fraction(p - 1, 24)
-
-
-def test_supersingular_count_formula():
-    eps = {1: 0, 5: 1, 7: 1, 11: 2}
-    for p in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 101, 211, 499, 997):
-        assert len(supersingular_j_set(p)) == p // 12 + eps[p % 12]
-
-
 def test_supersingular_set_frobenius_stable():
     for p in (23, 31, 37, 101, 211, 499, 997):
         s = supersingular_j_set(p)

@@ -1,9 +1,11 @@
 """Tests for the verification harness: reports, sweeps, rendering, CLI."""
 
+import argparse
 import importlib
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -480,18 +482,23 @@ _ORACLE_PRIME = lambda p: p
 _SOLVE_PRIME = lambda target, k, p: p
 
 # (lane, oracle or artefact builder in harness, its prime from its arguments,
-#  the prime where it raises, p_max, the rows that fail)
+#  the prime where it raises, p_max, the rows that fail, the exception raised)
 _RAISING = [
-    ("theta-z", "legendre_image_j_set", _ORACLE_PRIME, 23, 31, ["theta_z_legendre_set"]),
-    ("theta-hex", "hex_zero_set", _ORACLE_PRIME, 17, 23, ["hex_zero_set"]),
+    ("theta-z", "legendre_image_j_set", _ORACLE_PRIME, 23, 31, ["theta_z_legendre_set"],
+     RuntimeError),
+    ("theta-hex", "hex_zero_set", _ORACLE_PRIME, 17, 23, ["hex_zero_set"], RuntimeError),
     # a failed P(j) is not cached: every row that needs it fails with its own witness
-    ("theta-z", "coordinates_mod_p", _SOLVE_PRIME, 23, 31, list(harness.THETA_Z_CHECKS)),
+    ("theta-z", "coordinates_mod_p", _SOLVE_PRIME, 23, 31, list(harness.THETA_Z_CHECKS),
+     RuntimeError),
+    # the solve's too-short-series guard is a check failure like any other
+    ("theta-z", "coordinates_mod_p", _SOLVE_PRIME, 23, 31, list(harness.THETA_Z_CHECKS),
+     modforms.ConfigError),
 ]
 
 
-@pytest.mark.parametrize("lane, name, prime_of, bad_p, p_max, failing", _RAISING)
+@pytest.mark.parametrize("lane, name, prime_of, bad_p, p_max, failing, exc", _RAISING)
 def test_raising_check_becomes_fail_row(
-    lane, name, prime_of, bad_p, p_max, failing, monkeypatch, capsys
+    lane, name, prime_of, bad_p, p_max, failing, exc, monkeypatch, capsys
 ):
     argv = ["verify", lane, "--p-max", str(p_max), "--format", "json"]
     assert main(argv) == 0
@@ -501,7 +508,7 @@ def test_raising_check_becomes_fail_row(
     def raising(*args):
         p = prime_of(*args)
         if p == bad_p:
-            raise RuntimeError(f"oracle broke at {p}")
+            raise exc(f"oracle broke at {p}")
         return orig(*args)
 
     monkeypatch.setattr(harness, name, raising)
@@ -511,13 +518,8 @@ def test_raising_check_becomes_fail_row(
     failed = [r for r in rows if r["status"] == "fail"]
     assert sorted(r["check_id"] for r in failed) == sorted(failing)
     assert {r["p"] for r in failed} == {bad_p}
-    assert {r["witness"] for r in failed} == {f"exception: RuntimeError: oracle broke at {bad_p}"}
+    assert {r["witness"] for r in failed} == {f"exception: {exc.__name__}: oracle broke at {bad_p}"}
     assert [r for r in rows if r["p"] != bad_p] == [r for r in clean if r["p"] != bad_p]
-
-
-def test_config_error_inside_a_check_propagates():
-    with pytest.raises(harness.ConfigError):
-        harness._check("row", 103, 52, lambda: harness.coordinates_mod_p([1], 52, 103))
 
 
 def test_process_pool_bounded_by_primes(monkeypatch):
@@ -668,13 +670,42 @@ def test_main_config_error_exits_two(capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [["verify", "theta-hex", "--p-max", "17"], ["show", "k52"]])
-def test_main_non_integer_jobs_env_exits_two(argv, monkeypatch, capsys):
-    monkeypatch.setenv("THETA_FORMS_JOBS", "abc")
-    assert main(argv) == 2
+def test_main_order_on_a_per_prime_lane_exits_two_before_the_sweep(tmp_path, capsys):
+    # the sweep would pass 5..233 before any weight outgrows order 20; the
+    # option is refused before --out is opened, so the file is not truncated
+    out = tmp_path / "r.json"
+    out.write_text("old")
+    argv = ["verify", "theta-hex", "--p-min", "5", "--p-max", "983", "--order", "20"]
+    assert main([*argv, "--format", "json", "--out", str(out)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert out.read_text() == "old"
+
+
+@pytest.mark.parametrize("lane", ["theta-z", "theta-hex", "background"])
+def test_main_order_is_for_identities_only(lane, capsys):
+    # an order every weight in 5..13 could use is still refused
+    assert main(["verify", lane, "--p-max", "13", "--order", "40"]) == 2
     captured = capsys.readouterr()
-    assert "configuration error" in captured.err and "THETA_FORMS_JOBS" in captured.err
+    assert "configuration error" in captured.err and "identities" in captured.err
     assert captured.out == ""
+    assert main(["verify", "identities", "--p-max", "13", "--order", "20"]) == 0
+
+
+def test_readme_names_every_verify_option():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    start = readme.index("Options for `verify`:")
+    paragraph = readme[start : readme.index("\n\n", start)]
+    documented = set(re.findall(r"--[a-z][a-z-]*", paragraph))
+    parser = harness._build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    verify = subparsers.choices["verify"]
+    options = {
+        flag
+        for action in verify._actions
+        if not isinstance(action, argparse._HelpAction)
+        for flag in action.option_strings
+    }
+    assert documented == options
 
 
 def test_main_unwritable_out_exits_two(tmp_path, capsys):
@@ -768,13 +799,15 @@ def test_main_bad_usage_exits_two():
 
 
 def test_main_order_below_weight_dimension_exits_two(capsys):
-    # order 20 gives too few series coefficients for the weight-984 space
+    # --order belongs to the identities lane, so theta-hex refuses it before
+    # reaching the weight-984 space it would be too short for
     assert main(["verify", "theta-hex", "--p-min", "983", "--p-max", "983", "--order", "20"]) == 2
     assert "configuration error" in capsys.readouterr().err
 
 
 def test_main_theta_z_order_below_weight_dimension_exits_two(capsys):
-    # order 20 gives too few series coefficients for the weight-492 space
+    # --order belongs to the identities lane, so theta-z refuses it before
+    # reaching the weight-492 space it would be too short for
     assert main(["verify", "theta-z", "--p-min", "983", "--p-max", "983", "--order", "20"]) == 2
     assert "configuration error" in capsys.readouterr().err
 
@@ -811,6 +844,7 @@ def test_congruence_row_witness_names_f_then_stream(lane, row, p, monkeypatch, c
 
 
 def test_main_background_order_below_weight_dimension_exits_two(capsys):
-    # order 20 gives too few series coefficients for the weight-982 space
+    # --order belongs to the identities lane, so background refuses it before
+    # reaching the weight-982 space it would be too short for
     assert main(["verify", "background", "--p-min", "983", "--p-max", "983", "--order", "20"]) == 2
     assert "configuration error" in capsys.readouterr().err
