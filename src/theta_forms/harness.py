@@ -123,7 +123,8 @@ class SweepConfig:
     """Sweep bounds and output options.
 
     ``order`` is the identities lane's series order (None for 40).  The
-    per-prime lanes ignore it: each solve reads exactly q^0..q^n of its form.
+    per-prime lanes raise ValueError unless it is None: each solve reads
+    exactly q^0..q^n of its form, so an order could only make them fail.
     The caps are the largest primes at which the brute-force oracles run:
     ``curve_cap`` for the Legendre 4-torsion curve set (theta-z),
     ``hessian_cap`` for the Hessian parametrization and its 3-torsion samples
@@ -434,19 +435,28 @@ def _sorted_rows(reports) -> list[VerificationReport]:
     return sorted(reports, key=lambda r: (r.check_id, r.p if r.p is not None else -1))
 
 
+def _refuse_order(lane: str, cfg: SweepConfig) -> None:
+    """Raise ValueError when a per-prime lane is given a series order."""
+    if cfg.order is not None:
+        raise ValueError(f"--order applies only to the identities lane, not {lane}")
+
+
 def cmd_verify_theta_z(cfg: SweepConfig) -> list[VerificationReport]:
+    _refuse_order("theta-z", cfg)
     primes = primes_in_range(cfg.p_min, cfg.p_max)
     worker = partial(_theta_z_prime, curve_cap=cfg.curve_cap)
     return _sorted_rows(_run_over_primes(worker, primes, cfg.jobs))
 
 
 def cmd_verify_theta_hex(cfg: SweepConfig) -> list[VerificationReport]:
+    _refuse_order("theta-hex", cfg)
     primes = [p for p in primes_in_range(cfg.p_min, cfg.p_max) if p % 12 in (5, 11)]
     worker = partial(_theta_hex_prime, hessian_cap=cfg.hessian_cap)
     return _sorted_rows(_run_over_primes(worker, primes, cfg.jobs))
 
 
 def cmd_verify_background(cfg: SweepConfig) -> list[VerificationReport]:
+    _refuse_order("background", cfg)
     primes = primes_in_range(cfg.p_min, cfg.p_max)
     worker = partial(_background_prime, ss_cap=cfg.supersingular_cap)
     return _sorted_rows(_run_over_primes(worker, primes, cfg.jobs))
@@ -693,8 +703,6 @@ def main(argv=None) -> int:
         return 0
 
     try:
-        if args.order is not None and args.lane != "identities":
-            raise ValueError(f"--order applies only to the identities lane, not {args.lane}")
         cfg = SweepConfig(
             p_min=args.p_min,
             p_max=args.p_max,
@@ -705,6 +713,8 @@ def main(argv=None) -> int:
             hessian_cap=args.hessian_cap,
             supersingular_cap=args.ss_cap,
         )
+        if args.lane != "identities":
+            _refuse_order(args.lane, cfg)
         # opened before the sweep, so an unwritable path fails at once
         out = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
     except (ValueError, OSError) as e:

@@ -20,6 +20,7 @@ where the exact value is p-integral because the p cancels.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -93,12 +94,15 @@ def pochhammer(x: Rat | int, n: int) -> Rat:
 
 def f21_coefficients(params, m_max: int) -> list[Rat]:
     """c_m = (a)_m (b)_m / ((g)_m m!) for m = 0..m_max, by the ratio recurrence."""
-    p = _resolve_params(params)
+    return _f21_extended(_resolve_params(params), [Fraction(1)], m_max)
+
+
+def _f21_extended(p: HGParams, cs: list[Rat], m_max: int) -> list[Rat]:
+    """The stream prefix ``cs`` = [c_0, ..] extended in place to c_m_max."""
     a, b, g = p.alpha, p.beta, p.gamma
-    out = [Fraction(1)]
-    for m in range(m_max):
-        out.append(out[-1] * (a + m) * (b + m) / ((g + m) * (m + 1)))
-    return out
+    for m in range(len(cs) - 1, m_max):
+        cs.append(cs[-1] * (a + m) * (b + m) / ((g + m) * (m + 1)))
+    return cs
 
 
 def scaled_coefficient_mod(params, m: int, p: int) -> int:
@@ -203,6 +207,11 @@ def _window_bounds(tag: str, p: int) -> tuple[int, int]:
     return n, 4 * n + 2
 
 
+# tag -> the family's exact stream c_0, c_1, ..., shared by every prime's
+# window and extended in place when a window reaches past its end
+_WINDOW_STREAMS: dict[str, list[Rat]] = {}
+
+
 def vanishing_window(tag: str, p: int) -> tuple[int, int, bool]:
     """The open coefficient window (lo, hi) forced to vanish mod p, and whether
     the family's exact stream actually vanishes there.
@@ -210,11 +219,9 @@ def vanishing_window(tag: str, p: int) -> tuple[int, int, bool]:
     if tag not in _WINDOW_RULES:
         raise ValueError(f"family {tag} has no vanishing-window statement")
     lo, hi = _window_bounds(tag, p)
-    cs = f21_coefficients(tag, max(hi - 1, 0))
-    ok = all(
-        cs[m] == 0 or padic_valuation(cs[m], p) >= 1 for m in range(lo + 1, hi)
-    )
-    return lo, hi, ok
+    stream = _WINDOW_STREAMS.setdefault(tag, [Fraction(1)])
+    cs = _f21_extended(FAMILY_PARAMS[tag], stream, hi - 1)[lo + 1 : hi]
+    return lo, hi, all(c == 0 or padic_valuation(c, p) >= 1 for c in cs)
 
 
 def admissible_vanishing_primes(tag: str, count: int) -> list[int]:
@@ -273,10 +280,21 @@ def degenerate_eval_mismatch(order: int) -> int | None:
     return lhs.first_mismatch(rhs, upto=n)
 
 
+@functools.lru_cache(maxsize=1)
+def _1728_over_j(order: int) -> QSeries:
+    """1728/j from ``j_invariant(order)``, built once per order; callers must
+    not mutate it."""
+    return j_invariant(order)._invert() * 1728
+
+
 def _f21_of_1728_over_j(tag: str, order: int) -> QSeries:
-    """F(tag; 1728/j) as a q-series known to the requested order."""
-    j = j_invariant(order)
-    inner = j._invert() * 1728
+    """F(tag; 1728/j) as a q-series known to the requested order.
+
+    The three families read one cached 1728/j, so j and its inverse are built
+    once per order, and ``compose`` finds the powers of that one inner series
+    in its cache after the first family.
+    """
+    inner = _1728_over_j(order)
     return compose(f21_coefficients(tag, inner.order), inner)
 
 

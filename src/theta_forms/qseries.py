@@ -14,6 +14,7 @@ residues mod p.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -105,21 +106,28 @@ class QSeries:
         return self + (-other)
 
     def __mul__(self, other):
+        """Product of two windows, or of a window and a scalar.
+
+        The product runs in denominator-cleared ints: with self = A/Da and
+        other = B/Db, the int convolution A*B is divided once by Da*Db, so the
+        coefficients are ints when every one is integral and Fractions
+        otherwise.  With only int coefficients Da*Db = 1 and nothing is divided.
+        """
         if isinstance(other, (int, Fraction)):
             return self._scalar(other)
         if not isinstance(other, QSeries):
             return NotImplemented
         n = min(len(self.coeffs), len(other.coeffs))
-        a, b = self.coeffs, other.coeffs
+        (a, da), (b, db) = _cleared(self.coeffs[:n]), _cleared(other.coeffs[:n])
         out = [0] * n
-        for i in range(min(len(a), n)):
-            ai = a[i]
+        for i, ai in enumerate(a):
             if not ai:
                 continue
-            for j in range(min(len(b), n - i)):
+            for j in range(n - i):
                 if b[j]:
                     out[i + j] += ai * b[j]
-        return QSeries(out, self.shift + other.shift)
+        d = da * db
+        return QSeries(out if d == 1 else _divided(out, [d] * n), self.shift + other.shift)
 
     __rmul__ = __mul__
 
@@ -228,9 +236,9 @@ def invert_unit(f: QSeries) -> QSeries:
 
 def _cleared(coeffs) -> tuple[list[int], int]:
     """Integers C and the lcm D of the denominators, with coeffs[i] = C[i] / D."""
-    d = 1
-    for c in coeffs:
-        d = math.lcm(d, c.denominator)
+    d = math.lcm(*[c.denominator for c in coeffs])
+    if d == 1:
+        return [c.numerator for c in coeffs], 1
     return [c.numerator * (d // c.denominator) for c in coeffs], d
 
 
@@ -278,6 +286,33 @@ def pow_rational(f: QSeries, r: Rat | int) -> QSeries:
     return QSeries(_divided(G, dens))
 
 
+@functools.lru_cache(maxsize=2)
+def _cleared_powers(shift: int, coeffs: tuple) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """E and the rows I^0 .. I^(n-1), each truncated to n terms, for the
+    ordinary window (shift, coeffs) of order n with constant term 0 cleared
+    to I/E.
+
+    I^m has valuation >= m, so row m is built from row m - 1 at index m - 1
+    and above.  Cached on the window, so the rows composing with one inner
+    series share its powers.
+    """
+    I, E = _cleared([0] * shift + list(coeffs))
+    n = len(I)
+    terms = [(j, x) for j, x in enumerate(I) if x]
+    rows = [(1,) + (0,) * (n - 1)]
+    for m in range(1, n):
+        prev, cur = rows[-1], [0] * n
+        for i in range(m - 1, n):
+            pi = prev[i]
+            if pi:
+                for j, x in terms:
+                    if i + j >= n:
+                        break
+                    cur[i + j] += pi * x
+        rows.append(tuple(cur))
+    return E, tuple(rows)
+
+
 def compose(outer, inner: QSeries) -> QSeries:
     """Substitute `inner` (constant term 0) into `outer` (series in x).
 
@@ -285,11 +320,10 @@ def compose(outer, inner: QSeries) -> QSeries:
     its first `inner.order` coefficients can matter.  Result precision equals
     inner's precision.
 
-    Horner's rule runs in denominator-cleared ints: with outer = C/D and the
-    inner window I/E (shift 0, so I_0 = 0), R_N = C_N and
-    R_m = R_(m+1) I + C_m E^(N-m), so that outer(inner) = R_0 / (D E^N).
-    R_m is later multiplied by I^m, of valuation >= m, so only its first
-    n - m coefficients are kept.
+    The sum runs in denominator-cleared ints against a cached table of the
+    inner's powers: with outer = C/D and the inner window I/E (shift 0, so
+    I_0 = 0), outer(inner) = sum_m C_m E^(N-m) I^m / (D E^N), truncated to
+    inner's order, and divided once at the end.
     """
     if inner.shift < 0:
         raise ValueError("inner series must be an ordinary power series, not a Laurent window")
@@ -305,24 +339,20 @@ def compose(outer, inner: QSeries) -> QSeries:
     if not outer_coeffs:
         return QSeries.zero(n)
     C, D = _cleared(outer_coeffs[:n])
-    I, E = _cleared([0] * inner.shift + inner.coeffs)
-    terms = [(j, x) for j, x in enumerate(I) if x]
+    E, powers = _cleared_powers(inner.shift, tuple(inner.coeffs))
     N = len(C) - 1
-    R = [C[N]] + [0] * (n - N - 1)
-    e_pow = 1
-    for m in range(N - 1, -1, -1):
-        e_pow *= E
-        size = n - m
-        nxt = [0] * size
-        nxt[0] = C[m] * e_pow
-        for i, ri in enumerate(R):
-            if ri:
-                for j, x in terms:
-                    if i + j >= size:
-                        break
-                    nxt[i + j] += ri * x
-        R = nxt
-    return QSeries(_divided(R, [D * e_pow] * n))
+    out = [0] * n
+    e_pow = 1  # E^(N-m)
+    for m in range(N, -1, -1):
+        cm = C[m] * e_pow
+        if cm:
+            row = powers[m]
+            for k in range(m, n):
+                if row[k]:
+                    out[k] += cm * row[k]
+        if m:
+            e_pow *= E
+    return QSeries(_divided(out, [D * e_pow] * n))
 
 
 # ---------------------------------------------------------------------------

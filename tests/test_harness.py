@@ -17,7 +17,7 @@ import pytest
 
 import theta_forms
 
-from theta_forms import fppoly, harness, modforms
+from theta_forms import fppoly, harness, hyperpoly, modforms, qseries
 from theta_forms import curves
 from theta_forms.exact_arith import (
     Fp,
@@ -689,6 +689,27 @@ def test_main_order_is_for_identities_only(lane, capsys):
     assert "configuration error" in captured.err and "identities" in captured.err
     assert captured.out == ""
     assert main(["verify", "identities", "--p-max", "13", "--order", "20"]) == 0
+
+
+@pytest.mark.parametrize(
+    "lane", [cmd_verify_theta_z, cmd_verify_theta_hex, cmd_verify_background]
+)
+def test_per_prime_lane_refuses_an_order_through_the_api(lane):
+    # the solves read exactly q^0..q^n, so the lanes refuse an order rather
+    # than ignore it, as the CLI does
+    with pytest.raises(ValueError, match="identities"):
+        lane(SweepConfig(order=20, p_min=983, p_max=983))
+
+
+def test_identities_run_builds_the_1728_over_j_powers_once():
+    # five compose calls over three inner series: 1728/j for W0, V0 and U0,
+    # then the cubic-transform and degenerate-evaluation inners
+    hyperpoly._1728_over_j.cache_clear()
+    qseries._cleared_powers.cache_clear()
+    cmd_verify_identities(SweepConfig(p_min=5, p_max=13))
+    assert hyperpoly._1728_over_j.cache_info().misses == 1
+    info = qseries._cleared_powers.cache_info()
+    assert (info.misses, info.hits) == (3, 2)
 
 
 def test_readme_names_every_verify_option():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from theta_forms.exact_arith import primes_in_range, rat_mod
+from theta_forms.exact_arith import padic_valuation, primes_in_range, rat_mod
 from theta_forms.fppoly import FpPoly, reduce_poly, roots_brute
 from theta_forms.hyperpoly import (
     FAMILY_PARAMS,
@@ -24,7 +24,12 @@ from theta_forms.hyperpoly import (
     truncated_poly_mod,
     vanishing_window,
 )
-from theta_forms.hyperpoly import _gp_coefficients
+from theta_forms.hyperpoly import (
+    _WINDOW_RULES,
+    _WINDOW_STREAMS,
+    _gp_coefficients,
+    _window_bounds,
+)
 from theta_forms.modforms import RatPoly, weight_indices
 
 
@@ -216,6 +221,41 @@ def test_vanishing_window_brute_valuations():
         # guarding against an off-by-one that would shrink the window
         if lo >= 1:
             assert cs[lo].numerator % p != 0
+
+
+def _vanishing_window_fresh(tag, p):
+    """vanishing_window on a fresh stream of its own for each prime."""
+    lo, hi = _window_bounds(tag, p)
+    cs = f21_coefficients(tag, max(hi - 1, 0))
+    return lo, hi, all(cs[m] == 0 or padic_valuation(cs[m], p) >= 1 for m in range(lo + 1, hi))
+
+
+def test_vanishing_window_shared_stream_matches_fresh_streams_below_1000():
+    # ascending primes extend the shared stream, descending ones slice it
+    cases = [
+        (tag, p)
+        for tag, (residues, modulus) in _WINDOW_RULES.items()
+        for p in primes_in_range(5, 999)
+        if p % modulus in residues
+    ]
+    want = [_vanishing_window_fresh(tag, p) for tag, p in cases]
+    for order in (cases, cases[::-1]):
+        _WINDOW_STREAMS.clear()
+        got = {(tag, p): vanishing_window(tag, p) for tag, p in order}
+        assert [got[c] for c in cases] == want
+
+
+def test_vanishing_window_reads_exactly_the_open_window():
+    # a planted stream that is nonzero mod p at one index only fails the
+    # check exactly when that index lies strictly between lo and hi
+    tag, p = "V1", 29
+    lo, hi = _window_bounds(tag, p)
+    try:
+        for m in range(hi + 2):
+            _WINDOW_STREAMS[tag] = [Fraction(int(i == m)) for i in range(hi + 2)]
+            assert vanishing_window(tag, p) == (lo, hi, not lo < m < hi)
+    finally:
+        _WINDOW_STREAMS.clear()
 
 
 def test_admissible_prime_lists():

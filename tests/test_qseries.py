@@ -232,6 +232,37 @@ def test_compose_matches_reference_on_1728_over_j():
         assert compose(outer, inner) == _compose_reference(outer, inner)
 
 
+def test_compose_matches_reference_on_the_lane_inners_at_order_64():
+    # the three inner series the identities lane composes with, built as the
+    # lane builds them: 1728/j (the shift-1 window from _invert), and the
+    # cubic-transform and degenerate-evaluation rational functions
+    from theta_forms.hyperpoly import f21_coefficients
+
+    n = 64
+    inner_j = j_invariant(n - 1)._invert() * 1728
+    assert (inner_j.shift, inner_j.order) == (1, n)
+    x = QSeries([0, 1] + [0] * (n - 2))
+    poly = QSeries.one(n) - x + x * x
+    cubic = (x * x) * ((x - 1) ** 2) * 27 * invert_unit((poly**3) * 4)
+    degenerate = x * ((x + 4) ** 3) * invert_unit(((x * 2 - 1) ** 3) * 4)
+    for tag, inner in [("U0", inner_j), ("W0", inner_j), ("V0", inner_j),
+                       ("W0", cubic), ("V0", degenerate)]:
+        outer = f21_coefficients(tag, n)
+        got, want = compose(outer, inner), _compose_reference(outer, inner)
+        assert got.coeffs == want.coeffs, (tag, inner)
+        integral = all(Fraction(c).denominator == 1 for c in want.coeffs)
+        assert {type(c) for c in got.coeffs} == {int if integral else Fraction}
+
+
+def test_mul_of_fraction_windows_with_an_integral_product_gives_ints():
+    got = QSeries([Fraction(1, 2), 1, Fraction(1, 2)]) * QSeries([2, Fraction(4), 8])
+    assert got.coeffs == [1, 4, 9]
+    assert all(type(c) is int for c in got.coeffs)
+    half = QSeries([Fraction(1, 2), 0]) * QSeries([1, 1])
+    assert half.coeffs == [Fraction(1, 2), Fraction(1, 2)]
+    assert all(type(c) is Fraction for c in half.coeffs)
+
+
 def test_pow_rational_matches_reference_on_e4():
     e4 = eisenstein(4, 30)
     for r in (Fraction(1, 8), Fraction(1, 4), Fraction(-3, 4), Fraction(5, 12)):

@@ -5,9 +5,11 @@ Windows are drawn with int or Fraction coefficients and shift 0 or -1 (the
 j-function's Laurent window).  Operands of one law share a shift and a
 window length, so both sides of each identity carry the same precision.
 The integer-scaled `compose` and `pow_rational` are checked against the
-Fraction references in test_qseries.py, on inner series of shift 0, 1 and 2.
+Fraction references in test_qseries.py, on inner series of shift 0, 1 and 2,
+and series products against a schoolbook convolution of Fractions.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -16,7 +18,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from test_qseries import _compose_reference, _pow_rational_reference  # noqa: E402
+from test_qseries import _compose_reference, _poly_mul, _pow_rational_reference  # noqa: E402
 from theta_forms.qseries import QSeries, compose, invert_unit, pow_rational  # noqa: E402
 
 INTS = st.integers(-50, 50)
@@ -36,6 +38,33 @@ def windows(draw, count, shifts=(0, -1), unit=False):
             coeffs[0] = 1
         out.append(QSeries(coeffs, shift))
     return out
+
+
+MIXED = st.one_of(INTS, FRACTIONS)
+
+
+@given(
+    st.lists(MIXED, min_size=1, max_size=10),
+    st.lists(MIXED, min_size=1, max_size=10),
+    st.sampled_from([-1, 0, 1]),
+    st.sampled_from([-1, 0, 1]),
+)
+def test_mul_matches_schoolbook_fractions(a, b, sa, sb):
+    got = QSeries(a, sa) * QSeries(b, sb)
+    want = _poly_mul([Fraction(c) for c in a], [Fraction(c) for c in b], min(len(a), len(b)))
+    assert got.shift == sa + sb
+    assert got.coeffs == want
+    # the type rule: ints when every coefficient is integral, else Fractions
+    integral = all(Fraction(c).denominator == 1 for c in want)
+    assert {type(c) for c in got.coeffs} == {int if integral else Fraction}
+
+
+@given(st.lists(MIXED, min_size=1, max_size=10))
+def test_mul_clearing_the_denominators_gives_ints(a):
+    d = math.lcm(*[Fraction(c).denominator for c in a])
+    got = QSeries(a) * QSeries([d] + [0] * (len(a) - 1))
+    assert got.coeffs == [c * d for c in a]
+    assert all(type(c) is int for c in got.coeffs)
 
 
 @given(windows(3))
