@@ -61,9 +61,12 @@ def _chi(p: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _inv(p: int) -> np.ndarray:
-    """inv[v] = v^-1 mod p, with inv[0] = 0."""
-    inv = np.zeros(p, dtype=np.int64)
-    inv[1:] = [pow(v, -1, p) for v in range(1, p)]
+    """inv[v] = v^(p-2) = v^-1 mod p, with inv[0] = 0, by square-and-multiply on the array."""
+    v, inv = np.arange(p, dtype=np.int64), np.ones(p, dtype=np.int64)
+    for bit in bin(p - 2)[2:]:
+        inv = inv * inv % p
+        if bit == "1":
+            inv = inv * v % p
     inv.flags.writeable = False
     return inv
 

@@ -2,12 +2,13 @@
 
 Coefficients are stored as plain ints in [0, p), lowest degree first, with no
 trailing zeros (the zero polynomial is the empty list).  There is one
-factoring algorithm, ``factor_pattern`` (squarefree decomposition, then
-distinct-degree splitting); the splitting tests ``splits_into_linears`` and
-``splits_over_fp2`` are queries on its result.  Besides that: one Horner
-``evaluate`` at an F_p point (an int) or an F_{p^2} point (a pair (c0, c1)
-for c0 + c1 w, w^2 the least non-residue), brute-force root scans, and power
-sums for the mod-p reductions of the j-polynomials; all return plain ints.
+factoring algorithm, ``factor_pattern`` (distinct-degree splitting alone,
+peeling repeated factors off as it goes); the splitting tests
+``splits_into_linears`` and ``splits_over_fp2`` are queries on its result.
+Besides that: one Horner ``evaluate`` at an F_p point (an int) or an F_{p^2}
+point (a pair (c0, c1) for c0 + c1 w, w^2 the least non-residue), brute-force
+root scans, and power sums for the mod-p reductions of the j-polynomials; all
+return plain ints.
 
 The distinct-degree splitting raises x^(p^d) to the p-th power mod g on int64
 coefficient arrays: each product is one ``np.convolve`` reduced mod p, and
@@ -310,11 +311,23 @@ class FactorPattern:
         return {m for (_d, m), _ in self.pairs}
 
 
-def _distinct_degree_counts(s: FpPoly) -> Counter:
-    """Degrees of the irreducible factors of squarefree s, via x^(p^d) gcds."""
-    out: Counter = Counter()
-    g = s.monic()
-    p = s.p
+def factor_pattern(f: FpPoly) -> FactorPattern:
+    """Degrees and multiplicities of the monic irreducible factors of f.
+
+    Distinct-degree splitting alone, with no squarefree pre-pass.  Once g has
+    no factor of degree below d, c = gcd(g, x^(p^d) - x) is the product of
+    its distinct degree-d factors; dividing g by c, then by gcd(g, c), and so
+    on peels them off one multiplicity at a time.  When 2d > deg g, what is
+    left is one irreducible factor of multiplicity 1: two factors, equal or
+    not, would need degree at least 2d.
+    """
+    if f.is_zero():
+        raise ValueError("zero polynomial")
+    p = f.p
+    if p > 10**4:
+        raise ValueError(f"p = {p} beyond the desk-scale bound 10^4")
+    pairs: Counter = Counter()
+    g = f.monic()
     x = FpPoly.x(p)
     frob = x  # x^(p^d) mod g
     ginv = _reversed_inverse(g)
@@ -322,62 +335,20 @@ def _distinct_degree_counts(s: FpPoly) -> Counter:
     while g.degree > 0:
         d += 1
         if 2 * d > g.degree:
-            out[g.degree] += 1
+            pairs[(g.degree, 1)] += 1
             break
         frob = _pow_mod(frob % g, p, g, ginv)
-        cand = gcd(g, frob - x)
-        if cand.degree > 0:
-            out[d] += cand.degree // d
-            g = g // cand
+        c = gcd(g, frob - x)
+        mult = 0
+        while c.degree > 0:
+            mult += 1
+            g = g // c
+            left = gcd(g, c)  # the factors of multiplicity above mult
+            if c.degree > left.degree:
+                pairs[(d, mult)] += (c.degree - left.degree) // d
+            c = left
+        if mult:
             ginv = _reversed_inverse(g)
-    return out
-
-
-def _squarefree_decomposition(f: FpPoly) -> list[tuple[int, FpPoly]]:
-    """(multiplicity, squarefree factor product) pairs with f = prod s^m.
-
-    The char-p variant: multiplicities divisible by p surface as a zero
-    derivative and are unwrapped through the Frobenius.
-    """
-    out: list[tuple[int, FpPoly]] = []
-    g = f.monic()
-    scale = 1
-    while g.degree > 0:
-        dg = g.derivative()
-        if dg.is_zero():
-            # all exponents divisible by p: g(x) = h(x)^p coefficientwise
-            g = FpPoly(g.coeffs[:: g.p], g.p).monic()
-            scale *= f.p
-            continue
-        c = gcd(g, dg)
-        w = g // c
-        i = 1
-        while w.degree > 0:
-            y = gcd(w, c)
-            z = w // y
-            if z.degree > 0:
-                out.append((i * scale, z))
-            w = y
-            c = c // y
-            i += 1
-        g = c
-    return out
-
-
-def factor_pattern(f: FpPoly) -> FactorPattern:
-    """Degrees and multiplicities of the monic irreducible factors of f.
-
-    Squarefree decomposition first, then distinct-degree splitting of each
-    squarefree piece.
-    """
-    if f.is_zero():
-        raise ValueError("zero polynomial")
-    if f.p > 10**4:
-        raise ValueError(f"p = {f.p} beyond the desk-scale bound 10^4")
-    pairs: Counter = Counter()
-    for mult, part in _squarefree_decomposition(f):
-        for deg, cnt in _distinct_degree_counts(part).items():
-            pairs[(deg, mult)] += cnt
     return FactorPattern(tuple(sorted(pairs.items())))
 
 

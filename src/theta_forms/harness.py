@@ -42,9 +42,10 @@ import contextlib
 import csv
 import io
 import json
+import os
 import sys
+import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cache, partial
@@ -424,6 +425,8 @@ def _run_over_primes(fn, primes, jobs: int):
     if jobs <= 1 or len(primes) <= 1:
         batches = [fn(p) for p in primes]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # only --jobs > 1 pays for the import
+
         # the pool starts all its workers at once, so it gets no more than
         # there are primes
         with ProcessPoolExecutor(max_workers=min(jobs, len(primes))) as pool:
@@ -692,6 +695,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _open_report(path: str):
+    """(file, temporary path): a temporary file beside a regular or new target,
+    with its mode, to replace it; a device or FIFO target itself, with None."""
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        return open(path, "w"), None
+    fd, tmp = tempfile.mkstemp(prefix=".", suffix=".tmp", dir=os.path.dirname(target))
+    umask = os.umask(0)
+    os.umask(umask)
+    os.chmod(tmp, os.stat(target).st_mode & 0o7777 if os.path.exists(target) else 0o666 & ~umask)
+    return os.fdopen(fd, "w"), tmp
+
+
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
@@ -716,14 +732,20 @@ def main(argv=None) -> int:
         if args.lane != "identities":
             _refuse_order(args.lane, cfg)
         # opened before the sweep, so an unwritable path fails at once
-        out = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
+        out, tmp = _open_report(args.out) if args.out else (contextlib.nullcontext(sys.stdout), None)
     except (ValueError, OSError) as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return 2
 
-    with out as fh:
-        reports = _LANES[args.lane](cfg)
-        fh.write(_RENDERERS[cfg.fmt](reports))
+    try:
+        with out as fh:
+            reports = _LANES[args.lane](cfg)
+            fh.write(_RENDERERS[cfg.fmt](reports))
+        if tmp:
+            os.replace(tmp, os.path.realpath(args.out))
+    finally:
+        if tmp and os.path.exists(tmp):  # a crash leaves the old report as it was
+            os.unlink(tmp)
     return 1 if any(r.status == "fail" for r in reports) else 0
 
 

@@ -24,6 +24,8 @@ the same solve run in residues, from the target's residues of q^0..q^(n_k).
 It is exact because U^-1 has integer coefficients (E4 and E6 do, with
 constant term 1) and the t-rows are integer with leading 1, so the map from
 target to coordinates is unimodular over Z and commutes with reduction mod p.
+The solve is cached on those residues, so P(1) and P(E_(p-1)), whose
+residues agree since E_(p-1) = 1 mod p, are solved once per prime.
 The exact solve (``basis_coordinates``, ``pf_polynomial``, ``constructor``)
 serves ``show`` and the tests.
 """
@@ -196,6 +198,22 @@ def basis(k: int, order: int | None = None) -> list[QSeries]:
     return [u * QSeries(rows[w.n - l][:order]) for l in range(w.n + 1)]
 
 
+def _back_substitute(residual: list[int], p: int = 0) -> list[int]:
+    """c_0..c_n with sum c_l t^(n-l) = residual to q^n, n = len - 1, consuming
+    residual; given p, residues mod p, each entry reduced when it is read."""
+    n = len(residual) - 1
+    rows = _t_powers(n + 1)
+    coords = [0] * (n + 1)
+    for e in range(n + 1):
+        c = residual[e] % p if p else residual[e]
+        coords[n - e] = c
+        if c:
+            row = rows[e]
+            for e2 in range(e + 1, n + 1):
+                residual[e2] -= c * row[e2]
+    return coords
+
+
 def basis_coordinates(f: QSeries, k: int) -> BasisCoordinates:
     """Solve for the unique coordinates matching f on q^0..q^(n_k).
 
@@ -212,16 +230,7 @@ def basis_coordinates(f: QSeries, k: int) -> BasisCoordinates:
     fractional = any(isinstance(c, Fraction) for c in targets)
     den = math.lcm(*(c.denominator for c in targets)) if fractional else 1
     scaled = QSeries([c.numerator * (den // c.denominator) for c in targets])
-    residual = (scaled * _unit(w, m, -1)).coeffs
-    rows = _t_powers(m)
-    coords = [0] * m
-    for e in range(m):
-        c = residual[e]
-        coords[w.n - e] = c
-        if c:
-            row = rows[e]
-            for e2 in range(e + 1, m):
-                residual[e2] -= c * row[e2]
+    coords = _back_substitute((scaled * _unit(w, m, -1)).coeffs)
     if fractional:
         coords = [Fraction(c, den) for c in coords]
     return BasisCoordinates(k, tuple(coords))
@@ -259,30 +268,23 @@ def coordinates_mod_p(target, k: int, p: int) -> list[int]:
     target shorter than n_k + 1 raises ConfigError.  The solve is
     ``basis_coordinates`` in residues: h = target * U^-1 mod p, with U^-1
     from the power recurrence on E4 and E6 mod p (``eisenstein_mod``), then
-    back-substitution against the shared t-table, each row entry reduced as
-    it is used.  The recurrence divides by 1..n_k, so p must exceed n_k;
-    every verify lane has n_k <= (p + 1)/12.
+    back-substitution against the shared t-table.  The recurrence divides by
+    1..n_k, so p must exceed n_k; every verify lane has n_k <= (p + 1)/12.
     """
     w = weight_indices(k)
-    m = w.n + 1
     _require_dimension(w, len(target))
     if p <= w.n:
         raise ValueError(f"p = {p} does not exceed n = {w.n} of weight {k}")
-    h = [rat_mod(c, p) for c in target[:m]]
+    return list(_solve_mod_p(tuple(rat_mod(c, p) for c in target[: w.n + 1]), w, p))
+
+
+@lru_cache(maxsize=2)  # the last two residue targets: P(1) follows P(E_(p-1))
+def _solve_mod_p(h: tuple, w: WeightIndices, p: int) -> tuple:
+    m = len(h)
     u = _series_pow_mod(eisenstein_mod(4, m, p), -(w.a + 3 * w.n), p)
     if w.b:
         u = _series_mul_mod(u, _series_pow_mod(eisenstein_mod(6, m, p), -1, p), p)
-    residual = _series_mul_mod(h, u, p)
-    rows = _t_powers(m)
-    coords = [0] * m
-    for e in range(m):
-        c = residual[e]
-        coords[w.n - e] = c
-        if c:
-            row = rows[e]
-            for e2 in range(e + 1, m):
-                residual[e2] = (residual[e2] - c * row[e2]) % p
-    return coords
+    return tuple(_back_substitute(_series_mul_mod(h, u, p), p))
 
 
 def combination(coords: BasisCoordinates, order: int | None = None) -> QSeries:

@@ -906,3 +906,11 @@ def test_hessian_norm_condition_set_at_5_hits_excluded_values_only():
     # two special invariants both sides are empty and still agree
     assert hessian_norm_condition_j_set(5) == set()
     assert hex_zero_set(5) == set()
+
+
+def test_inverse_table_is_the_modular_inverse():
+    # the array square-and-multiply against one pow per residue, at every prime to 997
+    for p in primes_in_range(5, 997):
+        inv = curves._inv(p)
+        assert inv.tolist() == [0] + [pow(v, -1, p) for v in range(1, p)], p
+        assert not inv.flags.writeable

@@ -9,7 +9,6 @@ import pytest
 from theta_forms.exact_arith import least_nonresidue
 from theta_forms.fppoly import (
     FpPoly,
-    _distinct_degree_counts,
     _pow_mod,
     _reversed_inverse,
     factor_pattern,
@@ -279,7 +278,7 @@ def test_reversed_inverse_is_the_series_inverse(p):
 
 
 def test_pow_mod_after_the_modulus_shrinks():
-    # as in _distinct_degree_counts: x^(p^d) mod g, then g // cand with a fresh inverse
+    # as in factor_pattern: x^(p^d) mod g, then g // cand with a fresh inverse
     rng = random.Random(59)
     for p in (5, 7, 983, 9973):
         linear = _poly_from_roots(rng.sample(range(p), 4), p)
@@ -310,7 +309,71 @@ def test_distinct_degree_counts_of_known_products():
     for fs in parts.values():
         for f in fs:
             s = s * f
-    assert _distinct_degree_counts(s) == Counter({1: 2, 2: 1, 3: 1, 5: 1})
+    assert factor_pattern(s).pairs == (((1, 1), 2), ((2, 1), 1), ((3, 1), 1), ((5, 1), 1))
+
+
+def _squarefree_decomposition(f: FpPoly) -> list[tuple[int, FpPoly]]:
+    """(multiplicity, squarefree factor product) pairs with f = prod s^m.
+
+    The char-p variant: multiplicities divisible by p surface as a zero
+    derivative and are unwrapped through the Frobenius.
+    """
+    out: list[tuple[int, FpPoly]] = []
+    g = f.monic()
+    scale = 1
+    while g.degree > 0:
+        dg = g.derivative()
+        if dg.is_zero():
+            # all exponents divisible by p: g(x) = h(x)^p coefficientwise
+            g = FpPoly(g.coeffs[:: g.p], g.p).monic()
+            scale *= f.p
+            continue
+        c = gcd(g, dg)
+        w = g // c
+        i = 1
+        while w.degree > 0:
+            y = gcd(w, c)
+            z = w // y
+            if z.degree > 0:
+                out.append((i * scale, z))
+            w = y
+            c = c // y
+            i += 1
+        g = c
+    return out
+
+
+def _pattern_by_squarefree_parts(f: FpPoly) -> tuple:
+    """Reference factor pattern: squarefree decomposition, then distinct-degree
+    splitting of each squarefree part with schoolbook x^(p^d) mod g."""
+    p, x = f.p, FpPoly.x(f.p)
+    pairs: Counter = Counter()
+    for mult, g in _squarefree_decomposition(f):
+        d = 0
+        while g.degree > 0:
+            d += 1
+            if 2 * d > g.degree:
+                pairs[(g.degree, mult)] += 1
+                break
+            cand = gcd(g, _pow_poly_mod(x, p**d, g) - x)
+            pairs[(d, mult)] += cand.degree // d
+            g = g // cand
+    return tuple(sorted((key, cnt) for key, cnt in pairs.items() if cnt))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 983])
+def test_factor_pattern_matches_squarefree_decomposition(p):
+    # random products of factors of degree 1..5 raised to 1..4 (and to p when
+    # that stays small), so repeated factors meet the 2d > deg g stop
+    rng = random.Random(11 * p)
+    powers = [1, 1, 2, 3, 4] + ([p] if p < 10 else [])
+    for _ in range(40):
+        f = FpPoly([rng.randrange(1, p)], p)
+        for _ in range(rng.randrange(1, 5)):
+            factor = _random_monic(rng, p, rng.randrange(1, 6))
+            for _ in range(rng.choice(powers)):
+                f = f * factor
+        assert factor_pattern(f).pairs == _pattern_by_squarefree_parts(f), (p, f)
 
 
 # ---------------------------------------------------------------------------

@@ -44,12 +44,12 @@ def _sympy_pattern(f: FpPoly) -> tuple:
 
 @st.composite
 def polys(draw, p=None):
-    """A nonzero polynomial mod p: a unit times up to three factor powers."""
+    """A nonzero polynomial mod p: a unit times up to four factor powers."""
     if p is None:
         p = draw(st.sampled_from(PRIMES))
     f = FpPoly([draw(st.integers(1, p - 1))], p)
-    for _ in range(draw(st.integers(0, 3))):
-        deg = draw(st.integers(1, 3))
+    for _ in range(draw(st.integers(0, 4))):
+        deg = draw(st.integers(1, 5))
         coeffs = draw(st.lists(st.integers(0, p - 1), min_size=deg, max_size=deg))
         factor = FpPoly(coeffs + [1], p)
         for _ in range(draw(st.sampled_from([1, 1, 2, 3, p]))):

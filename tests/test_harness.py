@@ -1,6 +1,7 @@
 """Tests for the verification harness: reports, sweeps, rendering, CLI."""
 
 import argparse
+import concurrent.futures
 import importlib
 import json
 import os
@@ -340,6 +341,34 @@ def test_pf_mod_p_solved_once_per_series(monkeypatch):
     assert weights() == sorted(2 * [p - 1 for p in primes_in_range(5, 31)])
 
 
+def test_background_solves_once_per_prime():
+    # P(1) and P(E_(p-1)) have the same residues, so the extremal row's solve
+    # is a cache hit: one solve body per prime
+    modforms._solve_mod_p.cache_clear()
+    reports = cmd_verify_background(SweepConfig(p_min=5, p_max=199))
+    assert all(r.status != "fail" for r in reports)
+    info = modforms._solve_mod_p.cache_info()
+    assert info.misses == len(primes_in_range(5, 199))
+    assert info.hits == info.misses
+
+
+def test_extremal_row_fails_where_the_background_residues_are_perturbed(monkeypatch):
+    bad_p = 101
+    real = harness.eisenstein_mod
+
+    def planted(k, n, p):
+        out = real(k, n, p)
+        if p == bad_p:
+            out[1] = (out[1] + 1) % p
+        return out
+
+    monkeypatch.setattr(harness, "eisenstein_mod", planted)
+    rows = cmd_verify_background(SweepConfig(p_min=89, p_max=113))
+    failed = [r for r in rows if r.check_id == "bg_extremal_congruence" and r.status == "fail"]
+    assert [r.p for r in failed] == [bad_p]
+    assert re.fullmatch(r"x\^\d+: \d+ != \d+", failed[0].witness)
+
+
 def test_lanes_solve_without_the_basis(monkeypatch):
     # every P(j) mod p comes from the mod-p solve against the shared t-table;
     # basis() and the exact solve serve show, the tests and tracing
@@ -539,7 +568,8 @@ def test_process_pool_bounded_by_primes(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    # _run_over_primes imports the pool class from concurrent.futures when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     strip = lambda rs: [(r.check_id, r.p, r.k, r.status, r.witness) for r in rs]
     serial = cmd_verify_theta_hex(SweepConfig(p_min=5, p_max=29))
     assert sizes == []
@@ -734,6 +764,50 @@ def test_main_unwritable_out_exits_two(tmp_path, capsys):
     assert main(["verify", "theta-hex", "--p-max", "17", "--out", str(out)]) == 2
     assert "configuration error" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_main_crash_leaves_an_existing_report_intact(tmp_path, monkeypatch):
+    # a raise outside any check row escapes main; the old report must survive it
+    out = tmp_path / "r.json"
+    out.write_bytes(b'["old row"]\n')
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("vanishing primes broke")
+
+    monkeypatch.setattr(harness, "admissible_vanishing_primes", broken)
+    with pytest.raises(RuntimeError, match="vanishing primes broke"):
+        main(["verify", "identities", "--p-max", "13", "--format", "json", "--out", str(out)])
+    assert out.read_bytes() == b'["old row"]\n'
+    assert os.listdir(tmp_path) == ["r.json"]  # no temporary file left behind
+
+
+def test_main_report_replaces_the_target_whole(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    out.write_text("old")
+    out.chmod(0o640)
+    assert main(["verify", "theta-hex", "--p-max", "17", "--format", "json", "--out", str(out)]) == 0
+    assert main(["verify", "theta-hex", "--p-max", "17", "--format", "json"]) == 0
+    assert out.read_text() == capsys.readouterr().out
+    assert out.stat().st_mode & 0o777 == 0o640
+    assert os.listdir(tmp_path) == ["r.json"]
+
+
+def test_main_out_to_a_device_is_written_directly(monkeypatch, capsys):
+    # no temporary file may be made beside /dev/null, let alone moved onto it
+    def refuse(*args, **kwargs):
+        raise AssertionError("temporary file for a device target")
+
+    monkeypatch.setattr(harness.tempfile, "mkstemp", refuse)
+    assert main(["verify", "theta-hex", "--p-max", "17", "--out", os.devnull]) == 0
+    assert capsys.readouterr().out == ""
+
+
+def test_main_new_report_gets_the_default_mode(tmp_path):
+    umask = os.umask(0o022)
+    os.umask(umask)
+    out = tmp_path / "new.json"
+    assert main(["verify", "theta-hex", "--p-max", "17", "--format", "json", "--out", str(out)]) == 0
+    assert out.stat().st_mode & 0o777 == 0o666 & ~umask
 
 
 def test_main_ss_cap_lifts_supersingular_skips(capsys):
