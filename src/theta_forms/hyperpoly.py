@@ -4,39 +4,34 @@ Six parameter triples are hard-bound to family tags (U0, U1, W0, W1, V0, V1)
 so they cannot drift.  Each family's scaled stream c_m * 1728^m turns the
 series in 1/j into the degree-n truncated polynomials in j that the
 congruence sweeps compare against; the same streams feed the
-vanishing-window checks and the lambda-side polynomial G_p.
+vanishing-window checks, the residue constant, the series identities and the
+lambda-side polynomial G_p.
 
 Two versions of the ratio recurrence
 c_(m+1) = c_m (alpha+m)(beta+m) / ((gamma+m)(m+1)) run here.  The exact one
-runs in Fractions (``f21_coefficients``, ``truncated_poly``), so
-p-divisibility can be inspected honestly: the vanishing windows and the
-residue constant read it.  The mod-p one (``truncated_poly_mod``,
-``gp_poly``) runs the same recurrence in residues.  Reduction mod p is a ring
-map on the rationals with no p in the denominator, so the mod-p stream up to
-c_n equals the exact stream reduced mod p whenever no factor (gamma+m)(m+1)
-with m < n is 0 mod p.  The mod-p stream raises ValueError otherwise, even
-where the exact value is p-integral because the p cancels.
+runs in Fractions, so p-divisibility can be inspected honestly: the
+vanishing windows and the residue constant read it.  Each parameter triple
+has one exact stream (``_STREAMS``), extended in place as readers ask for
+more terms; ``f21_coefficients`` hands out copies of its prefixes, and the
+other readers index it.  The identity rows expand F(...; 1728/j) as
+sum c_m 1728^m t^m over the t-table of ``modforms.series_in_t``, the table
+the basis solve reads.  The mod-p recurrence (``truncated_poly_mod``,
+``gp_poly``) runs the same recurrence in residues.  Reduction mod p is a
+ring map on the rationals with no p in the denominator, so the mod-p stream
+up to c_n equals the exact stream reduced mod p whenever no factor
+(gamma+m)(m+1) with m < n is 0 mod p.  The mod-p stream raises ValueError
+otherwise, even where the exact value is p-integral because the p cancels.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact_arith import Rat, padic_valuation, rat_mod
 from .fppoly import FpPoly
-from .modforms import RatPoly
-from .qseries import (
-    QSeries,
-    compose,
-    eisenstein,
-    invert_unit,
-    j_invariant,
-    pow_rational,
-    theta_H,
-    theta_Z,
-)
+from .modforms import RatPoly, series_in_t
+from .qseries import QSeries, compose, eisenstein, invert_unit, pow_rational, theta_H, theta_Z
 
 
 @dataclass(frozen=True)
@@ -92,23 +87,30 @@ def pochhammer(x: Rat | int, n: int) -> Rat:
     return acc
 
 
-def f21_coefficients(params, m_max: int) -> list[Rat]:
-    """c_m = (a)_m (b)_m / ((g)_m m!) for m = 0..m_max, by the ratio recurrence."""
-    return _f21_extended(_resolve_params(params), [Fraction(1)], m_max)
+# parameter triple -> its exact stream c_0, c_1, ..., shared by every reader
+# and extended in place; readers index or slice it and never mutate it
+_STREAMS: dict[HGParams, list[Rat]] = {}
 
 
-def _f21_extended(p: HGParams, cs: list[Rat], m_max: int) -> list[Rat]:
-    """The stream prefix ``cs`` = [c_0, ..] extended in place to c_m_max."""
-    a, b, g = p.alpha, p.beta, p.gamma
+def _stream(params, m_max: int) -> list[Rat]:
+    """The shared exact stream of ``params``, extended to at least c_m_max
+    by the ratio recurrence."""
+    hp = _resolve_params(params)
+    cs = _STREAMS.setdefault(hp, [Fraction(1)])
+    a, b, g = hp.alpha, hp.beta, hp.gamma
     for m in range(len(cs) - 1, m_max):
         cs.append(cs[-1] * (a + m) * (b + m) / ((g + m) * (m + 1)))
     return cs
 
 
+def f21_coefficients(params, m_max: int) -> list[Rat]:
+    """c_m = (a)_m (b)_m / ((g)_m m!) for m = 0..m_max, as a new list."""
+    return _stream(params, m_max)[: m_max + 1]
+
+
 def scaled_coefficient_mod(params, m: int, p: int) -> int:
     """The residue of c_m * 1728^m mod p (the j-polynomial coefficient scale)."""
-    c = f21_coefficients(params, m)[m]
-    return rat_mod(c * Fraction(1728) ** m, p)
+    return rat_mod(_stream(params, m)[m] * Fraction(1728) ** m, p)
 
 
 def _stream_mod(params, n: int, p: int, scale: int) -> list[int]:
@@ -146,7 +148,7 @@ def truncated_poly(fam, n: int) -> RatPoly:
     """
     if n < 0:
         raise ValueError("degree must be >= 0")
-    cs = f21_coefficients(fam, n)
+    cs = _stream(fam, n)
     coeffs = [cs[n - i] * Fraction(1728) ** (n - i) for i in range(n + 1)]
     return RatPoly(coeffs)
 
@@ -168,11 +170,6 @@ def gp_poly(p: int) -> FpPoly:
     if p < 7 or p % 4 != 3:
         raise ValueError(f"p = {p} is not a prime = 3 mod 4, >= 7")
     return FpPoly(_stream_mod(_GP_PARAMS, (p + 1) // 4, p, 1), p)
-
-
-def _gp_coefficients(m_max: int) -> list[Rat]:
-    """The G_p stream (-1/4)_m (1/4)_m / ((1/2)_m m!) for m = 0..m_max."""
-    return f21_coefficients(_GP_PARAMS, m_max)
 
 
 # ---------------------------------------------------------------------------
@@ -207,11 +204,6 @@ def _window_bounds(tag: str, p: int) -> tuple[int, int]:
     return n, 4 * n + 2
 
 
-# tag -> the family's exact stream c_0, c_1, ..., shared by every prime's
-# window and extended in place when a window reaches past its end
-_WINDOW_STREAMS: dict[str, list[Rat]] = {}
-
-
 def vanishing_window(tag: str, p: int) -> tuple[int, int, bool]:
     """The open coefficient window (lo, hi) forced to vanish mod p, and whether
     the family's exact stream actually vanishes there.
@@ -219,9 +211,8 @@ def vanishing_window(tag: str, p: int) -> tuple[int, int, bool]:
     if tag not in _WINDOW_RULES:
         raise ValueError(f"family {tag} has no vanishing-window statement")
     lo, hi = _window_bounds(tag, p)
-    stream = _WINDOW_STREAMS.setdefault(tag, [Fraction(1)])
-    cs = _f21_extended(FAMILY_PARAMS[tag], stream, hi - 1)[lo + 1 : hi]
-    return lo, hi, all(c == 0 or padic_valuation(c, p) >= 1 for c in cs)
+    cs = _stream(tag, hi - 1)
+    return lo, hi, all(cs[m] == 0 or padic_valuation(cs[m], p) >= 1 for m in range(lo + 1, hi))
 
 
 def admissible_vanishing_primes(tag: str, count: int) -> list[int]:
@@ -264,7 +255,7 @@ def cubic_transform_mismatch(order: int) -> int | None:
     inner = num * invert_unit(den)
     lhs = compose(f21_coefficients("W0", n), inner)
     front = pow_rational(poly, Fraction(-1, 8))
-    rhs = front * QSeries(_gp_coefficients(n - 1))
+    rhs = front * QSeries(f21_coefficients(_GP_PARAMS, n - 1))
     return lhs.first_mismatch(rhs, upto=n)
 
 
@@ -280,22 +271,14 @@ def degenerate_eval_mismatch(order: int) -> int | None:
     return lhs.first_mismatch(rhs, upto=n)
 
 
-@functools.lru_cache(maxsize=1)
-def _1728_over_j(order: int) -> QSeries:
-    """1728/j from ``j_invariant(order)``, built once per order; callers must
-    not mutate it."""
-    return j_invariant(order)._invert() * 1728
-
-
 def _f21_of_1728_over_j(tag: str, order: int) -> QSeries:
-    """F(tag; 1728/j) as a q-series known to the requested order.
+    """F(tag; 1728/j) as a q-series known to q^order.
 
-    The three families read one cached 1728/j, so j and its inverse are built
-    once per order, and ``compose`` finds the powers of that one inner series
-    in its cache after the first family.
+    Since 1728/j = 1728 t, this is sum c_m 1728^m t^m over the shared t-table
+    of ``series_in_t``, which every family and the basis solve read.
     """
-    inner = _1728_over_j(order)
-    return compose(f21_coefficients(tag, inner.order), inner)
+    cs = f21_coefficients(tag, order)
+    return series_in_t([c * 1728**m for m, c in enumerate(cs)], order + 1)
 
 
 def theta_z_hypergeometric_mismatch(order: int) -> int | None:

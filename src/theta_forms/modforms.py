@@ -15,9 +15,12 @@ triangular system, t^0..t^(n_k), do not depend on k.  They live in one
 module-level table, built on first use and extended in place when a larger
 order is asked for.  A solve costs the two unit powers, one product and a
 back-substitution in plain ints against the table (the target scaled by the
-lcm of its denominators, one division at the end).  Writing the combination
-over the common factor Delta^(n_k) E4^(a_k) E6^(b_k) turns the coordinates
-into a polynomial in j, since E4^3 / Delta = j.
+lcm of its denominators, one division at the end).  ``series_in_t`` sums
+any series in t = 1/j from the same table; ``combination`` and the identity
+rows of ``hyperpoly`` read it, so it is the package's one table of powers
+of 1/j.  Writing the combination over the common factor
+Delta^(n_k) E4^(a_k) E6^(b_k) turns the coordinates into a polynomial in j,
+since E4^3 / Delta = j.
 
 The verify lanes read P(j) only mod p, so they call ``coordinates_mod_p``:
 the same solve run in residues, from the target's residues of q^0..q^(n_k).
@@ -39,7 +42,7 @@ from functools import lru_cache
 from operator import mul
 
 from .exact_arith import rat_mod
-from .qseries import QSeries, delta, eisenstein, eisenstein_mod, pow_rational
+from .qseries import QSeries, _cleared, _divided, delta, eisenstein, eisenstein_mod, pow_rational
 
 
 # ---------------------------------------------------------------------------
@@ -287,21 +290,31 @@ def _solve_mod_p(h: tuple, w: WeightIndices, p: int) -> tuple:
     return tuple(_back_substitute(_series_mul_mod(h, u, p), p))
 
 
+def series_in_t(coeffs, order: int) -> QSeries:
+    """sum coeffs[m] * t^m to q^(order-1), for t = Delta / E4^3 = 1/j.
+
+    Read from the shared t-table: t^m leads with q^m, so only the first
+    ``order`` coefficients can matter.  They are cleared to C/D once, the sum
+    runs in ints, and it is divided by D once.
+    """
+    rows = _t_powers(order)
+    C, D = _cleared(coeffs[:order])
+    s = [0] * order
+    for m, c in enumerate(C):
+        if c:
+            row = rows[m]
+            for e in range(m, order):
+                s[e] += c * row[e]
+    return QSeries(_divided(s, [D] * order))
+
+
 def combination(coords: BasisCoordinates, order: int | None = None) -> QSeries:
     """The form U * sum(c_l * t^(n_k - l)) expanded to the given order."""
-    k = coords.k
-    w = weight_indices(k)
+    w = weight_indices(coords.k)
     if order is None:
-        order = default_order(k)
+        order = default_order(coords.k)
     _require_dimension(w, order)
-    rows = _t_powers(order)
-    s = [0] * order
-    for l, c in enumerate(coords.coords):
-        if c:
-            row = rows[w.n - l]
-            for e in range(w.n - l, order):
-                s[e] += c * row[e]
-    return _unit(w, order, 1) * QSeries(s)
+    return _unit(w, order, 1) * series_in_t(coords.coords[::-1], order)
 
 
 def constructor(f: QSeries, k: int, order: int | None = None) -> QSeries:

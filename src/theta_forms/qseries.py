@@ -14,9 +14,9 @@ residues mod p.
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
+from operator import mul
 
 from .exact_arith import Rat, bernoulli, rat_mod
 
@@ -149,25 +149,23 @@ class QSeries:
         return result
 
     def _invert(self) -> "QSeries":
-        """Inverse allowing positive valuation (internal; used for 1/Delta)."""
+        """Inverse allowing positive valuation (internal; used for 1/Delta).
+
+        Runs in denominator-cleared ints: with the unit part u = U/D and
+        u0 = U_0, the integers B_0 = 1, B_k = -sum_{i=1..k} U_i u0^(i-1) B_(k-i)
+        give 1/u = sum D B_k / u0^(k+1) q^k, each divided once at the end.
+        """
         v = self.valuation() - self.shift
-        u = self.coeffs[v:]
-        u0 = u[0]
-        if u0 == 1:
-            inv0 = 1
-        elif u0 == -1:
-            inv0 = -1
-        else:
-            inv0 = Fraction(1) / u0
-        n = len(u)
-        b = [inv0] + [0] * (n - 1)
+        U, D = _cleared(self.coeffs[v:])
+        n = len(U)
+        pows = [1] * (n + 1)  # u0^0 .. u0^n
+        for i in range(1, n + 1):
+            pows[i] = pows[i - 1] * U[0]
+        P = [U[i] * pows[i - 1] for i in range(1, n)]  # U_i u0^(i-1), from i = 1
+        B = [1] + [0] * (n - 1)
         for k in range(1, n):
-            acc = 0
-            for i in range(1, k + 1):
-                if i < len(u) and u[i]:
-                    acc += u[i] * b[k - i]
-            b[k] = -inv0 * acc
-        return QSeries(b, -(self.shift + v))
+            B[k] = -sum(map(mul, P[:k], B[k - 1 :: -1]))
+        return QSeries(_divided([D * b for b in B], pows[1:]), -(self.shift + v))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -286,33 +284,6 @@ def pow_rational(f: QSeries, r: Rat | int) -> QSeries:
     return QSeries(_divided(G, dens))
 
 
-@functools.lru_cache(maxsize=2)
-def _cleared_powers(shift: int, coeffs: tuple) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """E and the rows I^0 .. I^(n-1), each truncated to n terms, for the
-    ordinary window (shift, coeffs) of order n with constant term 0 cleared
-    to I/E.
-
-    I^m has valuation >= m, so row m is built from row m - 1 at index m - 1
-    and above.  Cached on the window, so the rows composing with one inner
-    series share its powers.
-    """
-    I, E = _cleared([0] * shift + list(coeffs))
-    n = len(I)
-    terms = [(j, x) for j, x in enumerate(I) if x]
-    rows = [(1,) + (0,) * (n - 1)]
-    for m in range(1, n):
-        prev, cur = rows[-1], [0] * n
-        for i in range(m - 1, n):
-            pi = prev[i]
-            if pi:
-                for j, x in terms:
-                    if i + j >= n:
-                        break
-                    cur[i + j] += pi * x
-        rows.append(tuple(cur))
-    return E, tuple(rows)
-
-
 def compose(outer, inner: QSeries) -> QSeries:
     """Substitute `inner` (constant term 0) into `outer` (series in x).
 
@@ -320,10 +291,11 @@ def compose(outer, inner: QSeries) -> QSeries:
     its first `inner.order` coefficients can matter.  Result precision equals
     inner's precision.
 
-    The sum runs in denominator-cleared ints against a cached table of the
-    inner's powers: with outer = C/D and the inner window I/E (shift 0, so
-    I_0 = 0), outer(inner) = sum_m C_m E^(N-m) I^m / (D E^N), truncated to
-    inner's order, and divided once at the end.
+    The sum runs in denominator-cleared ints: with outer = C/D and the inner
+    window I/E (shift 0, so I_0 = 0), outer(inner) = sum_m C_m E^(N-m) I^m /
+    (D E^N), truncated to inner's order, and divided once at the end.  Each
+    power I^m is built from I^(m-1), at index m - 1 and above since I^m has
+    valuation >= m, and is dropped once added in.
     """
     if inner.shift < 0:
         raise ValueError("inner series must be an ordinary power series, not a Laurent window")
@@ -339,20 +311,29 @@ def compose(outer, inner: QSeries) -> QSeries:
     if not outer_coeffs:
         return QSeries.zero(n)
     C, D = _cleared(outer_coeffs[:n])
-    E, powers = _cleared_powers(inner.shift, tuple(inner.coeffs))
+    I, E = _cleared([0] * inner.shift + inner.coeffs)
+    terms = [(j, x) for j, x in enumerate(I) if x]
     N = len(C) - 1
-    out = [0] * n
-    e_pow = 1  # E^(N-m)
-    for m in range(N, -1, -1):
-        cm = C[m] * e_pow
+    e_pows = [1] * (N + 1)  # E^0 .. E^N
+    for m in range(1, N + 1):
+        e_pows[m] = e_pows[m - 1] * E
+    out = [C[0] * e_pows[N]] + [0] * (n - 1)
+    row = [1] + [0] * (n - 1)  # I^m
+    for m in range(1, N + 1):
+        prev, row = row, [0] * n
+        for i in range(m - 1, n):
+            pi = prev[i]
+            if pi:
+                for j, x in terms:
+                    if i + j >= n:
+                        break
+                    row[i + j] += pi * x
+        cm = C[m] * e_pows[N - m]
         if cm:
-            row = powers[m]
             for k in range(m, n):
                 if row[k]:
                     out[k] += cm * row[k]
-        if m:
-            e_pow *= E
-    return QSeries(_divided(out, [D * e_pow] * n))
+    return QSeries(_divided(out, [D * e_pows[N]] * n))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,15 @@
-"""Shared pytest setup: a reproducible hypothesis profile.
+"""Shared pytest setup: a reproducible hypothesis profile and fresh series
+caches.
 
 Property tests draw the same examples on every run (``derandomize``), keep
 no example database and carry no per-example deadline, so a slow shared
-host changes neither their verdict nor their inputs.
+host changes neither their verdict nor their inputs.  ``fresh_series_caches``
+isolates a test that plants or grows the shared exact-series caches.
 """
+
+import pytest
+
+from theta_forms import hyperpoly, modforms
 
 try:
     from hypothesis import settings
@@ -12,3 +18,19 @@ except ImportError:  # the property tests skip themselves without hypothesis
 else:
     settings.register_profile("theta-forms", deadline=None, derandomize=True, database=None)
     settings.load_profile("theta-forms")
+
+
+@pytest.fixture
+def fresh_series_caches(monkeypatch):
+    """Empty shared exact-series caches for one test, restored afterwards.
+
+    The exact hypergeometric streams (``hyperpoly._STREAMS``) and the table
+    of powers of t = 1/j (``modforms._T_POWERS``) are module-level and only
+    ever extended, so a stream a test plants, or a table it grows, would
+    reach every later reader.  The fixture swaps in fresh ones through
+    ``monkeypatch`` and returns them as (streams, t_powers).
+    """
+    streams, t_powers = {}, [[1]]
+    monkeypatch.setattr(hyperpoly, "_STREAMS", streams)
+    monkeypatch.setattr(modforms, "_T_POWERS", t_powers)
+    return streams, t_powers

@@ -18,7 +18,7 @@ import pytest
 
 import theta_forms
 
-from theta_forms import fppoly, harness, hyperpoly, modforms, qseries
+from theta_forms import fppoly, harness, hyperpoly, modforms
 from theta_forms import curves
 from theta_forms.exact_arith import (
     Fp,
@@ -731,15 +731,35 @@ def test_per_prime_lane_refuses_an_order_through_the_api(lane):
         lane(SweepConfig(order=20, p_min=983, p_max=983))
 
 
-def test_identities_run_builds_the_1728_over_j_powers_once():
-    # five compose calls over three inner series: 1728/j for W0, V0 and U0,
-    # then the cubic-transform and degenerate-evaluation inners
-    hyperpoly._1728_over_j.cache_clear()
-    qseries._cleared_powers.cache_clear()
-    cmd_verify_identities(SweepConfig(p_min=5, p_max=13))
-    assert hyperpoly._1728_over_j.cache_info().misses == 1
-    info = qseries._cleared_powers.cache_info()
-    assert (info.misses, info.hits) == (3, 2)
+def test_identities_run_composes_twice_and_extends_the_t_table_once(
+    monkeypatch, fresh_series_caches
+):
+    # the three F(...; 1728/j) rows read the one t-table, grown once to the
+    # q^65 they expand to; only the cubic-transform and degenerate-evaluation
+    # rows compose
+    _, t_powers = fresh_series_caches
+    composed, sizes = [], []
+    compose, t_table = hyperpoly.compose, modforms._t_powers
+
+    def counted_compose(outer, inner):
+        composed.append(inner.order)
+        return compose(outer, inner)
+
+    def sized_t_table(order):
+        sizes.append(len(modforms._T_POWERS))
+        return t_table(order)
+
+    monkeypatch.setattr(hyperpoly, "compose", counted_compose)
+    monkeypatch.setattr(modforms, "_t_powers", sized_t_table)
+    cmd_verify_identities(SweepConfig(p_min=5, p_max=13, order=64))
+    assert composed == [64, 64]
+    assert sizes == [1, 66, 66] and len(t_powers) == 66
+
+
+@pytest.mark.parametrize("example", ["k52", "p107", "w0-4-mod103"])
+def test_show_matches_golden(example):
+    golden = Path(__file__).parent / "golden" / f"show_{example}.txt"
+    assert cmd_show(example) == golden.read_text()
 
 
 def test_readme_names_every_verify_option():

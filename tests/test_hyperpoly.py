@@ -24,12 +24,7 @@ from theta_forms.hyperpoly import (
     truncated_poly_mod,
     vanishing_window,
 )
-from theta_forms.hyperpoly import (
-    _WINDOW_RULES,
-    _WINDOW_STREAMS,
-    _gp_coefficients,
-    _window_bounds,
-)
+from theta_forms.hyperpoly import _GP_PARAMS, _WINDOW_RULES, _window_bounds
 from theta_forms.modforms import RatPoly, weight_indices
 
 
@@ -151,7 +146,7 @@ def test_truncated_poly_mod_guard_is_exact():
 
 
 def test_gp_poly_matches_exact_reduction_to_1000():
-    stream = _gp_coefficients(250)
+    stream = f21_coefficients(_GP_PARAMS, 250)
     for p in primes_in_range(7, 1000):
         if p % 4 == 3:
             want = FpPoly([rat_mod(c, p) for c in stream[: (p + 1) // 4 + 1]], p)
@@ -223,15 +218,32 @@ def test_vanishing_window_brute_valuations():
             assert cs[lo].numerator % p != 0
 
 
+def _fresh_stream(params, m_max):
+    """c_0..c_m_max by the ratio recurrence, in a list of the test's own."""
+    hp = FAMILY_PARAMS.get(params, params)
+    cs = [Fraction(1)]
+    for m in range(m_max):
+        cs.append(cs[-1] * (hp.alpha + m) * (hp.beta + m) / ((hp.gamma + m) * (m + 1)))
+    return cs
+
+
 def _vanishing_window_fresh(tag, p):
     """vanishing_window on a fresh stream of its own for each prime."""
     lo, hi = _window_bounds(tag, p)
-    cs = f21_coefficients(tag, max(hi - 1, 0))
+    cs = _fresh_stream(tag, max(hi - 1, 0))
     return lo, hi, all(cs[m] == 0 or padic_valuation(cs[m], p) >= 1 for m in range(lo + 1, hi))
 
 
-def test_vanishing_window_shared_stream_matches_fresh_streams_below_1000():
-    # ascending primes extend the shared stream, descending ones slice it
+def _read_orders(cases):
+    """The cases ascending, descending, and interleaved from both ends."""
+    interleaved = [c for pair in zip(cases, cases[::-1]) for c in pair][: len(cases)]
+    return {"ascending": cases, "descending": cases[::-1], "interleaved": interleaved}
+
+
+def test_vanishing_window_shared_stream_matches_fresh_streams_below_1000(fresh_series_caches):
+    # ascending primes extend the shared stream, descending ones slice it,
+    # interleaved ones do both in turn
+    streams, _ = fresh_series_caches
     cases = [
         (tag, p)
         for tag, (residues, modulus) in _WINDOW_RULES.items()
@@ -239,23 +251,49 @@ def test_vanishing_window_shared_stream_matches_fresh_streams_below_1000():
         if p % modulus in residues
     ]
     want = [_vanishing_window_fresh(tag, p) for tag, p in cases]
-    for order in (cases, cases[::-1]):
-        _WINDOW_STREAMS.clear()
+    for order in _read_orders(cases).values():
+        streams.clear()
         got = {(tag, p): vanishing_window(tag, p) for tag, p in order}
         assert [got[c] for c in cases] == want
 
 
-def test_vanishing_window_reads_exactly_the_open_window():
+def test_shared_streams_match_fresh_streams_in_any_read_order(fresh_series_caches):
+    # every reader of one triple's stream, each family and G_p interleaved
+    streams, _ = fresh_series_caches
+    q = 1000003
+    cases = [(tag, m) for m in range(0, 70, 3) for tag in [*FAMILY_PARAMS, _GP_PARAMS]]
+    for order in _read_orders(cases).values():
+        streams.clear()
+        for tag, m in order:
+            want = _fresh_stream(tag, m)
+            assert f21_coefficients(tag, m) == want, (tag, m)
+            assert scaled_coefficient_mod(tag, m, q) == rat_mod(want[m] * 1728**m, q), (tag, m)
+            if tag in FAMILY_PARAMS:
+                scaled = [c * 1728**i for i, c in enumerate(want)]
+                assert truncated_poly(tag, m) == RatPoly(scaled[::-1]), (tag, m)
+
+
+def test_f21_coefficients_returns_a_copy(fresh_series_caches):
+    # a caller that mutates its list leaves the shared stream as it was
+    got = f21_coefficients("W0", 12)
+    got[5] = Fraction(99)
+    got.append(Fraction(7))
+    del got[:3]
+    assert f21_coefficients("W0", 12) == _fresh_stream("W0", 12)
+    assert f21_coefficients("W0", 20) == _fresh_stream("W0", 20)
+    scaled = [c * 1728**m for m, c in enumerate(_fresh_stream("W0", 4))]
+    assert truncated_poly("W0", 4) == RatPoly(scaled[::-1])
+
+
+def test_vanishing_window_reads_exactly_the_open_window(fresh_series_caches):
     # a planted stream that is nonzero mod p at one index only fails the
     # check exactly when that index lies strictly between lo and hi
+    streams, _ = fresh_series_caches
     tag, p = "V1", 29
     lo, hi = _window_bounds(tag, p)
-    try:
-        for m in range(hi + 2):
-            _WINDOW_STREAMS[tag] = [Fraction(int(i == m)) for i in range(hi + 2)]
-            assert vanishing_window(tag, p) == (lo, hi, not lo < m < hi)
-    finally:
-        _WINDOW_STREAMS.clear()
+    for m in range(hi + 2):
+        streams[FAMILY_PARAMS[tag]] = [Fraction(int(i == m)) for i in range(hi + 2)]
+        assert vanishing_window(tag, p) == (lo, hi, not lo < m < hi)
 
 
 def test_admissible_prime_lists():

@@ -21,9 +21,18 @@ from theta_forms.modforms import (
     coordinates_mod_p,
     default_order,
     pf_polynomial,
+    series_in_t,
     weight_indices,
 )
-from theta_forms.qseries import QSeries, delta, eisenstein, eisenstein_mod, theta_H, theta_Z
+from theta_forms.qseries import (
+    QSeries,
+    delta,
+    eisenstein,
+    eisenstein_mod,
+    j_invariant,
+    theta_H,
+    theta_Z,
+)
 
 # ---------------------------------------------------------------------------
 # RatPoly
@@ -264,8 +273,7 @@ def test_coordinates_match_chain_solve(k):
         assert [type(c) for c in got] == [type(c) for c in want], k
 
 
-def test_t_table_grows_in_place(monkeypatch):
-    monkeypatch.setattr(modforms, "_T_POWERS", [[1]])
+def test_t_table_grows_in_place(fresh_series_caches):
     small, large = 52, 300
     f_small, f_large = theta_Z(10), theta_Z(30)
     first = basis_coordinates(f_small, small).coords
@@ -290,6 +298,60 @@ def test_t_table_rows_are_powers_of_t():
     for i in range(order):
         assert rows[i][:order] == power.coeffs, i
         power = power * t
+
+
+@pytest.mark.parametrize("order", [25, 64])
+@pytest.mark.parametrize("tag", ["U0", "V0", "W0"])
+def test_series_in_t_matches_compose_reference_on_1728_over_j(tag, order):
+    # F(tag; 1728/j) read off the shared t-table, against Horner's rule on
+    # the inverse of j: 1728/j = 1728 t, so sum c_m (1728/j)^m is
+    # sum (c_m 1728^m) t^m
+    from test_qseries import _compose_reference
+    from theta_forms.hyperpoly import f21_coefficients
+
+    inner = j_invariant(order - 1)._invert() * 1728
+    assert (inner.shift, inner.order) == (1, order)
+    cs = f21_coefficients(tag, order - 1)
+    want = _compose_reference(cs, inner)
+    got = series_in_t([c * 1728**m for m, c in enumerate(cs)], order)
+    assert got.coeffs == want.coeffs
+    integral = all(Fraction(c).denominator == 1 for c in want.coeffs)
+    assert {type(c) for c in got.coeffs} == {int if integral else Fraction}
+
+
+def test_series_in_t_reads_only_the_first_order_coefficients():
+    assert series_in_t([1, 2, 3, 4, 5], 3) == series_in_t([1, 2, 3], 3)
+    assert series_in_t([], 4).coeffs == [0, 0, 0, 0]
+    t = delta(6) * eisenstein(4, 6) ** -3
+    assert series_in_t([0, 1], 6) == t
+
+
+def _combination_reference(coords: BasisCoordinates, order: int) -> QSeries:
+    """U * sum(c_l * t^(n_k - l)), summed coefficient by coefficient."""
+    w = weight_indices(coords.k)
+    rows = modforms._t_powers(order)
+    s = [0] * order
+    for l, c in enumerate(coords.coords):
+        if c:
+            for e in range(w.n - l, order):
+                s[e] += c * rows[w.n - l][e]
+    return modforms._unit(w, order, 1) * QSeries(s)
+
+
+@pytest.mark.parametrize("k", [4, 14, 26, 52, 108])
+def test_combination_matches_the_term_by_term_sum(k):
+    rng = random.Random(k)
+    m = weight_indices(k).n + 1
+    order = default_order(k)
+    for coords in (
+        [rng.randrange(-50, 50) for _ in range(m)],
+        [Fraction(rng.randrange(-50, 50), rng.randrange(1, 9)) for _ in range(m)],
+        [Fraction(rng.randrange(-50, 50)) for _ in range(m)],
+    ):
+        bc = BasisCoordinates(k, tuple(coords))
+        got, want = combination(bc, order), _combination_reference(bc, order)
+        assert got.coeffs == want.coeffs, k
+        assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs], k
 
 
 def test_pf_polynomial_with_warm_table_makes_few_products(monkeypatch):

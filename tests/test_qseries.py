@@ -233,9 +233,10 @@ def test_compose_matches_reference_on_1728_over_j():
 
 
 def test_compose_matches_reference_on_the_lane_inners_at_order_64():
-    # the three inner series the identities lane composes with, built as the
-    # lane builds them: 1728/j (the shift-1 window from _invert), and the
-    # cubic-transform and degenerate-evaluation rational functions
+    # the two inner series the identities lane composes with, built as the
+    # lane builds them: the cubic-transform and degenerate-evaluation rational
+    # functions; and 1728/j, the shift-1 window from _invert, which the lane
+    # now reads off the t-table instead (see test_modforms)
     from theta_forms.hyperpoly import f21_coefficients
 
     n = 64

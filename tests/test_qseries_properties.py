@@ -6,7 +6,8 @@ j-function's Laurent window).  Operands of one law share a shift and a
 window length, so both sides of each identity carry the same precision.
 The integer-scaled `compose` and `pow_rational` are checked against the
 Fraction references in test_qseries.py, on inner series of shift 0, 1 and 2,
-and series products against a schoolbook convolution of Fractions.
+series products against a schoolbook convolution of Fractions, and the
+integer-scaled inverse against the Fraction recurrence below.
 """
 
 import math
@@ -19,7 +20,14 @@ from hypothesis import assume, given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from test_qseries import _compose_reference, _poly_mul, _pow_rational_reference  # noqa: E402
-from theta_forms.qseries import QSeries, compose, invert_unit, pow_rational  # noqa: E402
+from theta_forms.qseries import (  # noqa: E402
+    QSeries,
+    compose,
+    delta,
+    invert_unit,
+    j_invariant,
+    pow_rational,
+)
 
 INTS = st.integers(-50, 50)
 FRACTIONS = st.fractions(min_value=-20, max_value=20, max_denominator=12)
@@ -90,6 +98,42 @@ def test_pow_adds_exponents(f, a, b):
 def test_invert_unit_is_inverse(f):
     (f,) = f
     assert f * invert_unit(f) == QSeries.one(len(f.coeffs))
+
+
+def _invert_reference(f: QSeries) -> QSeries:
+    """1/f by the recurrence b_k = -(1/u0) sum_{i=1..k} u_i b_(k-i) in Fractions,
+    over the unit part u of f (its window from the valuation on)."""
+    v = f.valuation() - f.shift
+    u = f.coeffs[v:]
+    inv0 = Fraction(1) / u[0]
+    b = [inv0] + [0] * (len(u) - 1)
+    for k in range(1, len(u)):
+        b[k] = -inv0 * sum(u[i] * b[k - i] for i in range(1, k + 1))
+    return QSeries(b, -(f.shift + v))
+
+
+@given(
+    st.sampled_from([1, -1, 2, 4, Fraction(1, 3)]),
+    st.lists(MIXED, max_size=10),
+    st.integers(0, 2),
+    st.sampled_from([0, -1]),
+)
+def test_invert_matches_fraction_reference(lead, tail, zeros, shift):
+    f = QSeries([0] * zeros + [lead] + tail, shift)
+    got, want = f._invert(), _invert_reference(f)
+    assert got.shift == want.shift
+    assert got.coeffs == want.coeffs
+    # the type rule of the products: ints when every coefficient is integral
+    integral = all(Fraction(c).denominator == 1 for c in want.coeffs)
+    assert {type(c) for c in got.coeffs} == {int if integral else Fraction}
+
+
+@given(st.integers(2, 40))
+def test_invert_matches_fraction_reference_on_delta_and_j(n):
+    for f in (delta(n), j_invariant(n)):
+        got, want = f._invert(), _invert_reference(f)
+        assert (got.shift, got.coeffs) == (want.shift, want.coeffs)
+        assert all(type(c) is int for c in got.coeffs)
 
 
 @given(windows(1, shifts=(-1,), unit=True))
