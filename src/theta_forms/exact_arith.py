@@ -11,6 +11,12 @@ Beside primes, Bernoulli numbers and the residue helpers, the module keeps
 ``FpField``/``Fp2Field`` (built by ``Fp``/``Fp2``) only as the hooks the
 benchmark's layer tracer wraps; no module of the package calls them.
 
+Exact Bernoulli numbers come from the integer tangent-number table
+(``bernoulli``).  The Eisenstein factor -2k/B_k mod p needs no such table
+when k - 1 < p: ``eisenstein_factor_mod`` reads the tangent number T_(k/2)
+mod p^2 from a Newton inverse of cos on int64 arrays, and reduces the exact
+B_k only past that bound or where p^2 cannot decide.
+
 Nothing here ever touches floating point.
 """
 
@@ -18,6 +24,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
+
+import numpy as np
 
 Rat = Fraction
 
@@ -95,6 +104,80 @@ def bernoulli(k: int) -> Fraction:
         b = Fraction(2 * m * t, four * (four - 1))
         cache.append(b if m % 2 else -b)
     return cache[k // 2]
+
+
+def _tangent_mod(m: int, q: int) -> int:
+    """T_m mod q = (2m-1)! [x^(2m-1)] sin x / cos x, for q with (2m-1)! a unit.
+
+    In y = x^2, tan x = x S(y)/C(y) with C = sum (-1)^j y^j/(2j)! and
+    S = sum (-1)^j y^j/(2j+1)!, so T_m/(2m-1)! is [y^(m-1)] S/C.  The inverse
+    factorials come from one modular inverse.  1/C mod y^m is summed term by
+    term to y^15, where that is cheaper than numpy's per-call cost, then
+    doubled by Newton steps g <- g (2 - C g) with ``np.convolve`` on int64
+    arrays; each convolution sum has at most m products of residues below q,
+    so it is exact while m q^2 < 2^63.
+    """
+    n = 2 * m
+    fact = 1
+    for j in range(2, n):
+        fact = fact * j % q
+    inv = [0] * n
+    inv[-1] = f = pow(fact, -1, q)
+    for j in range(n - 1, 0, -1):
+        f = f * j % q
+        inv[j - 1] = f
+    signed = [q - x if j & 2 else x for j, x in enumerate(inv)]  # x^(2i), x^(2i+1) for odd i
+    cos, sin = signed[0::2], signed[1::2]
+    g = [1]
+    for i in range(1, min(m, 16)):
+        g.append(-sum(map(mul, cos[1 : i + 1], reversed(g))) % q)
+    if len(g) < m:
+        c, g = np.array(cos, dtype=np.int64), np.array(g, dtype=np.int64)
+        while len(g) < m:
+            size = min(2 * len(g), m)
+            e = -np.convolve(c[:size], g)[:size] % q
+            e[0] += 2
+            g = np.convolve(g, e)[:size] % q
+        g = g.tolist()
+    return sum(map(mul, sin, reversed(g))) % q * fact % q
+
+
+def _valuation_below_2(x: int, p: int) -> int:
+    """nu_p(x) read from x mod p^2: 0, 1, or 2 for "at least 2"."""
+    return 0 if x % p else 1 if x else 2
+
+
+def eisenstein_factor_mod(k: int, p: int) -> int:
+    """-2k/B_k mod p, the coefficient of q in E_k, for even k >= 2 and prime p.
+
+    With m = k/2 and T_m the m-th tangent number,
+    B_2m = (-1)^(m-1) 2m T_m / (4^m (4^m - 1)), so
+    -2k/B_k = (-1)^m 2 4^m (4^m - 1) / T_m, where 2 4^m is a unit.  For
+    k - 1 < p, T_m and 4^m - 1 are read mod p^2 (``_tangent_mod``) and their
+    p-adic valuations compared: p divides the denominator of -2k/B_k
+    (ValueError, as ``rat_mod`` raises) when T_m has the larger one, the
+    residue is 0 when 4^m - 1 has it (k = p - 1: E_(p-1) = 1 mod p), and the
+    unit quotient otherwise.  When either valuation reaches 2 (undecidable
+    mod p^2; 4^m - 1 at k = p - 1 for a Wieferich prime such as 1093), when
+    k - 1 >= p, or when p^4 m reaches 2^63, the exact ``bernoulli`` is
+    reduced instead.
+    """
+    if k < 2 or k % 2:
+        raise ValueError(f"weight must be even and >= 2, got {k}")
+    m = k // 2
+    if k - 1 < p and p**4 * m < 2**63 and p % 2 and is_prime(p):
+        q = p * p
+        t = _tangent_mod(m, q)
+        f = pow(4, m, q) - 1
+        vt, vf = _valuation_below_2(t, p), _valuation_below_2(f, p)
+        if vt < 2 and vf < 2:
+            if vt > vf:
+                raise ValueError(f"p = {p} divides a denominator (-2k/B_k at k = {k})")
+            if vt < vf:
+                return 0
+            r = 2 * (f + 1) * (f // p**vf) * pow(t // p**vt, -1, p) % p
+            return -r % p if m % 2 else r
+    return rat_mod(Fraction(-2 * k) / bernoulli(k), p)
 
 
 # ---------------------------------------------------------------------------

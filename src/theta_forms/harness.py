@@ -21,12 +21,13 @@ first row that needs them, so a row's ``ms`` covers its check plus any
 artefact it is first to need.  No lane builds P(j) over Q: f is solved mod p
 (``modforms.coordinates_mod_p``) from the residues of the form's q^0..q^n,
 all the solve reads; the background lane takes E_{p-1}'s residues from
--2k/B_k mod p (``eisenstein_mod``).  The congruence rows compare f with the
-family's truncated hypergeometric polynomial from the mod-p stream
-(``truncated_poly_mod``).  Two witnesses answer the remaining
-polynomial rows: the shape rows read the factor pattern, and the root-set
-rows check that the polynomial is the monic product of (x - t) over the
-oracle's targets t.
+-2k/B_k mod p (``eisenstein_mod``), read from the tangent number T_((p-1)/2)
+mod p^2 and from the exact Bernoulli number only where p^2 cannot decide.
+The congruence rows compare f with the family's truncated hypergeometric
+polynomial from the mod-p stream (``truncated_poly_mod``).  Two witnesses
+answer the remaining polynomial rows: the shape rows read the factor
+pattern, and the root-set rows check that the polynomial is the monic
+product of (x - t) over the oracle's targets t.
 Reports are deterministic: JSON and CSV output is canonical (rows sorted by
 (check_id, p), wall times zeroed, keys sorted), so re-running a sweep yields
 a bit-identical file.  The table format keeps measured times for humans.

@@ -272,31 +272,28 @@ def degenerate_eval_mismatch(order: int) -> int | None:
 
 
 def _f21_of_1728_over_j(tag: str, order: int) -> QSeries:
-    """F(tag; 1728/j) as a q-series known to q^order.
+    """F(tag; 1728/j) as a q-series to q^(order-1).
 
     Since 1728/j = 1728 t, this is sum c_m 1728^m t^m over the shared t-table
     of ``series_in_t``, which every family and the basis solve read.
     """
-    cs = f21_coefficients(tag, order)
-    return series_in_t([c * 1728**m for m, c in enumerate(cs)], order + 1)
+    cs = f21_coefficients(tag, order - 1)
+    return series_in_t([c * 1728**m for m, c in enumerate(cs)], order)
 
 
 def theta_z_hypergeometric_mismatch(order: int) -> int | None:
     """theta_Z against E4^(1/8) * F(W0; 1728/j) as q-series."""
-    n = order + 1
-    rhs = pow_rational(eisenstein(4, n + 1), Fraction(1, 8)) * _f21_of_1728_over_j("W0", n)
-    return theta_Z(n + 1).first_mismatch(rhs, upto=order)
+    rhs = pow_rational(eisenstein(4, order), Fraction(1, 8)) * _f21_of_1728_over_j("W0", order)
+    return theta_Z(order).first_mismatch(rhs, upto=order)
 
 
 def theta_h_hypergeometric_mismatch(order: int) -> int | None:
     """theta_H against E4^(1/4) * F(V0; 1728/j) as q-series."""
-    n = order + 1
-    rhs = pow_rational(eisenstein(4, n + 1), Fraction(1, 4)) * _f21_of_1728_over_j("V0", n)
-    return theta_H(n + 1).first_mismatch(rhs, upto=order)
+    rhs = pow_rational(eisenstein(4, order), Fraction(1, 4)) * _f21_of_1728_over_j("V0", order)
+    return theta_H(order).first_mismatch(rhs, upto=order)
 
 
 def e4_quarter_hypergeometric_mismatch(order: int) -> int | None:
     """E4^(1/4) against F(U0; 1728/j) as q-series."""
-    n = order + 1
-    lhs = pow_rational(eisenstein(4, n + 1), Fraction(1, 4))
-    return lhs.first_mismatch(_f21_of_1728_over_j("U0", n), upto=order)
+    lhs = pow_rational(eisenstein(4, order), Fraction(1, 4))
+    return lhs.first_mismatch(_f21_of_1728_over_j("U0", order), upto=order)

@@ -18,7 +18,7 @@ import math
 from fractions import Fraction
 from operator import mul
 
-from .exact_arith import Rat, bernoulli, rat_mod
+from .exact_arith import Rat, bernoulli, eisenstein_factor_mod
 
 
 class QSeries:
@@ -363,14 +363,17 @@ def eisenstein(k: int, n: int) -> QSeries:
 def eisenstein_mod(k: int, n: int, p: int) -> list[int]:
     """The coefficients of q^0..q^(n-1) of E_k, reduced mod p.
 
-    -2k/B_k is reduced once, by ``rat_mod`` on the exact Bernoulli number, so
-    p in the denominator of 2k/B_k raises ValueError; for k = p - 1 von
-    Staudt-Clausen puts p in the denominator of B_k, and the factor comes out
-    0 from the computed B_k.  Each sigma_(k-1)(m) is summed from d^(k-1) mod p.
+    -2k/B_k mod p comes once from ``eisenstein_factor_mod``, which reads the
+    tangent number T_(k/2) mod p^2 for k - 1 < p and reduces the exact B_k
+    only past that, or where p^2 cannot decide; p in the denominator of
+    -2k/B_k raises ValueError.  For k = p - 1 the factor comes out 0, computed
+    rather than assumed: 4^(k/2) - 1 = 2^(p-1) - 1 carries one more factor p
+    than T_(k/2), the p that von Staudt-Clausen puts in the denominator of
+    B_(p-1).  Each sigma_(k-1)(m) is summed from d^(k-1) mod p.
     """
     if k < 4 or k % 2:
         raise ValueError(f"weight must be even and >= 4, got {k}")
-    factor = rat_mod(Fraction(-2 * k) / bernoulli(k), p)
+    factor = eisenstein_factor_mod(k, p)
     sig = [0] * n
     for d in range(1, n):
         dk = pow(d, k - 1, p)

@@ -14,11 +14,13 @@ from theta_forms.exact_arith import (
     Fp2,
     bernoulli,
     cube_root_of_2,
+    eisenstein_factor_mod,
     is_prime,
     least_nonresidue,
     legendre_symbols,
     padic_valuation,
     primes_in_range,
+    rat_mod,
 )
 
 from field_ref import elements, euler, fp, fp2, nonresidue
@@ -114,6 +116,63 @@ def test_bernoulli_order_independent(monkeypatch):
     # a cache swapped without its tangent column is rebuilt, not extended
     monkeypatch.setattr(exact_arith, "_BERNOULLI_CACHE", [])
     assert [bernoulli(k) for k in range(998, -1, -2)][::-1] == tables[0]
+
+
+def _exact_factor(k, p):
+    """-2k/B_k mod p reduced from the exact Bernoulli number, or "raises"."""
+    try:
+        return rat_mod(Fraction(-2 * k) / bernoulli(k), p)
+    except ValueError:
+        return "raises"
+
+
+def _factor(k, p):
+    try:
+        return eisenstein_factor_mod(k, p)
+    except ValueError as e:
+        assert "divides a denominator" in str(e)
+        return "raises"
+
+
+def test_eisenstein_factor_mod_is_the_reduced_exact_factor_below_p():
+    # every even k with k - 1 < p, where the factor comes from T_(k/2) mod p^2;
+    # p divides the denominator exactly at the irregular pairs (p | B_k)
+    raising = []
+    for p in primes_in_range(2, 211):
+        for k in range(2, p + 1, 2):
+            want = _exact_factor(k, p)
+            assert _factor(k, p) == want, (k, p)
+            if want == "raises":
+                raising.append((k, p))
+    assert raising == [(32, 37), (44, 59), (58, 67), (68, 101), (24, 103),
+                       (22, 131), (130, 149), (62, 157), (110, 157)]
+
+
+def test_eisenstein_factor_mod_is_0_at_p_minus_1():
+    # E_(p-1) = 1 mod p: 2^(p-1) - 1 carries one more p than T_((p-1)/2)
+    for p in primes_in_range(3, 1000):
+        assert _factor(p - 1, p) == _exact_factor(p - 1, p) == 0, p
+
+
+def test_eisenstein_factor_mod_falls_back_where_p_squared_cannot_decide(monkeypatch):
+    # 1093 is a Wieferich prime: 2^1092 - 1 = 0 mod 1093^2, so both
+    # valuations may be 2 or more and the exact B_1092 is reduced instead
+    k, p = 1092, 1093
+    assert pow(4, k // 2, p * p) == 1
+    monkeypatch.setattr(exact_arith, "_BERNOULLI_CACHE", [])
+    monkeypatch.setattr(exact_arith, "_TANGENT_COLUMN", [])
+    got = eisenstein_factor_mod(k, p)
+    assert len(exact_arith._BERNOULLI_CACHE) == k // 2 + 1
+    assert got == _exact_factor(k, p) == 0
+    # and past k - 1 < p, where (k - 1)! is no unit mod p
+    for k, p in ((12, 7), (20, 11), (26, 13)):
+        assert eisenstein_factor_mod(k, p) == _exact_factor(k, p), (k, p)
+
+
+def test_eisenstein_factor_mod_rejects_odd_or_small_weights():
+    for k in (0, 3, -2):
+        with pytest.raises(ValueError, match="weight"):
+            eisenstein_factor_mod(k, 691)
 
 
 def test_legendre_symbol_oracle():

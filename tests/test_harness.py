@@ -2,8 +2,10 @@
 
 import argparse
 import concurrent.futures
+import contextlib
 import importlib
 import json
+import multiprocessing
 import os
 import pkgutil
 import re
@@ -18,7 +20,7 @@ import pytest
 
 import theta_forms
 
-from theta_forms import fppoly, harness, hyperpoly, modforms
+from theta_forms import exact_arith, fppoly, harness, hyperpoly, modforms
 from theta_forms import curves
 from theta_forms.exact_arith import (
     Fp,
@@ -350,6 +352,18 @@ def test_background_solves_once_per_prime():
     info = modforms._solve_mod_p.cache_info()
     assert info.misses == len(primes_in_range(5, 199))
     assert info.hits == info.misses
+
+
+def test_large_lanes_never_extend_the_exact_bernoulli_table(monkeypatch, fresh_series_caches):
+    # E_(p-1)'s -2k/B_k mod p comes from tangent numbers mod p^2; the exact
+    # table holds only what exact E4 needs (B_0, B_2, B_4), not B_(p-1)
+    monkeypatch.setattr(exact_arith, "_BERNOULLI_CACHE", [])
+    monkeypatch.setattr(exact_arith, "_TANGENT_COLUMN", [])
+    rows = cmd_verify_background(SweepConfig(p_min=600, p_max=700, supersingular_cap=103))
+    rows += cmd_verify_theta_z(SweepConfig(p_min=600, p_max=1000, curve_cap=103))
+    assert all(r.status != "fail" for r in rows)
+    assert any(r.check_id == "bg_extremal_congruence" and r.status == "pass" for r in rows)
+    assert len(exact_arith._BERNOULLI_CACHE) <= 3
 
 
 def test_extremal_row_fails_where_the_background_residues_are_perturbed(monkeypatch):
@@ -735,7 +749,7 @@ def test_identities_run_composes_twice_and_extends_the_t_table_once(
     monkeypatch, fresh_series_caches
 ):
     # the three F(...; 1728/j) rows read the one t-table, grown once to the
-    # q^65 they expand to; only the cubic-transform and degenerate-evaluation
+    # q^63 they compare to; only the cubic-transform and degenerate-evaluation
     # rows compose
     _, t_powers = fresh_series_caches
     composed, sizes = [], []
@@ -753,7 +767,7 @@ def test_identities_run_composes_twice_and_extends_the_t_table_once(
     monkeypatch.setattr(modforms, "_t_powers", sized_t_table)
     cmd_verify_identities(SweepConfig(p_min=5, p_max=13, order=64))
     assert composed == [64, 64]
-    assert sizes == [1, 66, 66] and len(t_powers) == 66
+    assert sizes == [1, 64, 64] and len(t_powers) == 64
 
 
 @pytest.mark.parametrize("example", ["k52", "p107", "w0-4-mod103"])
@@ -799,6 +813,34 @@ def test_main_crash_leaves_an_existing_report_intact(tmp_path, monkeypatch):
         main(["verify", "identities", "--p-max", "13", "--format", "json", "--out", str(out)])
     assert out.read_bytes() == b'["old row"]\n'
     assert os.listdir(tmp_path) == ["r.json"]  # no temporary file left behind
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the planted worker exit reaches pool workers only through fork",
+)
+def test_main_pool_crash_leaves_an_existing_report_intact(tmp_path, monkeypatch):
+    # a --jobs 2 worker that dies outright at one prime must not destroy the
+    # old report; the exit code or exception it ends with is not pinned here
+    reports, died = tmp_path / "reports", tmp_path / "died"
+    reports.mkdir()
+    out = reports / "r.json"
+    out.write_bytes(b'["old row"]\n')
+    real = harness.legendre_image_j_set
+
+    def dying(p):
+        if p == 11:
+            died.touch()
+            os._exit(70)
+        return real(p)
+
+    monkeypatch.setattr(harness, "legendre_image_j_set", dying)
+    argv = ["verify", "theta-z", "--p-min", "7", "--p-max", "11", "--jobs", "2", "--format", "json"]
+    with contextlib.suppress(Exception):
+        main(argv + ["--out", str(out)])
+    assert died.exists()  # the worker did end by os._exit
+    assert out.read_bytes() == b'["old row"]\n'
+    assert os.listdir(reports) == ["r.json"]  # no temporary file left behind
 
 
 def test_main_report_replaces_the_target_whole(tmp_path, capsys):

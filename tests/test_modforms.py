@@ -436,10 +436,16 @@ def test_solve_mod_p_matches_reduced_exact_solve(p):
     check_solve_mod_p_matches_exact(p)
 
 
-@pytest.mark.parametrize("k, p", [(4, 5), (12, 7), (16, 13), (52, 103), (102, 103), (996, 997)])
+@pytest.mark.parametrize(
+    "k, p", [(4, 5), (12, 7), (16, 13), (52, 103), (102, 103), (996, 997), (690, 691), (32, 37)]
+)
 def test_eisenstein_mod_is_the_reduced_series(k, p):
-    exact = eisenstein(k, 30)
-    assert eisenstein_mod(k, 30, p) == [rat_mod(c, p) for c in exact.coeffs]
+    exact = [Fraction(c) for c in eisenstein(k, 30).coeffs]
+    if any(c.denominator % p == 0 for c in exact):  # (32, 37): 37 divides B_32
+        with pytest.raises(ValueError, match="divides a denominator"):
+            eisenstein_mod(k, 30, p)
+    else:
+        assert eisenstein_mod(k, 30, p) == [rat_mod(c, p) for c in exact]
 
 
 def test_eisenstein_mod_rejects_p_in_the_factor_denominator():
