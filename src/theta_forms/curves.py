@@ -283,8 +283,6 @@ def two_torsion_only_j_set(p: int) -> set[int]:
     """
     if p % 4 != 3:
         raise ValueError(f"p = {p} = 1 mod 4 never yields such curves (rejected)")
-    if p > 10**3:
-        raise ValueError(f"p = {p} beyond the brute-force bound 10^3")
     return _legendre_j_set(p, np.array(two_torsion_only_lambdas(p), dtype=np.int64))
 
 
@@ -450,8 +448,6 @@ def check_hessian_matches_hex(p: int) -> bool:
     """
     if p % 12 not in (5, 11):
         raise ValueError(f"p = {p} not in the 5, 11 mod 12 classes")
-    if p > 10**3:
-        raise ValueError(f"p = {p} beyond the brute-force bound 10^3")
     if hessian_norm_condition_j_set(p) != hex_zero_set(p):
         return False
     samples = tuple(c[:HESSIAN_TORSION_SAMPLES] for c in _admissible_hessian_params(p))

@@ -14,8 +14,12 @@ benchmark's layer tracer wraps; no module of the package calls them.
 Exact Bernoulli numbers come from the integer tangent-number table
 (``bernoulli``).  The Eisenstein factor -2k/B_k mod p needs no such table
 when k - 1 < p: ``eisenstein_factor_mod`` reads the tangent number T_(k/2)
-mod p^2 from a Newton inverse of cos on int64 arrays, and reduces the exact
-B_k only past that bound or where p^2 cannot decide.
+mod p^2 from the series inverse of cos, and reduces the exact B_k only past
+that bound or where p^2 cannot decide.
+
+``series_inverse_mod`` and ``series_pow_mod`` are the package's one kernel
+for truncated power series mod q on int64 arrays, where its int64 bound is
+stated; the tangent numbers, ``fppoly`` and ``modforms`` use it.
 
 Nothing here ever touches floating point.
 """
@@ -106,16 +110,63 @@ def bernoulli(k: int) -> Fraction:
     return cache[k // 2]
 
 
+# ---------------------------------------------------------------------------
+# truncated power series mod q: int64 arrays of residues, lowest degree first
+
+
+def _fits_int64(m: int, q: int) -> bool:
+    """Whether products mod (x^m, q) are exact on int64 arrays: each
+    ``np.convolve`` sum has at most m products of residues below q, so
+    m q^2 < 2^63 suffices (an FFT convolution would round)."""
+    return m * q * q < 2**63
+
+
+def _series_residues(c, m: int, q: int) -> np.ndarray:
+    """c[:m] zero-padded to m terms, once ``_fits_int64`` holds."""
+    if not _fits_int64(m, q):
+        raise ValueError(f"m q^2 = {m} * {q}^2 overflows int64 convolution sums")
+    out = np.zeros(m, dtype=np.int64)
+    out[: min(len(c), m)] = c[:m]
+    return out
+
+
+def series_inverse_mod(c, m: int, q: int) -> np.ndarray:
+    """1/c mod (x^m, q) for residues c lowest degree first with c[0] = 1.
+
+    Summed term by term to x^15, where that is cheaper than numpy's per-call
+    cost, then doubled by Newton steps g <- g (2 - c g) (Brent and Kung, 1978).
+    """
+    c = _series_residues(c, m, q)
+    head, g = c[:16].tolist(), [1]
+    for i in range(1, min(m, 16)):
+        g.append(-sum(map(mul, head[1 : i + 1], reversed(g))) % q)
+    g = np.array(g[:m], dtype=np.int64)
+    while len(g) < m:
+        size = min(2 * len(g), m)
+        e = -np.convolve(c[:size], g)[:size] % q
+        e[0] += 2
+        g = np.convolve(g, e)[:size] % q
+    return g
+
+
+def series_pow_mod(c, e: int, m: int, q: int) -> np.ndarray:
+    """c^e mod (x^m, q) for residues c lowest degree first and e >= 0, by
+    left-to-right squaring."""
+    b = r = _series_residues(c, m, q)
+    for bit in bin(e)[3:]:
+        r = np.convolve(r, r)[:m] % q
+        if bit == "1":
+            r = np.convolve(r, b)[:m] % q
+    return r if e else np.eye(1, m, dtype=np.int64)[0]
+
+
 def _tangent_mod(m: int, q: int) -> int:
     """T_m mod q = (2m-1)! [x^(2m-1)] sin x / cos x, for q with (2m-1)! a unit.
 
     In y = x^2, tan x = x S(y)/C(y) with C = sum (-1)^j y^j/(2j)! and
-    S = sum (-1)^j y^j/(2j+1)!, so T_m/(2m-1)! is [y^(m-1)] S/C.  The inverse
-    factorials come from one modular inverse.  1/C mod y^m is summed term by
-    term to y^15, where that is cheaper than numpy's per-call cost, then
-    doubled by Newton steps g <- g (2 - C g) with ``np.convolve`` on int64
-    arrays; each convolution sum has at most m products of residues below q,
-    so it is exact while m q^2 < 2^63.
+    S = sum (-1)^j y^j/(2j+1)!, so T_m/(2m-1)! is [y^(m-1)] S/C, with 1/C
+    from ``series_inverse_mod``.  The inverse factorials come from one
+    modular inverse.
     """
     n = 2 * m
     fact = 1
@@ -128,17 +179,7 @@ def _tangent_mod(m: int, q: int) -> int:
         inv[j - 1] = f
     signed = [q - x if j & 2 else x for j, x in enumerate(inv)]  # x^(2i), x^(2i+1) for odd i
     cos, sin = signed[0::2], signed[1::2]
-    g = [1]
-    for i in range(1, min(m, 16)):
-        g.append(-sum(map(mul, cos[1 : i + 1], reversed(g))) % q)
-    if len(g) < m:
-        c, g = np.array(cos, dtype=np.int64), np.array(g, dtype=np.int64)
-        while len(g) < m:
-            size = min(2 * len(g), m)
-            e = -np.convolve(c[:size], g)[:size] % q
-            e[0] += 2
-            g = np.convolve(g, e)[:size] % q
-        g = g.tolist()
+    g = series_inverse_mod(cos, m, q).tolist()
     return sum(map(mul, sin, reversed(g))) % q * fact % q
 
 
@@ -159,14 +200,14 @@ def eisenstein_factor_mod(k: int, p: int) -> int:
     residue is 0 when 4^m - 1 has it (k = p - 1: E_(p-1) = 1 mod p), and the
     unit quotient otherwise.  When either valuation reaches 2 (undecidable
     mod p^2; 4^m - 1 at k = p - 1 for a Wieferich prime such as 1093), when
-    k - 1 >= p, or when p^4 m reaches 2^63, the exact ``bernoulli`` is
-    reduced instead.
+    k - 1 >= p, or when m and p^2 fail the series kernel's int64 bound, the
+    exact ``bernoulli`` is reduced instead.
     """
     if k < 2 or k % 2:
         raise ValueError(f"weight must be even and >= 2, got {k}")
     m = k // 2
-    if k - 1 < p and p**4 * m < 2**63 and p % 2 and is_prime(p):
-        q = p * p
+    q = p * p
+    if k - 1 < p and _fits_int64(m, q) and p % 2 and is_prime(p):
         t = _tangent_mod(m, q)
         f = pow(4, m, q) - 1
         vt, vf = _valuation_below_2(t, p), _valuation_below_2(f, p)

@@ -12,10 +12,10 @@ return plain ints.
 
 The distinct-degree splitting raises x^(p^d) to the p-th power mod g on int64
 coefficient arrays: each product is one ``np.convolve`` reduced mod p, and
-each reduction mod g multiplies by a Newton inverse of the reversed modulus,
-recomputed whenever g shrinks.  A convolution sum of reduced inputs is at
-most (deg + 1)(p - 1)^2, which fits int64 for any degree below 9 * 10^10
-under the guard p <= 10^4.
+each reduction mod g multiplies by the inverse of the reversed modulus from
+``exact_arith.series_inverse_mod``, recomputed whenever g shrinks.  The
+convolutions are exact under that kernel's int64 bound, which the guard
+p <= 10^4 meets for any degree below 9 * 10^10.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact_arith import least_nonresidue, rat_mod
+from .exact_arith import least_nonresidue, rat_mod, series_inverse_mod
 
 
 def _normalize(coeffs: list[int]) -> list[int]:
@@ -228,35 +228,12 @@ def gcd(f: FpPoly, g: FpPoly) -> FpPoly:
 
 # ---------------------------------------------------------------------------
 # modular powering on int64 arrays
-#
-# Coefficient arrays hold residues in [0, p), lowest degree first, and every
-# product is one np.convolve of two such arrays, reduced mod p at once.  A
-# convolution sum is then at most (deg + 1)(p - 1)^2: under factor_pattern's
-# guard p <= 10^4 it overflows int64 only past degree 9 * 10^10.  np.convolve
-# sums int64 exactly; an FFT convolution would round.
-
-
-def _reversed_inverse(g: FpPoly) -> np.ndarray:
-    """1 / rev(g) mod x^(n-1) for monic g of degree n >= 1, rev(g) = x^n g(1/x).
-
-    rev(g) has constant term 1, so Newton's iteration h <- h (2 - rev(g) h)
-    doubles the precision of h = 1 each step.
-    """
-    n, p = g.degree, g.p
-    rev = np.array(g.coeffs[::-1], dtype=np.int64)
-    h = np.ones(1, dtype=np.int64)
-    while len(h) < n - 1:
-        k = min(2 * len(h), n - 1)
-        e = -np.convolve(rev[:k], h)[:k] % p
-        e[0] = (e[0] + 2) % p
-        h = np.convolve(h, e)[:k] % p
-    return h[: n - 1]
 
 
 def _reduce_mod(a: np.ndarray, g: np.ndarray, ginv: np.ndarray, p: int) -> np.ndarray:
     """a mod g for residues a of length at most 2n - 1, n = deg g, with
-    ginv = _reversed_inverse(g): the quotient's top k coefficients reversed
-    are rev(a) / rev(g) mod x^k."""
+    ginv = 1 / rev(g) mod x^n, rev(g) = x^n g(1/x): the quotient's top
+    k coefficients reversed are rev(a) / rev(g) mod x^k."""
     n = len(g) - 1
     k = len(a) - n
     if k <= 0:
@@ -267,7 +244,7 @@ def _reduce_mod(a: np.ndarray, g: np.ndarray, ginv: np.ndarray, p: int) -> np.nd
 
 def _pow_mod(base: FpPoly, e: int, g: FpPoly, ginv: np.ndarray) -> FpPoly:
     """base^e mod monic g, for deg base < deg g, by left-to-right squaring on
-    int64 arrays; ginv = _reversed_inverse(g) must belong to this g."""
+    int64 arrays; ginv, as in ``_reduce_mod``, must belong to this g."""
     p = g.p
     garr = np.array(g.coeffs, dtype=np.int64)
     b = np.array(base.coeffs or [0], dtype=np.int64)
@@ -330,7 +307,7 @@ def factor_pattern(f: FpPoly) -> FactorPattern:
     g = f.monic()
     x = FpPoly.x(p)
     frob = x  # x^(p^d) mod g
-    ginv = _reversed_inverse(g)
+    ginv = series_inverse_mod(g.coeffs[::-1], g.degree, p)
     d = 0
     while g.degree > 0:
         d += 1
@@ -348,7 +325,7 @@ def factor_pattern(f: FpPoly) -> FactorPattern:
                 pairs[(d, mult)] += (c.degree - left.degree) // d
             c = left
         if mult:
-            ginv = _reversed_inverse(g)
+            ginv = series_inverse_mod(g.coeffs[::-1], g.degree, p)
     return FactorPattern(tuple(sorted(pairs.items())))
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_arith import Rat, padic_valuation, rat_mod
+from .exact_arith import Rat, is_prime, padic_valuation, rat_mod
 from .fppoly import FpPoly
 from .modforms import RatPoly, series_in_t
 from .qseries import QSeries, compose, eisenstein, invert_unit, pow_rational, theta_H, theta_Z
@@ -217,8 +217,6 @@ def vanishing_window(tag: str, p: int) -> tuple[int, int, bool]:
 
 def admissible_vanishing_primes(tag: str, count: int) -> list[int]:
     """The smallest `count` primes in the family's admissible residue classes."""
-    from .exact_arith import is_prime
-
     if tag not in _WINDOW_RULES:
         raise ValueError(f"family {tag} has no vanishing-window statement")
     residues, modulus = _WINDOW_RULES[tag]

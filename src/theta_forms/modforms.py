@@ -23,10 +23,11 @@ Delta^(n_k) E4^(a_k) E6^(b_k) turns the coordinates into a polynomial in j,
 since E4^3 / Delta = j.
 
 The verify lanes read P(j) only mod p, so they call ``coordinates_mod_p``:
-the same solve run in residues, from the target's residues of q^0..q^(n_k).
-It is exact because U^-1 has integer coefficients (E4 and E6 do, with
-constant term 1) and the t-rows are integer with leading 1, so the map from
-target to coordinates is unimodular over Z and commutes with reduction mod p.
+the same solve run in residues, from the target's residues of q^0..q^(n_k),
+with U^-1 mod p a series inverse on int64 arrays.  It is exact for every
+prime p because U^-1 has integer coefficients (E4 and E6 do, with constant
+term 1) and the t-rows are integer with leading 1, so the map from target to
+coordinates is unimodular over Z and commutes with reduction mod p.
 The solve is cached on those residues, so P(1) and P(E_(p-1)), whose
 residues agree since E_(p-1) = 1 mod p, are solved once per prime.
 The exact solve (``basis_coordinates``, ``pf_polynomial``, ``constructor``)
@@ -41,7 +42,9 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-from .exact_arith import rat_mod
+import numpy as np
+
+from .exact_arith import rat_mod, series_inverse_mod, series_pow_mod
 from .qseries import QSeries, _cleared, _divided, delta, eisenstein, eisenstein_mod, pow_rational
 
 
@@ -239,29 +242,6 @@ def basis_coordinates(f: QSeries, k: int) -> BasisCoordinates:
     return BasisCoordinates(k, tuple(coords))
 
 
-def _series_pow_mod(f: list[int], r: int, p: int) -> list[int]:
-    """f^r mod p for residues f with f[0] = 1 and an integer r.
-
-    The recurrence k g_k = sum_{i=1..k} ((r+1)i - k) f_i g_(k-i) of
-    ``pow_rational``, run in residues; it divides by k = 1..len(f) - 1, so p
-    must exceed len(f) - 1.
-    """
-    m = len(f)
-    r1 = (r + 1) % p
-    fi = [i * c % p for i, c in enumerate(f)]
-    g = [1] + [0] * (m - 1)
-    for k in range(1, m):
-        back = g[k - 1 :: -1]
-        acc = r1 * sum(map(mul, fi[1 : k + 1], back)) - k * sum(map(mul, f[1 : k + 1], back))
-        g[k] = acc * pow(k, -1, p) % p
-    return g
-
-
-def _series_mul_mod(a: list[int], b: list[int], p: int) -> list[int]:
-    """a * b mod p, truncated to the common length of the two residue lists."""
-    return [sum(map(mul, a[: e + 1], b[e::-1])) % p for e in range(len(a))]
-
-
 def coordinates_mod_p(target, k: int, p: int) -> list[int]:
     """The coordinates (c_0..c_n) of ``basis_coordinates``, as residues mod p.
 
@@ -269,25 +249,26 @@ def coordinates_mod_p(target, k: int, p: int) -> list[int]:
     first n_k + 1 are read, each through ``rat_mod``, so residues pass
     unchanged and a Fraction with p in its denominator raises ValueError.  A
     target shorter than n_k + 1 raises ConfigError.  The solve is
-    ``basis_coordinates`` in residues: h = target * U^-1 mod p, with U^-1
-    from the power recurrence on E4 and E6 mod p (``eisenstein_mod``), then
-    back-substitution against the shared t-table.  The recurrence divides by
-    1..n_k, so p must exceed n_k; every verify lane has n_k <= (p + 1)/12.
+    ``basis_coordinates`` in residues: h = target * U^-1 mod p, with
+    U = E4^(a_k + 3 n_k) E6^(b_k) from E4 and E6 mod p (``eisenstein_mod``)
+    and its inverse from ``series_inverse_mod``, then back-substitution
+    against the shared t-table.  Nothing divides by 1..n_k, so any prime p
+    will do, p <= n_k included.
     """
     w = weight_indices(k)
     _require_dimension(w, len(target))
-    if p <= w.n:
-        raise ValueError(f"p = {p} does not exceed n = {w.n} of weight {k}")
     return list(_solve_mod_p(tuple(rat_mod(c, p) for c in target[: w.n + 1]), w, p))
 
 
 @lru_cache(maxsize=2)  # the last two residue targets: P(1) follows P(E_(p-1))
 def _solve_mod_p(h: tuple, w: WeightIndices, p: int) -> tuple:
+    # the two products below are exact under the kernel's bound for this m and p
     m = len(h)
-    u = _series_pow_mod(eisenstein_mod(4, m, p), -(w.a + 3 * w.n), p)
+    u = series_pow_mod(eisenstein_mod(4, m, p), w.a + 3 * w.n, m, p)
     if w.b:
-        u = _series_mul_mod(u, _series_pow_mod(eisenstein_mod(6, m, p), -1, p), p)
-    return tuple(_back_substitute(_series_mul_mod(h, u, p), p))
+        u = np.convolve(u, eisenstein_mod(6, m, p))[:m] % p
+    h = np.convolve(h, series_inverse_mod(u, m, p))[:m] % p
+    return tuple(_back_substitute(h.tolist(), p))
 
 
 def series_in_t(coeffs, order: int) -> QSeries:

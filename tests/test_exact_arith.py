@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 
@@ -21,6 +22,8 @@ from theta_forms.exact_arith import (
     padic_valuation,
     primes_in_range,
     rat_mod,
+    series_inverse_mod,
+    series_pow_mod,
 )
 
 from field_ref import elements, euler, fp, fp2, nonresidue
@@ -173,6 +176,59 @@ def test_eisenstein_factor_mod_rejects_odd_or_small_weights():
     for k in (0, 3, -2):
         with pytest.raises(ValueError, match="weight"):
             eisenstein_factor_mod(k, 691)
+
+
+def _series_mul_ref(a, b, m, q):
+    a, b = (list(a) + [0] * m)[:m], (list(b) + [0] * m)[:m]
+    return [sum(a[i] * b[e - i] for i in range(e + 1)) % q for e in range(m)]
+
+
+def _series_inverse_ref(c, m, q):
+    c = (list(c) + [0] * m)[:m]
+    g = [1] + [0] * m
+    for e in range(1, m):
+        g[e] = -sum(c[i] * g[e - i] for i in range(1, e + 1)) % q
+    return g[:m]
+
+
+@pytest.mark.parametrize("p", [5, 103, 997])
+@pytest.mark.parametrize("square", [False, True])
+def test_series_inverse_mod_matches_the_term_by_term_reference(p, square):
+    # m = 498 at q = 997^2 is the largest inverse the tangent route takes below 1000 (k = 996)
+    q = p * p if square else p
+    rng = random.Random(q)
+    for m in (1, 15, 16, 17, 85, 498):
+        c = [1] + [rng.randrange(q) for _ in range(rng.randrange(m + 5))]
+        got = series_inverse_mod(c, m, q)
+        assert got.dtype == np.int64 and len(got) == m
+        assert got.tolist() == _series_inverse_ref(c, m, q), (m, q)
+        assert _series_mul_ref(c, got.tolist(), m, q) == [1] + [0] * (m - 1), (m, q)
+
+
+@pytest.mark.parametrize("q", [7, 997, 997 * 997])
+def test_series_pow_mod_matches_repeated_products(q):
+    rng = random.Random(q)
+    for m in (1, 16, 17, 40):
+        c = [rng.randrange(q) for _ in range(m)]
+        want = [1] + [0] * (m - 1)
+        for e in range(251):
+            if e in (0, 1, 2, 250):
+                got = series_pow_mod(c, e, m, q)
+                assert got.dtype == np.int64 and got.tolist() == want, (m, q, e)
+            want = _series_mul_ref(want, c, m, q)
+
+
+def test_series_kernels_reject_int64_overflow_before_allocating():
+    q = math.isqrt(2**63 - 1)  # q^2 < 2^63 <= 2 q^2
+    assert series_inverse_mod([1, 5], 1, q).tolist() == [1]
+    assert series_pow_mod([1, 5], 3, 1, q).tolist() == [1]
+    # m q^2 = 2^63 exactly at (2, 2^31); m = 2^40 terms would need 8 TiB, so
+    # the bound must fail before any array exists
+    for m, q in ((2, q), (2, 2**31), (2**40, 2**12)):
+        with pytest.raises(ValueError, match="overflows int64"):
+            series_inverse_mod([1], m, q)
+        with pytest.raises(ValueError, match="overflows int64"):
+            series_pow_mod([1], 2, m, q)
 
 
 def test_legendre_symbol_oracle():

@@ -6,11 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from theta_forms.exact_arith import least_nonresidue
+from theta_forms.exact_arith import least_nonresidue, series_inverse_mod
 from theta_forms.fppoly import (
     FpPoly,
     _pow_mod,
-    _reversed_inverse,
     factor_pattern,
     gcd,
     is_reciprocal,
@@ -255,6 +254,11 @@ def _random_monic(rng, p, deg):
     return FpPoly([rng.randrange(p) for _ in range(deg)] + [1], p)
 
 
+def _reversed_inverse(g: FpPoly):
+    """1 / rev(g) mod x^(deg g), the inverse factor_pattern hands to _pow_mod."""
+    return series_inverse_mod(g.coeffs[::-1], g.degree, g.p)
+
+
 @pytest.mark.parametrize("p", [5, 7, 983, 9973])
 def test_pow_mod_matches_schoolbook(p):
     rng = random.Random(p)
@@ -272,9 +276,9 @@ def test_reversed_inverse_is_the_series_inverse(p):
     for deg in (1, 2, 3, 5, 8, 17, 120):
         g = _random_monic(rng, p, deg)
         h = _reversed_inverse(g)
-        assert len(h) == deg - 1
+        assert len(h) == deg
         prod = g.reverse() * FpPoly(h.tolist(), p)
-        assert [prod.coefficient(i) for i in range(deg - 1)] == [1, *[0] * deg][: deg - 1]
+        assert [prod.coefficient(i) for i in range(deg)] == [1, *[0] * (deg - 1)]
 
 
 def test_pow_mod_after_the_modulus_shrinks():

@@ -473,8 +473,16 @@ def test_solve_mod_p_rejects_short_or_non_integral_targets():
         coordinates_mod_p(theta_Z(4).coeffs, 52, 103)
     with pytest.raises(ValueError, match="p = 7 divides a denominator"):
         coordinates_mod_p([1, Fraction(1, 7), 0, 0, 0], 52, 7)
-    with pytest.raises(ValueError, match="does not exceed n = 4"):
-        coordinates_mod_p(theta_Z(5).coeffs, 52, 3)
+
+
+@pytest.mark.parametrize("k, p", [(52, 3), (108, 5), (108, 7), (110, 5)])
+def test_solve_mod_p_at_p_not_above_n_is_the_reduced_exact_solve(k, p):
+    # nothing in the mod-p solve divides by 1..n_k, so p <= n_k solves as any p does
+    n = weight_indices(k).n
+    assert p <= n
+    f = theta_Z(n + 1)
+    want = [rat_mod(c, p) for c in basis_coordinates(f, k).coords]
+    assert coordinates_mod_p(f.coeffs, k, p) == want
 
 
 def test_solve_rejects_order_below_dimension():
