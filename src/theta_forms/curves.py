@@ -1,7 +1,8 @@
 """Elliptic curve oracles over F_p and F_{p^2}, in exact residue arithmetic.
 
 Point counts come from character sums, torsion from one sweep over x with
-the x-only doubling formula, the supersingular j-set from a walk over the
+the x-only doubling formula, the Legendre curves without a point of order 4
+from their point counts mod 8, the supersingular j-set from a walk over the
 2-isogeny graph, and the other j-sets from sweeping every parameter value
 in the field.  These serve as oracles for the finite-field sweeps, so they
 come from curve arithmetic, not from the polynomial identities they verify.
@@ -84,10 +85,10 @@ def _fp2_grid(p: int) -> tuple[np.ndarray, np.ndarray]:
 _BLOCK = 1 << 15  # values per sweep step, so each step's temporaries stay in cache
 
 
-def _blocks(x, size: int = _BLOCK):
-    """Consecutive slices of the coefficient arrays ``x``, ``size`` values each."""
-    for lo in range(0, len(x[0]), size):
-        yield tuple(c[lo : lo + size] for c in x)
+def _blocks(x):
+    """Consecutive slices of the coefficient arrays ``x``, _BLOCK values each."""
+    for lo in range(0, len(x[0]), _BLOCK):
+        yield tuple(c[lo : lo + _BLOCK] for c in x)
 
 
 class _ArrayField:
@@ -187,40 +188,33 @@ def n_torsion_structure(cubic, n: int, p: int) -> TorsionStructure:
     _check_characteristic(p)
     pairs = [isinstance(c, tuple) for c in cubic]
     if all(pairs):
-        A, x = _ArrayField(p, least_nonresidue(p)), _fp2_grid(p)
-        coeffs = [(int(c0) % p, int(c1) % p) for c0, c1 in cubic]
+        A, grid = _ArrayField(p, least_nonresidue(p)), _fp2_grid(p)
+        c2, c1, c0 = [(int(c0) % p, int(c1) % p) for c0, c1 in cubic]
     elif not any(pairs):
-        A, x = _ArrayField(p), (np.arange(p, dtype=np.int64),)
-        coeffs = [(int(c) % p,) for c in cubic]
+        A, grid = _ArrayField(p), (np.arange(p, dtype=np.int64),)
+        c2, c1, c0 = [(int(c) % p,) for c in cubic]
     else:
         raise ValueError("cubic mixes F_p and F_{p^2} coefficients")
-    a2 = an = 0
-    for block in _blocks(x):
-        b2, bn = _affine_torsion_counts(A, block, *coeffs, n)
-        a2, an = a2 + int(b2), an + int(bn)
-    return _torsion_structure(1 + a2, 1 + an, n)
 
-
-def _affine_torsion_counts(A: _ArrayField, x, c2, c1, c0, n: int):
-    """The numbers of affine points of E[2] and of E[n] whose x-coordinate is
-    in ``x``, summed over its last axis; the coefficients broadcast against x."""
-
-    def cubic(t):
+    def f_of(t):
         return A.add(A.mul(A.add(A.mul(A.add(t, c2), t), c1), t), c0)
 
-    f = cubic(x)
-    nf = A.norm(f)
-    a2 = np.count_nonzero(nf == 0, axis=-1)
-    if n == 2:
-        return a2, a2
-    sq = A.chi[nf] == 1
-    d = A.add(A.mul(A.add(A.scale(3, x), A.scale(2, c2)), x), c1)
-    x2 = A.add(A.mul(A.mul(d, d), A.recip(A.scale(4, f))), A.scale(-1, c2), A.scale(-2, x))
-    if n == 3:
-        fixed = A.norm(A.add(x2, A.scale(-1, x))) == 0
-        return a2, 2 * np.count_nonzero(sq & fixed, axis=-1)
-    # x2 = x would give f(x2) = f(x) != 0, so order-3 points never count here
-    return a2, a2 + 2 * np.count_nonzero(sq & (A.norm(cubic(x2)) == 0), axis=-1)
+    a2 = an = 0  # affine points of E[2], and of E[n] off the x-axis
+    for x in _blocks(grid):
+        f = f_of(x)
+        nf = A.norm(f)
+        a2 += int(np.count_nonzero(nf == 0))
+        if n == 2:
+            continue
+        sq = A.chi[nf] == 1
+        d = A.add(A.mul(A.add(A.scale(3, x), A.scale(2, c2)), x), c1)
+        x2 = A.add(A.mul(A.mul(d, d), A.recip(A.scale(4, f))), A.scale(-1, c2), A.scale(-2, x))
+        if n == 3:
+            hit = A.norm(A.add(x2, A.scale(-1, x))) == 0
+        else:  # x2 = x would give f(x2) = f(x) != 0, so order-3 points never count here
+            hit = A.norm(f_of(x2)) == 0
+        an += 2 * int(np.count_nonzero(sq & hit))
+    return _torsion_structure(1 + a2, 1 + an + (0 if n == 3 else a2), n)
 
 
 def _torsion_structure(m2: int, mn: int, n: int) -> TorsionStructure:
@@ -253,24 +247,20 @@ def _j_set(A: _ArrayField, num, den) -> set:
 @lru_cache(maxsize=None)
 def two_torsion_only_lambdas(p: int) -> tuple[int, ...]:
     """Legendre parameters lam in F_p minus {0, 1}, in increasing order, whose
-    curve has no rational point of order 4, by brute-force 4-torsion.
+    curve has no rational point of order 4, by exhaustive point counts.
 
-    Every Legendre curve has full rational 2-torsion, so these are the curves
-    with E[4](F_p) = Z/2 x Z/2.  One x-only doubling sweep over the lam-by-x
-    grid classifies them all; swept once per p and cached.
+    Every Legendre curve E: y^2 = x (x - 1) (x - lam) has full rational
+    2-torsion, so 4 | #E(F_p), and E(F_p) has no point of order 4 exactly
+    when its 2-part is Z/2 x Z/2, i.e. #E = 4 mod 8.  #E = p + 1 + S(lam) with
+    S(lam) = sum_x chi(x (x - 1)) chi(x - lam), a correlation of the character
+    table with itself: one exact int64 ``np.correlate`` gives S for every lam
+    at once, at shift p - lam.  Swept once per p and cached.
     """
-    A = _ArrayField(p)
-    x = (np.arange(p, dtype=np.int64)[None, :],)
-    out = []
-    for (lams,) in _blocks((np.arange(2, p, dtype=np.int64),), max(1, _BLOCK // p)):
-        lam = lams[:, None]
-        a2, a4 = _affine_torsion_counts(A, x, (-1 - lam,), (lam,), (0,), 4)
-        out.extend(
-            v
-            for v, b2, b4 in zip(lams.tolist(), a2.tolist(), a4.tolist())
-            if _torsion_structure(1 + b2, 1 + b4, 4) == TorsionStructure(2, 2)
-        )
-    return tuple(out)
+    chi = _ArrayField(p).chi
+    x = np.arange(p, dtype=np.int64)
+    s = np.correlate(np.concatenate((chi, chi)), chi[x * (x - 1) % p], "valid")
+    lams = x[2:]
+    return tuple(lams[(p + 1 + s[p - lams]) % 8 == 4].tolist())
 
 
 def two_torsion_only_j_set(p: int) -> set[int]:

@@ -33,7 +33,8 @@ Reports are deterministic: JSON and CSV output is canonical (rows sorted by
 a bit-identical file.  The table format keeps measured times for humans.
 
 Exit codes: 0 all pass, 1 any fail (a check that raises is a fail row), 2
-configuration error.
+configuration error, 3 internal error (an exception outside every check row,
+such as a dead pool worker).
 """
 
 from __future__ import annotations
@@ -744,6 +745,9 @@ def main(argv=None) -> int:
             fh.write(_RENDERERS[cfg.fmt](reports))
         if tmp:
             os.replace(tmp, os.path.realpath(args.out))
+    except Exception as e:  # outside any check row: not a failed check
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
     finally:
         if tmp and os.path.exists(tmp):  # a crash leaves the old report as it was
             os.unlink(tmp)

@@ -12,12 +12,13 @@ lane over 5..1000 with every oracle cap at 1000.  The files were made with
 
 and a change that alters any row must regenerate them the same way and name
 the rows it changed.  The whole comparison takes about a minute, so it runs
-only when THETA_FORMS_FULL_RANGE=1 is set, together with the mod-p solve's
-agreement with the exact one and the supersingular walk's agreement with the
-FFT reference, at every prime up to 1000.  The Tier-1 tests below rerun the
-top prime of each lane's residue classes with the caps raised and compare
-those rows, so the files are read on every run, and check the supersingular
-anchors at every prime up to 1000.
+only when THETA_FORMS_FULL_RANGE=1 is set, together with three agreements at
+every prime up to 1000: the mod-p solve with the exact one, the supersingular
+walk with the FFT reference, and the Legendre 4-torsion classes with
+``n_torsion_structure``.  The Tier-1 tests below rerun the top prime of each
+lane's residue classes with the caps raised and compare those rows, so the
+files are read on every run, and check the supersingular anchors at every
+prime up to 1000.
 """
 
 import json
@@ -29,7 +30,12 @@ import pytest
 from test_curves import supersingular_j_set_fft
 from test_modforms import check_solve_mod_p_matches_exact
 
-from theta_forms.curves import supersingular_j_set
+from theta_forms.curves import (
+    TorsionStructure,
+    n_torsion_structure,
+    supersingular_j_set,
+    two_torsion_only_lambdas,
+)
 from theta_forms.exact_arith import primes_in_range
 from theta_forms.harness import (
     SweepConfig,
@@ -101,3 +107,14 @@ def test_solve_mod_p_matches_exact_to_1000():
 def test_supersingular_walk_matches_fft_to_1000():
     for p in primes_in_range(5, 1000):
         assert supersingular_j_set(p) == supersingular_j_set_fft(p), p
+
+
+@full_range_only
+def test_two_torsion_only_lambdas_match_n_torsion_to_1000():
+    # both residue classes, against the x-only doubling sweep per curve
+    for p in primes_in_range(5, 1000):
+        want = tuple(
+            v for v in range(2, p)
+            if n_torsion_structure((-1 - v, v, 0), 4, p) == TorsionStructure(2, 2)
+        )
+        assert two_torsion_only_lambdas(p) == want, p

@@ -2,7 +2,6 @@
 
 import argparse
 import concurrent.futures
-import contextlib
 import importlib
 import json
 import multiprocessing
@@ -565,6 +564,31 @@ def test_raising_check_becomes_fail_row(
     assert [r for r in rows if r["p"] != bad_p] == [r for r in clean if r["p"] != bad_p]
 
 
+def test_hessian_row_fails_when_a_sampled_cubic_is_wrong(monkeypatch, capsys):
+    # one wrong coefficient in the first sampled Hessian cubic at one prime
+    # leaves that curve without full 3-torsion: exactly that row fails
+    bad_p = 17
+    argv = ["verify", "theta-hex", "--p-max", "23", "--format", "json"]
+    assert main(argv) == 0
+    clean = json.loads(capsys.readouterr().out)
+    orig = curves._hessian_cubics
+
+    def planted(p, b):
+        cubics = orig(p, b)
+        if p == bad_p:
+            (c2, c1, (c0, w0)), *rest = cubics
+            cubics = [(c2, c1, ((c0 + 1) % p, w0)), *rest]
+        return cubics
+
+    monkeypatch.setattr(curves, "_hessian_cubics", planted)
+    assert main(argv) == 1
+    rows = json.loads(capsys.readouterr().out)
+    failed = [(r["check_id"], r["p"], r["witness"]) for r in rows if r["status"] == "fail"]
+    assert failed == [("hessian_set", bad_p, "Hessian image or 3-torsion mismatch")]
+    others = [r for r in rows if r["status"] != "fail"]
+    assert others == [r for r in clean if (r["check_id"], r["p"]) != ("hessian_set", bad_p)]
+
+
 def test_process_pool_bounded_by_primes(monkeypatch):
     # a pool forks all its workers up front, so a huge --jobs must not reach it
     sizes = []
@@ -800,8 +824,9 @@ def test_main_unwritable_out_exits_two(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_main_crash_leaves_an_existing_report_intact(tmp_path, monkeypatch):
-    # a raise outside any check row escapes main; the old report must survive it
+def test_main_crash_leaves_an_existing_report_intact(tmp_path, monkeypatch, capsys):
+    # a raise outside any check row is an internal error, not a failed check;
+    # the old report must survive it
     out = tmp_path / "r.json"
     out.write_bytes(b'["old row"]\n')
 
@@ -809,8 +834,9 @@ def test_main_crash_leaves_an_existing_report_intact(tmp_path, monkeypatch):
         raise RuntimeError("vanishing primes broke")
 
     monkeypatch.setattr(harness, "admissible_vanishing_primes", broken)
-    with pytest.raises(RuntimeError, match="vanishing primes broke"):
-        main(["verify", "identities", "--p-max", "13", "--format", "json", "--out", str(out)])
+    argv = ["verify", "identities", "--p-max", "13", "--format", "json", "--out", str(out)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == "internal error: RuntimeError: vanishing primes broke\n"
     assert out.read_bytes() == b'["old row"]\n'
     assert os.listdir(tmp_path) == ["r.json"]  # no temporary file left behind
 
@@ -819,9 +845,9 @@ def test_main_crash_leaves_an_existing_report_intact(tmp_path, monkeypatch):
     multiprocessing.get_start_method() != "fork",
     reason="the planted worker exit reaches pool workers only through fork",
 )
-def test_main_pool_crash_leaves_an_existing_report_intact(tmp_path, monkeypatch):
-    # a --jobs 2 worker that dies outright at one prime must not destroy the
-    # old report; the exit code or exception it ends with is not pinned here
+def test_main_pool_crash_leaves_an_existing_report_intact(tmp_path, monkeypatch, capsys):
+    # a --jobs 2 worker that dies outright at one prime is an internal error
+    # and must not destroy the old report
     reports, died = tmp_path / "reports", tmp_path / "died"
     reports.mkdir()
     out = reports / "r.json"
@@ -836,8 +862,8 @@ def test_main_pool_crash_leaves_an_existing_report_intact(tmp_path, monkeypatch)
 
     monkeypatch.setattr(harness, "legendre_image_j_set", dying)
     argv = ["verify", "theta-z", "--p-min", "7", "--p-max", "11", "--jobs", "2", "--format", "json"]
-    with contextlib.suppress(Exception):
-        main(argv + ["--out", str(out)])
+    assert main(argv + ["--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("internal error: BrokenProcessPool: ")
     assert died.exists()  # the worker did end by os._exit
     assert out.read_bytes() == b'["old row"]\n'
     assert os.listdir(reports) == ["r.json"]  # no temporary file left behind
