@@ -295,7 +295,7 @@ def cube_root_of_2(p: int) -> int:
 class FpField:
     """F_p as the benchmark's layer tracer sees it: ``p``, the ints 0..p-1 of
     ``elements()`` and the root table of ``squares()``.  No module of the
-    package calls these hooks; ROADMAP item 1 removes them with the tracer
+    package calls these hooks; ROADMAP item 6 removes them with the tracer
     change.  Construct via Fp(p)."""
 
     __slots__ = ("p", "_sqrt_table")
@@ -320,7 +320,7 @@ class FpField:
 class Fp2Field(FpField):
     """F_{p^2} = F_p[w]/(w^2 - d) as the tracer sees it: ``p``, ``d``, the
     pairs (c0, c1) of ``elements()`` in the c0-major grid order of
-    ``curves._fp2_grid`` and the root table of ``squares()``.  ROADMAP item 1
+    ``curves._fp2_grid`` and the root table of ``squares()``.  ROADMAP item 6
     removes these hooks with the tracer change.  Construct via Fp2(p)."""
 
     __slots__ = ("d",)

@@ -3,8 +3,10 @@
 Coefficients are stored as plain ints in [0, p), lowest degree first, with no
 trailing zeros (the zero polynomial is the empty list).  There is one
 factoring algorithm, ``factor_pattern`` (distinct-degree splitting alone,
-peeling repeated factors off as it goes); the splitting tests
-``splits_into_linears`` and ``splits_over_fp2`` are queries on its result.
+peeling repeated factors off as it goes); the squarefree test
+``is_squarefree`` and the splitting tests ``splits_into_linears`` and
+``splits_over_fp2`` are queries on its result, so all four share its bound
+p <= 10^4.
 Besides that: one Horner ``evaluate`` at an F_p point (an int) or an F_{p^2}
 point (a pair (c0, c1) for c0 + c1 w, w^2 the least non-residue), brute-force
 root scans, and power sums for the mod-p reductions of the j-polynomials; all
@@ -142,11 +144,6 @@ class FpPoly:
         inv = pow(lc, -1, self.p)
         return FpPoly._raw([c * inv % self.p for c in self.coeffs], self.p)
 
-    def derivative(self) -> "FpPoly":
-        return FpPoly(
-            [i * c % self.p for i, c in enumerate(self.coeffs)][1:], self.p
-        )
-
     def evaluate(self, x: int | tuple[int, int]) -> int | tuple[int, int]:
         """f(x) mod p by Horner's rule: an int for an int x, and the pair
         (c0, c1) of f(x) for x = x0 + x1 w given as (x0, x1), w^2 = d the
@@ -177,20 +174,7 @@ class FpPoly:
         return hash((self.p, tuple(self.coeffs)))
 
     def __repr__(self):
-        if self.is_zero():
-            return f"FpPoly(0 mod {self.p})"
-        terms = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if not c:
-                continue
-            if i == 0:
-                terms.append(f"{c}")
-            elif i == 1:
-                terms.append(f"{c}x" if c != 1 else "x")
-            else:
-                terms.append(f"{c}x^{i}" if c != 1 else f"x^{i}")
-        return f"FpPoly({' + '.join(terms)} mod {self.p})"
+        return f"FpPoly({self.coeffs}, {self.p})"
 
 
 # ---------------------------------------------------------------------------
@@ -257,21 +241,6 @@ def _pow_mod(base: FpPoly, e: int, g: FpPoly, ginv: np.ndarray) -> FpPoly:
 
 
 # ---------------------------------------------------------------------------
-# squarefree test
-
-
-def is_squarefree(f: FpPoly) -> bool:
-    if f.is_zero():
-        return False
-    if f.degree == 0:
-        return True
-    d = f.derivative()
-    if d.is_zero():
-        return False
-    return gcd(f, d).degree == 0
-
-
-# ---------------------------------------------------------------------------
 # factor degree patterns
 
 
@@ -330,7 +299,12 @@ def factor_pattern(f: FpPoly) -> FactorPattern:
 
 
 # ---------------------------------------------------------------------------
-# splitting tests: queries on the factor pattern
+# squarefree and splitting tests: queries on the factor pattern
+
+
+def is_squarefree(f: FpPoly) -> bool:
+    """Whether f is nonzero with no repeated irreducible factor over F_p."""
+    return not f.is_zero() and factor_pattern(f).multiplicities() <= {1}
 
 
 def _squarefree_degrees(f: FpPoly, what: str) -> set[int]:

@@ -90,7 +90,7 @@ from .hyperpoly import (
     truncated_poly_mod,
     vanishing_window,
 )
-from .modforms import coordinates_mod_p, default_order, pf_polynomial, weight_indices
+from .modforms import coordinates_mod_p, default_order, weight_indices
 from .qseries import QSeries, delta, eisenstein, eisenstein_mod, hauptmodul_mismatch, theta_H, theta_Z
 
 _STATUSES = ("pass", "fail", "skipped")
@@ -520,15 +520,15 @@ def _series_str(f: QSeries, upto: int) -> str:
 
 
 def _show_k52() -> str:
-    from .modforms import basis_coordinates, constructor
+    from .modforms import RatPoly, basis_coordinates, combination
 
     k, p = 52, 103
     order = default_order(k)
-    f = constructor(theta_Z(order), k, order)
-    coords = basis_coordinates(theta_Z(order), k).coords
+    coords = basis_coordinates(theta_Z(order), k)
+    f = combination(coords, order)
     names = ["D^4*E4", "D^3*E4^4", "D^2*E4^7", "D*E4^10", "E4^13"]
-    combo = "\n".join(f"  {c:>15} * {t}" for c, t in zip(coords, names))
-    P = pf_polynomial(theta_Z(order), k)
+    combo = "\n".join(f"  {c:>15} * {t}" for c, t in zip(coords.coords, names))
+    P = RatPoly(coords.coords)
     roots = sorted(roots_brute(reduce_poly(P, p)))
     return "\n".join(
         [
@@ -546,12 +546,13 @@ def _show_k52() -> str:
 
 def _show_p107() -> str:
     from .fppoly import roots_fp2_brute
-    from .modforms import constructor
+    from .modforms import RatPoly, basis_coordinates, combination
 
     p, k = 107, 108
     order = default_order(k)
-    f = constructor(theta_H(order), k, order)
-    P = pf_polynomial(theta_H(order), k)
+    coords = basis_coordinates(theta_H(order), k)
+    f = combination(coords, order)
+    P = RatPoly(coords.coords)
     fp = reduce_poly(P, p)
     roots = roots_fp2_brute(fp)
     factors = sorted(f"(j + {-c0 % p})" for c0, c1 in roots if c1 == 0)

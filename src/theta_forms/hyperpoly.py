@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from .exact_arith import Rat, is_prime, padic_valuation, rat_mod
 from .fppoly import FpPoly
-from .modforms import RatPoly, series_in_t
+from .modforms import RatPoly, series_in_t, weight_indices
 from .qseries import QSeries, compose, eisenstein, invert_unit, pow_rational, theta_H, theta_Z
 
 
@@ -177,7 +177,7 @@ def gp_poly(p: int) -> FpPoly:
 
 
 _WINDOW_RULES: dict[str, tuple[tuple[int, ...], int]] = {
-    # tag -> (admissible residues, modulus); (lo, hi) computed per family
+    # tag -> (admissible residues, modulus); (lo, hi) from ``_window_bounds``
     "W0": ((7, 23), 24),
     "W1": ((11, 19), 24),
     "V0": ((11,), 12),
@@ -186,22 +186,19 @@ _WINDOW_RULES: dict[str, tuple[tuple[int, ...], int]] = {
 
 
 def _window_bounds(tag: str, p: int) -> tuple[int, int]:
+    """(lo, hi) for an admissible p: lo is n_k of the family's form, of weight
+    k = (p+1)/2 for W0 and W1 and k = p+1 for V0 and V1; hi is 6 lo for W0
+    and W1, 4 lo for V0 and 4 lo + 2 for V1."""
     residues, modulus = _WINDOW_RULES[tag]
     if p % modulus not in residues:
         raise ValueError(
             f"p = {p} is not admissible for {tag} (needs p mod {modulus} in {residues})"
         )
-    if tag == "W0":
-        n = (p + 1) // 24 if p % 24 == 23 else (p - 7) // 24
+    if tag in ("W0", "W1"):
+        n = weight_indices((p + 1) // 2).n
         return n, 6 * n
-    if tag == "W1":
-        n = (p - 11) // 24 if p % 24 == 11 else (p - 19) // 24
-        return n, 6 * n
-    if tag == "V0":
-        n = (p + 1) // 12
-        return n, 4 * n
-    n = (p - 5) // 12
-    return n, 4 * n + 2
+    n = weight_indices(p + 1).n
+    return n, 4 * n + (2 if tag == "V1" else 0)
 
 
 def vanishing_window(tag: str, p: int) -> tuple[int, int, bool]:

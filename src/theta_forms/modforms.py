@@ -30,8 +30,8 @@ term 1) and the t-rows are integer with leading 1, so the map from target to
 coordinates is unimodular over Z and commutes with reduction mod p.
 The solve is cached on those residues, so P(1) and P(E_(p-1)), whose
 residues agree since E_(p-1) = 1 mod p, are solved once per prime.
-The exact solve (``basis_coordinates``, ``pf_polynomial``, ``constructor``)
-serves ``show`` and the tests.
+The exact solve (``basis_coordinates``, with ``combination``, ``pf_polynomial``
+and ``constructor`` reading its coordinates) serves ``show`` and the tests.
 """
 
 from __future__ import annotations
@@ -77,20 +77,7 @@ class RatPoly:
         return self.coeffs == other.coeffs
 
     def __repr__(self):
-        if not self.coeffs:
-            return "RatPoly(0)"
-        terms = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if not c:
-                continue
-            if i == 0:
-                terms.append(f"{c}")
-            elif i == 1:
-                terms.append(f"{c}*x")
-            else:
-                terms.append(f"{c}*x^{i}")
-        return "RatPoly(" + " + ".join(terms) + ")"
+        return f"RatPoly({self.coeffs})"
 
 
 # ---------------------------------------------------------------------------
@@ -183,9 +170,8 @@ def _unit(w: WeightIndices, order: int, sign: int) -> QSeries:
 
     Only the exact solve and its views use it; no verify lane does, since the
     lanes take U^-1 mod p inside ``coordinates_mod_p``.  Cached for the last
-    two calls, so the exact solves of one weight (the coordinates, P(j) and
-    the constructor of ``show k52``) share U and U^-1.  Callers only multiply
-    the result, never mutate it.
+    two calls, so repeated exact solves and combinations of one weight share
+    U^-1 and U.  Callers only multiply the result, never mutate it.
     """
     u = pow_rational(eisenstein(4, order), sign * (w.a + 3 * w.n))
     if w.b:

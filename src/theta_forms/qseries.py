@@ -208,17 +208,7 @@ class QSeries:
         return self.order == other.order and self.first_mismatch(other) is None
 
     def __repr__(self):
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            e = self.shift + i
-            parts.append(f"{c}" if e == 0 else f"{c}*q^{e}")
-            if len(parts) >= 6:
-                parts.append("...")
-                break
-        body = " + ".join(parts) if parts else "0"
-        return f"QSeries({body}; order {self.order})"
+        return f"QSeries({self.coeffs}, shift={self.shift})"
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,10 @@ def _random_poly(rng, p, deg):
     return FpPoly(coeffs, p)
 
 
+def _derivative(f: FpPoly) -> FpPoly:
+    return FpPoly([i * c for i, c in enumerate(f.coeffs)][1:], f.p)
+
+
 # ---------------------------------------------------------------------------
 # basics
 
@@ -219,6 +223,33 @@ def test_factor_pattern_agrees_with_fp2_split():
         assert splits_over_fp2(f) == fits
 
 
+def _squarefree_by_derivative(f: FpPoly) -> bool:
+    """Reference: f is squarefree when it is nonzero and gcd(f, f') = 1; a
+    nonconstant f with f' = 0 is a p-th power."""
+    if f.is_zero():
+        return False
+    if f.degree == 0:
+        return True
+    d = _derivative(f)
+    return not d.is_zero() and gcd(f, d).degree == 0
+
+
+def test_is_squarefree_matches_the_derivative_criterion():
+    rng = random.Random(53)
+    for p in (3, 5, 7, 13):
+        for _ in range(40):
+            f = _random_poly(rng, p, rng.randrange(1, 8))
+            if rng.random() < 0.5:  # plant a repeated factor half the time
+                g = _random_poly(rng, p, rng.randrange(1, 3))
+                f = f * g * g
+            assert is_squarefree(f) == _squarefree_by_derivative(f), (p, f)
+        pth_power = _poly_from_roots([2] * p, p)  # (x - 2)^p, zero derivative
+        assert _derivative(pth_power).is_zero()
+        assert not is_squarefree(pth_power) and not _squarefree_by_derivative(pth_power)
+        for f in (FpPoly([3], p), FpPoly([], p)):
+            assert is_squarefree(f) == _squarefree_by_derivative(f) == (not f.is_zero())
+
+
 def test_weight_108_pattern_mod_107():
     f = reduce_poly(pf_polynomial(theta_H(11), 108), 107)
     pat = factor_pattern(f)
@@ -232,6 +263,10 @@ def test_factor_pattern_rejects_p_beyond_bound():
     assert factor_pattern(FpPoly([1, 0, 1], 9973)).pairs == (((1, 1), 2),)  # 9973 = 1 mod 4
     with pytest.raises(ValueError, match="10\\^4"):
         factor_pattern(FpPoly([1, 0, 1], 10007))
+    # is_squarefree is a query on the pattern, so it shares the bound
+    assert is_squarefree(FpPoly([1, 0, 1], 9973))
+    with pytest.raises(ValueError, match="10\\^4"):
+        is_squarefree(FpPoly([1, 0, 1], 10007))
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +361,7 @@ def _squarefree_decomposition(f: FpPoly) -> list[tuple[int, FpPoly]]:
     g = f.monic()
     scale = 1
     while g.degree > 0:
-        dg = g.derivative()
+        dg = _derivative(g)
         if dg.is_zero():
             # all exponents divisible by p: g(x) = h(x)^p coefficientwise
             g = FpPoly(g.coeffs[:: g.p], g.p).monic()

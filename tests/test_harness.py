@@ -589,6 +589,60 @@ def test_hessian_row_fails_when_a_sampled_cubic_is_wrong(monkeypatch, capsys):
     assert others == [r for r in clean if (r["check_id"], r["p"]) != ("hessian_set", bad_p)]
 
 
+_IDENTITIES_ARGV = ["verify", "identities", "--p-max", "13", "--order", "20", "--format", "json"]
+
+# (family, prime, stream index): among the lane's eight admissible primes of
+# the family, the index lies strictly inside this prime's window only, and
+# above c_20, the last coefficient the identity rows read at --order 20
+_PLANTED_WINDOW_COEFFICIENTS = [("W0", 127, 25), ("W1", 131, 25), ("V0", 131, 40), ("V1", 113, 36)]
+
+
+@pytest.mark.parametrize("tag, bad_p, m", _PLANTED_WINDOW_COEFFICIENTS)
+def test_vanishing_row_fails_where_a_window_coefficient_is_a_unit(
+    tag, bad_p, m, fresh_series_caches, capsys
+):
+    streams, _ = fresh_series_caches
+    assert main(_IDENTITIES_ARGV) == 0
+    clean = json.loads(capsys.readouterr().out)
+    cs = streams[hyperpoly.FAMILY_PARAMS[tag]]
+    lo, hi = hyperpoly._window_bounds(tag, bad_p)
+    assert lo < m < hi and m < len(cs) - 1
+    cs[m] += 1  # c_m was divisible by bad_p, so c_m + 1 is a bad_p-unit
+    assert exact_arith.padic_valuation(cs[m], bad_p) == 0
+    assert main(_IDENTITIES_ARGV) == 1
+    rows = json.loads(capsys.readouterr().out)
+    row = (f"vanish_{tag.lower()}", bad_p)
+    failed = [(r["check_id"], r["p"], r["witness"]) for r in rows if r["status"] == "fail"]
+    assert failed == [(*row, f"nonvanishing coefficient inside ({lo}, {hi})")]
+    others = [r for r in rows if (r["check_id"], r["p"]) != row]
+    assert others == [r for r in clean if (r["check_id"], r["p"]) != row]
+
+
+def test_delta_row_fails_where_e4_has_a_wrong_coefficient(monkeypatch, capsys):
+    # E4 + q^e changes E4^3 - E6^2 first at q^e, so only the Delta identity
+    # moves, and its witness names e
+    e = 5
+    assert main(_IDENTITIES_ARGV) == 0
+    clean = json.loads(capsys.readouterr().out)
+    orig = harness.eisenstein
+
+    def planted(k, order):
+        f = orig(k, order)
+        if k != 4:
+            return f
+        coeffs = list(f.coeffs)
+        coeffs[e] += 1
+        return type(f)(coeffs, f.shift)
+
+    monkeypatch.setattr(harness, "eisenstein", planted)
+    assert main(_IDENTITIES_ARGV) == 1
+    rows = json.loads(capsys.readouterr().out)
+    failed = [(r["check_id"], r["p"], r["witness"]) for r in rows if r["status"] == "fail"]
+    assert failed == [("id_delta_from_eisenstein", None, f"first mismatch at exponent {e}")]
+    others = [r for r in rows if r["check_id"] != "id_delta_from_eisenstein"]
+    assert others == [r for r in clean if r["check_id"] != "id_delta_from_eisenstein"]
+
+
 def test_process_pool_bounded_by_primes(monkeypatch):
     # a pool forks all its workers up front, so a huge --jobs must not reach it
     sizes = []

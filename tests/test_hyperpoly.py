@@ -218,6 +218,32 @@ def test_vanishing_window_brute_valuations():
             assert cs[lo].numerator % p != 0
 
 
+def _closed_form_window(tag, p):
+    """Reference: each family's window as a closed form in p, per residue class."""
+    if tag == "W0":
+        n = (p + 1) // 24 if p % 24 == 23 else (p - 7) // 24
+        return n, 6 * n
+    if tag == "W1":
+        n = (p - 11) // 24 if p % 24 == 11 else (p - 19) // 24
+        return n, 6 * n
+    if tag == "V0":
+        n = (p + 1) // 12
+        return n, 4 * n
+    n = (p - 5) // 12
+    return n, 4 * n + 2
+
+
+def test_window_bounds_match_the_closed_forms_below_5000():
+    # _window_bounds reads n from weight_indices; the closed forms do not
+    checked = 0
+    for tag, (residues, modulus) in _WINDOW_RULES.items():
+        for p in primes_in_range(5, 4999):
+            if p % modulus in residues:
+                assert _window_bounds(tag, p) == _closed_form_window(tag, p), (tag, p)
+                checked += 1
+    assert checked > 600
+
+
 def _fresh_stream(params, m_max):
     """c_0..c_m_max by the ratio recurrence, in a list of the test's own."""
     hp = FAMILY_PARAMS.get(params, params)
