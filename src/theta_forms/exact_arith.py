@@ -319,8 +319,8 @@ class FpField:
 
 class Fp2Field(FpField):
     """F_{p^2} = F_p[w]/(w^2 - d) as the tracer sees it: ``p``, ``d``, the
-    pairs (c0, c1) of ``elements()`` in the c0-major grid order of
-    ``curves._fp2_grid`` and the root table of ``squares()``.  ROADMAP item 6
+    pairs (c0, c1) of ``elements()`` in c0-major order (c0 + c1 w at flat
+    index c0 p + c1) and the root table of ``squares()``.  ROADMAP item 6
     removes these hooks with the tracer change.  Construct via Fp2(p)."""
 
     __slots__ = ("d",)

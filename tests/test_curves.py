@@ -13,6 +13,7 @@ from theta_forms.curves import (
     HESSIAN_TORSION_SAMPLES,
     TorsionStructure,
     check_hessian_matches_hex,
+    full_3_torsion_over_fp2,
     hessian_norm_condition_j_set,
     hex_zero_set,
     legendre_image_j_set,
@@ -73,7 +74,103 @@ def _residues(curve):
 
 
 def _torsion(curve, n):
-    return n_torsion_structure(_residues(curve), n, curve[0].p)
+    """E[n]: n_torsion_structure over F_p, the reference pair sweep over F_{p^2}."""
+    torsion = n_torsion_structure if curve[0].deg == 1 else _n_torsion_structure_sweep
+    return torsion(_residues(curve), n, curve[0].p)
+
+
+# ---------------------------------------------------------------------------
+# the sweeps over all of F_{p^2} that the oracles no longer run, as references
+#
+# Each walks the c0-major grid of F_{p^2} (c0 + c1 w at flat index c0 p + c1)
+# as int64 arrays, a block at a time, through the package's array layer.
+
+_BLOCK = 1 << 15  # values per sweep step, so each step's temporaries stay in cache
+
+
+def _fp2_grid(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(c0, c1) of every c0 + c1 w in F_{p^2}, c0-major: flat index c0 p + c1."""
+    c = np.arange(p, dtype=np.int64)
+    return np.repeat(c, p), np.tile(c, p)
+
+
+def _blocks(x):
+    """Consecutive slices of the coefficient arrays ``x``, _BLOCK values each."""
+    for lo in range(0, len(x[0]), _BLOCK):
+        yield tuple(c[lo : lo + _BLOCK] for c in x)
+
+
+def _n_torsion_structure_sweep(cubic, n, p):
+    """E[n] over F_{p^2}, the cubic's coefficients given as pairs, by
+    n_torsion_structure's x-only doubling test at every x of F_{p^2}: the
+    reference for full_3_torsion_over_fp2."""
+    A = curves._ArrayField(p, least_nonresidue(p))
+    c2, c1, c0 = [(int(c0) % p, int(c1) % p) for c0, c1 in cubic]
+
+    def f_of(t):
+        return A.add(A.mul(A.add(A.mul(A.add(t, c2), t), c1), t), c0)
+
+    a2 = an = 0  # affine points of E[2], and of E[n] off the x-axis
+    for x in _blocks(_fp2_grid(p)):
+        f = f_of(x)
+        nf = A.norm(f)
+        a2 += int(np.count_nonzero(nf == 0))
+        if n == 2:
+            continue
+        sq = A.chi[nf] == 1
+        d = A.add(A.mul(A.add(A.scale(3, x), A.scale(2, c2)), x), c1)
+        x2 = A.add(A.mul(A.mul(d, d), A.recip(A.scale(4, f))), A.scale(-1, c2), A.scale(-2, x))
+        if n == 3:
+            hit = A.norm(A.add(x2, A.scale(-1, x))) == 0
+        else:
+            hit = A.norm(f_of(x2)) == 0
+        an += 2 * int(np.count_nonzero(sq & hit))
+    return curves._torsion_structure(1 + a2, 1 + an + (0 if n == 3 else a2), n)
+
+
+def _hex_zero_set_sweep(p):
+    """Reference for hex_zero_set: a^((p+1)/3) = -2^(1/3) tested at every a
+    of the grid, then the same j-map."""
+    A = curves._ArrayField(p, least_nonresidue(p))
+    target = -cube_root_of_2(p) % p
+    hits = []
+    for a in _blocks(_fp2_grid(p)):
+        t0, t1 = A.pow(a, (p + 1) // 3)
+        keep = (t0 == target) & (t1 == 0)
+        hits.append(tuple(c[keep] for c in a))
+    a = tuple(np.concatenate(c) for c in zip(*hits))
+    num = A.scale(6912 % p, A.pow(A.add(A.scale(2, a), (-1, 0)), 3))
+    return set(curves._j_set(A, num, A.mul(a, A.pow(A.add(a, (4, 0)), 3))))
+
+
+def _admissible_hessian_params_sweep(p):
+    """Reference for _admissible_hessian_params: the norm b^(p+1) = -2 and
+    b^3 != 1 tested at every b of the grid, as (c0, c1) pairs in grid order."""
+    A = curves._ArrayField(p, least_nonresidue(p))
+    b = _fp2_grid(p)
+    b30, b31 = A.pow(b, 3)
+    keep = (A.norm(b) == -2 % p) & ((b30 != 1) | (b31 != 0))
+    return list(zip(b[0][keep].tolist(), b[1][keep].tolist()))
+
+
+def _hessian_samples(p):
+    """The cubics of the HESSIAN_TORSION_SAMPLES curves check_hessian_matches_hex samples."""
+    samples = tuple(c[:HESSIAN_TORSION_SAMPLES] for c in curves._admissible_hessian_params(p))
+    return curves._hessian_cubics(p, samples)
+
+
+def check_fp2_oracles_match_grid_sweeps(p):
+    """hex_zero_set, the admissible Hessian parameters and the 3-torsion of
+    the sampled Hessian curves against the grid sweeps, at one prime
+    p = 5, 11 mod 12; returns the number of samples checked."""
+    assert hex_zero_set(p) == _hex_zero_set_sweep(p), p
+    assert _admissible_pairs(p) == _admissible_hessian_params_sweep(p), p
+    cubics = _hessian_samples(p)
+    for cubic in cubics:
+        full = _n_torsion_structure_sweep(cubic, 3, p) == TorsionStructure(3, 3)
+        assert full, (p, cubic)  # b^(p+1) = -2 gives full 3-torsion
+        assert full_3_torsion_over_fp2(cubic, p) == full, (p, cubic)
+    return len(cubics)
 
 
 def legendre_4torsion_predicted(lam: int, p: int) -> TorsionStructure:
@@ -356,6 +453,8 @@ def test_n_torsion_matches_repeated_addition():
                     killed.append(P)
             t = _torsion(E, n)
             assert t.d1 * t.d2 == len(killed), (E, n)
+            if n == 3 and E[0].deg == 2:
+                assert full_3_torsion_over_fp2(_residues(E), E[0].p) == (len(killed) == 9), E
             for P in killed:
                 for Q in killed:
                     assert _add(P, Q, c2, c1) in killed, (E, n, P, Q)
@@ -386,7 +485,8 @@ def _torsion_sweep_curves():
 
 
 def test_n_torsion_matches_object_sweep():
-    # the int64 sweep against the same x-only test on field-element objects
+    # the int64 sweeps (the package's over F_p, the reference's over F_{p^2})
+    # against the same x-only test on field-element objects
     structures = set()
     degrees = set()
     for E in _torsion_sweep_curves():
@@ -395,6 +495,9 @@ def test_n_torsion_matches_object_sweep():
             t = _torsion(E, n)
             assert t == _n_torsion_structure_objects(E, n), (E, n)
             structures.add((n, t.d1, t.d2))
+            if n == 3 and E[0].deg == 2:
+                full = t == TorsionStructure(3, 3)
+                assert full_3_torsion_over_fp2(_residues(E), E[0].p) == full, E
     assert degrees == {1, 2}
     # every shape the sweep can report occurs, so no branch goes untested
     for want in ((2, 1, 1), (2, 1, 2), (2, 2, 2), (3, 1, 1), (3, 1, 3), (3, 3, 3),
@@ -450,10 +553,10 @@ def test_n_torsion_rejects():
         n_torsion_structure((-4, 3, 0), 5, 7)
     with pytest.raises(ValueError):
         n_torsion_structure((-4, 3, 0), 2, 1009)
-    with pytest.raises(ValueError):
-        n_torsion_structure(((0, 0), (3, 0), (1, 0)), 2, 1009)
-    with pytest.raises(ValueError, match="mixes"):
-        n_torsion_structure(((0, 0), 3, 1), 2, 7)
+    # a pair coefficient is a curve over F_{p^2}: full_3_torsion_over_fp2's job
+    for cubic in (((0, 0), (3, 0), (1, 0)), ((0, 0), 3, 1)):
+        with pytest.raises(ValueError, match="F_p only"):
+            n_torsion_structure(cubic, 2, 7)
     for bad in (3, 25):
         with pytest.raises(ValueError):
             n_torsion_structure((-4, 3, 0), 2, bad)
@@ -646,7 +749,7 @@ def supersingular_j_set_fft(p: int) -> set:
     X = np.empty(p * p, dtype=np.int64)
     h = np.zeros(p * p, dtype=np.int64)
     lo = 0
-    for x in curves._blocks(curves._fp2_grid(p)):
+    for x in _blocks(_fp2_grid(p)):
         hi = lo + len(x[0])
         X[lo:hi] = A.chi[A.norm(x)]
         u = A.add(x, (1, 0))
@@ -734,7 +837,6 @@ def test_hex_zero_set_matches_polynomial_roots():
 
 
 def test_hex_zero_set_matches_object_sweep():
-    # F_{191^2} spans two blocks of the array sweep
     for p in [*primes_in_range(5, 131), 191]:
         if p % 12 in (5, 11):
             assert hex_zero_set(p) == _hex_zero_set_objects(p), p
@@ -786,14 +888,13 @@ def test_hessian_model_substitution_oracle():
                     acc = acc * v + c
                 cubic.append(acc.residue())
             want.append(tuple(cubic))
-        assert curves._hessian_cubics(p, curves._fp2_grid(p)) == want, p
+        assert curves._hessian_cubics(p, _fp2_grid(p)) == want, p
 
 
 def test_hessian_model_singular_exactly_at_cube_roots_of_unity():
     # 1728 Delta = c4^3 - c6^2 of the residue model vanishes iff b^3 = 1
     for p in (5, 11, 17):
-        grid = curves._fp2_grid(p)
-        for v, cubic in zip(elements(p, 2), curves._hessian_cubics(p, grid)):
+        for v, cubic in zip(elements(p, 2), curves._hessian_cubics(p, _fp2_grid(p))):
             c2, c1, c0 = (fp2(p, *c) for c in cubic)
             b2, b4, b6 = 4 * c2, 2 * c1, 4 * c0
             c4 = b2 * b2 - 24 * b4
@@ -861,19 +962,19 @@ def test_check_hessian_matches_hex():
 
 
 def test_hessian_check_sweeps_fp2_once_per_side(monkeypatch):
-    # one sweep of F_{p^2} lists the admissible Hessian parameters for both the
+    # one listing of the admissible Hessian parameters per p serves both the
     # j-set and the 3-torsion samples; one more builds the hexagonal zero set
     p = 47
     curves._admissible_hessian_params.cache_clear()
     hex_zero_set.cache_clear()
     sampled = []
 
-    def torsion(cubic, n, q):
-        assert (n, q) == (3, p)
+    def torsion(cubic, q):
+        assert q == p
         sampled.append(cubic)
-        return TorsionStructure(3, 3)
+        return True
 
-    monkeypatch.setattr(curves, "n_torsion_structure", torsion)
+    monkeypatch.setattr(curves, "full_3_torsion_over_fp2", torsion)
     assert check_hessian_matches_hex(p)
     assert check_hessian_matches_hex(p)
     assert curves._admissible_hessian_params.cache_info().misses == 1
@@ -891,6 +992,66 @@ def test_admissible_hessian_params_match_object_sweep():
             got = _admissible_pairs(p)
             assert got == [b.residue() for b in _admissible_hessian_params_objects(p)], p
             assert len(got) == p + 1  # every norm -2 element: N(b^3) = -8 != 1
+
+
+def test_fp2_oracles_match_grid_sweeps():
+    # the cosets and the Frobenius test against the sweeps over all of F_{p^2}
+    # they replaced; every prime to 1000 in tests/test_full_range.py
+    primes = [p for p in primes_in_range(5, 131) if p % 12 in (5, 11)]
+    assert sum(check_fp2_oracles_match_grid_sweeps(p) for p in primes) == 3 * len(primes)
+
+
+def _nonsingular(cubic, p):
+    """Whether y^2 = x^3 + c2 x^2 + c1 x + c0 over F_{p^2} is nonsingular: the
+    cubic's discriminant c2^2 c1^2 - 4 c1^3 - 4 c2^3 c0 - 27 c0^2 + 18 c2 c1 c0."""
+    c2, c1, c0 = (fp2(p, *c) for c in cubic)
+    disc = c2 * c2 * c1 * c1 - 4 * c1**3 - 4 * c2**3 * c0 - 27 * c0 * c0 + 18 * c2 * c1 * c0
+    return bool(disc)
+
+
+def test_full_3_torsion_matches_pair_sweep_on_random_cubics():
+    # both outcomes, against the x-only doubling test at every x of F_{p^2}
+    rng = random.Random(31)
+    outcomes = []
+    for p in primes_in_range(5, 43):
+        done = 0
+        while done < 24:
+            cubic = tuple((rng.randrange(p), rng.randrange(p)) for _ in range(3))
+            if not _nonsingular(cubic, p):
+                continue
+            full = _n_torsion_structure_sweep(cubic, 3, p) == TorsionStructure(3, 3)
+            assert full_3_torsion_over_fp2(cubic, p) == full, (p, cubic)
+            outcomes.append(full)
+            done += 1
+    assert 0 < sum(outcomes) < len(outcomes)
+
+
+def test_full_3_torsion_rejects_roots_of_psi3_outside_fp2():
+    # on these curves f^((p^2-1)/2) = 1 modulo psi_3, though not every root
+    # of psi_3 lies in F_{p^2}; only x^(p^2) = x rejects them (found by a
+    # search over random cubics; about one in a hundred at p = 5)
+    for p, cubic in ((5, ((4, 3), (3, 3), (1, 3))), (7, ((3, 1), (4, 2), (1, 1))),
+                     (11, ((9, 7), (1, 9), (6, 7)))):
+        assert _nonsingular(cubic, p)
+        assert _n_torsion_structure_sweep(cubic, 3, p) != TorsionStructure(3, 3)
+        assert not full_3_torsion_over_fp2(cubic, p)
+
+
+def test_full_3_torsion_fails_on_the_twists_of_the_hessian_samples():
+    # a quadratic twist keeps the x of the 3-torsion (x^(p^2) = x still holds)
+    # but turns f into a non-square there, so only the second half of the
+    # test can reject it
+    for p in primes_in_range(5, 131):
+        if p % 12 not in (5, 11):
+            continue
+        u = next(z for z in elements(p, 2) if z and not z.is_square())
+        for cubic in _hessian_samples(p):
+            c2, c1, c0 = (fp2(p, *c) for c in cubic)
+            twist = tuple(c.residue() for c in (u * c2, u * u * c1, u * u * u * c0))
+            assert full_3_torsion_over_fp2(cubic, p)
+            assert not full_3_torsion_over_fp2(twist, p), (p, cubic)
+            if p <= 29:
+                assert _n_torsion_structure_sweep(twist, 3, p) != TorsionStructure(3, 3)
 
 
 def test_check_hessian_rejects():

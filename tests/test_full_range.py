@@ -11,14 +11,15 @@ lane over 5..1000 with every oracle cap at 1000.  The files were made with
     done
 
 and a change that alters any row must regenerate them the same way and name
-the rows it changed.  The whole comparison takes about a minute, so it runs
-only when THETA_FORMS_FULL_RANGE=1 is set, together with three agreements at
-every prime up to 1000: the mod-p solve with the exact one, the supersingular
-walk with the FFT reference, and the Legendre 4-torsion classes with
-``n_torsion_structure``.  The Tier-1 tests below rerun the top prime of each
-lane's residue classes with the caps raised and compare those rows, so the
-files are read on every run, and check the supersingular anchors at every
-prime up to 1000.
+the rows it changed.  The four lanes take a few seconds together, so every
+run compares them in full, reruns the top prime of each lane's residue
+classes with the caps raised and compares those rows, and checks the
+supersingular anchors at every prime up to 1000.  The agreements with the
+slow references at every prime up to 1000 run only when
+THETA_FORMS_FULL_RANGE=1 is set: the mod-p solve with the exact one, the
+supersingular walk with the FFT reference, the Legendre 4-torsion classes
+with ``n_torsion_structure``, and the theta-hex oracles with their sweeps
+over all of F_{p^2}.
 """
 
 import json
@@ -27,7 +28,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from test_curves import supersingular_j_set_fft
+from test_curves import check_fp2_oracles_match_grid_sweeps, supersingular_j_set_fft
 from test_modforms import check_solve_mod_p_matches_exact
 
 from theta_forms.curves import (
@@ -80,7 +81,6 @@ def test_top_primes_match_full_range_report(lane):
     assert {_key(r) for r in rows} >= {k for k in golden if k[1] in (lo, hi)}
 
 
-@full_range_only
 @pytest.mark.parametrize("lane", sorted(LANES))
 def test_full_range_matches_report(lane):
     verify, _ = LANES[lane]
@@ -118,3 +118,11 @@ def test_two_torsion_only_lambdas_match_n_torsion_to_1000():
             if n_torsion_structure((-1 - v, v, 0), 4, p) == TorsionStructure(2, 2)
         )
         assert two_torsion_only_lambdas(p) == want, p
+
+
+@full_range_only
+def test_fp2_oracles_match_grid_sweeps_to_1000():
+    # the 86 primes p = 5, 11 mod 12 below 1000, and their 258 Hessian samples
+    primes = [p for p in primes_in_range(5, 1000) if p % 12 in (5, 11)]
+    assert len(primes) == 86
+    assert sum(check_fp2_oracles_match_grid_sweeps(p) for p in primes) == 258
