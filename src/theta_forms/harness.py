@@ -20,9 +20,12 @@ p for the form's P(j), the factor pattern of f, G_p) are built once, by the
 first row that needs them, so a row's ``ms`` covers its check plus any
 artefact it is first to need.  No lane builds P(j) over Q: f is solved mod p
 (``modforms.coordinates_mod_p``) from the residues of the form's q^0..q^n,
-all the solve reads; the background lane takes E_{p-1}'s residues from
--2k/B_k mod p (``eisenstein_mod``), read from the tangent number T_((p-1)/2)
-mod p^2 and from the exact Bernoulli number only where p^2 cannot decide.
+all the solve reads.  The solve peels P's coefficients one at a time as
+digits in base 1/j, multiplying by the residues of q j, so no lane reads
+the exact table of powers of 1/j.  The background lane takes E_{p-1}'s
+residues from -2k/B_k mod p (``eisenstein_mod``), read from the tangent
+number T_((p-1)/2) mod p^2 and from the exact Bernoulli number only where
+p^2 cannot decide.
 The congruence rows compare f with the family's truncated hypergeometric
 polynomial from the mod-p stream (``truncated_poly_mod``).  Two witnesses
 answer the remaining polynomial rows: the shape rows read the factor

@@ -15,7 +15,7 @@ has one exact stream (``_STREAMS``), extended in place as readers ask for
 more terms; ``f21_coefficients`` hands out copies of its prefixes, and the
 other readers index it.  The identity rows expand F(...; 1728/j) as
 sum c_m 1728^m t^m over the t-table of ``modforms.series_in_t``, the table
-the basis solve reads.  The mod-p recurrence (``truncated_poly_mod``,
+the exact basis solve reads.  The mod-p recurrence (``truncated_poly_mod``,
 ``gp_poly``) runs the same recurrence in residues.  Reduction mod p is a
 ring map on the rationals with no p in the denominator, so the mod-p stream
 up to c_n equals the exact stream reduced mod p whenever no factor

@@ -13,25 +13,30 @@ for the unit U = E4^(a_k + 3 n_k) E6^(b_k) and t = Delta / E4^3 = q - 744q^2
 exactly when f / U matches sum c_l * t^(n_k - l), and the rows of that
 triangular system, t^0..t^(n_k), do not depend on k.  They live in one
 module-level table, built on first use and extended in place when a larger
-order is asked for.  A solve costs the two unit powers, one product and a
-back-substitution in plain ints against the table (the target scaled by the
-lcm of its denominators, one division at the end).  ``series_in_t`` sums
-any series in t = 1/j from the same table; ``combination`` and the identity
-rows of ``hyperpoly`` read it, so it is the package's one table of powers
-of 1/j.  Writing the combination over the common factor
+order is asked for.  An exact solve costs the two unit powers, one product
+and a back-substitution in plain ints against the table (the target scaled
+by the lcm of its denominators, one division at the end).  ``series_in_t``
+sums any series in t = 1/j from the same table; ``combination`` and the
+identity rows of ``hyperpoly`` read it, so it is the package's one table of
+powers of 1/j.  Writing the combination over the common factor
 Delta^(n_k) E4^(a_k) E6^(b_k) turns the coordinates into a polynomial in j,
 since E4^3 / Delta = j.
 
-The verify lanes read P(j) only mod p, so they call ``coordinates_mod_p``:
-the same solve run in residues, from the target's residues of q^0..q^(n_k),
-with U^-1 mod p a series inverse on int64 arrays.  It is exact for every
-prime p because U^-1 has integer coefficients (E4 and E6 do, with constant
-term 1) and the t-rows are integer with leading 1, so the map from target to
-coordinates is unimodular over Z and commutes with reduction mod p.
-The solve is cached on those residues, so P(1) and P(E_(p-1)), whose
-residues agree since E_(p-1) = 1 mod p, are solved once per prime.
-The exact solve (``basis_coordinates``, with ``combination``, ``pf_polynomial``
-and ``constructor`` reading its coordinates) serves ``show`` and the tests.
+The verify lanes read P(j) only mod p, so they call ``coordinates_mod_p``,
+which solves in residues from the target's residues of q^0..q^(n_k) and
+never reads the t-table.  It takes h = target * U^-1 mod p, with U^-1 a
+series inverse on int64 arrays, and then peels h's digits in base t = 1/j:
+h = sum C_i t^i gives C_0 = h_0, and (h - C_0) j = h[1:] * S for
+S = q j = E4^3 / prod (1 - q^k)^24 = 1 + 744q + ..., so each step takes the
+constant term and multiplies the tail by S mod p.  U^-1 and S have integer
+coefficients and nothing divides, so the solve is exact for every prime p,
+p <= n_k included; S's residues come from one shared exact series, built on
+first use.  The solve is cached on the target's residues, so P(1) and
+P(E_(p-1)), whose residues agree since E_(p-1) = 1 mod p, are solved once
+per prime.  The t-table's readers are ``series_in_t`` (with ``combination``
+and the identity rows), the exact solve (``basis_coordinates``, with
+``pf_polynomial`` and ``constructor`` reading its coordinates), ``show`` and
+the tests.
 """
 
 from __future__ import annotations
@@ -45,7 +50,16 @@ from operator import mul
 import numpy as np
 
 from .exact_arith import rat_mod, series_inverse_mod, series_pow_mod
-from .qseries import QSeries, _cleared, _divided, delta, eisenstein, eisenstein_mod, pow_rational
+from .qseries import (
+    QSeries,
+    _cleared,
+    _divided,
+    delta,
+    eisenstein,
+    eisenstein_mod,
+    euler_product,
+    pow_rational,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -190,15 +204,18 @@ def basis(k: int, order: int | None = None) -> list[QSeries]:
     return [u * QSeries(rows[w.n - l][:order]) for l in range(w.n + 1)]
 
 
-def _back_substitute(residual: list[int], p: int = 0) -> list[int]:
-    """c_0..c_n with sum c_l t^(n-l) = residual to q^n, n = len - 1, consuming
-    residual; given p, residues mod p, each entry reduced when it is read."""
+def _back_substitute(residual: list[int]) -> list[int]:
+    """c_0..c_n with sum c_l t^(n-l) = residual to q^n, n = len - 1, in exact
+    ints against the shared t-table, consuming residual.
+
+    Only the exact solve calls it.  Mod p the same digits come from
+    ``_peel_digits``, which multiplies by S = q j instead of reading t-rows.
+    """
     n = len(residual) - 1
     rows = _t_powers(n + 1)
     coords = [0] * (n + 1)
     for e in range(n + 1):
-        c = residual[e] % p if p else residual[e]
-        coords[n - e] = c
+        c = coords[n - e] = residual[e]
         if c:
             row = rows[e]
             for e2 in range(e + 1, n + 1):
@@ -234,12 +251,13 @@ def coordinates_mod_p(target, k: int, p: int) -> list[int]:
     ``target`` lists the target's coefficients of q^0, q^1, ...; only the
     first n_k + 1 are read, each through ``rat_mod``, so residues pass
     unchanged and a Fraction with p in its denominator raises ValueError.  A
-    target shorter than n_k + 1 raises ConfigError.  The solve is
-    ``basis_coordinates`` in residues: h = target * U^-1 mod p, with
-    U = E4^(a_k + 3 n_k) E6^(b_k) from E4 and E6 mod p (``eisenstein_mod``)
-    and its inverse from ``series_inverse_mod``, then back-substitution
-    against the shared t-table.  Nothing divides by 1..n_k, so any prime p
-    will do, p <= n_k included.
+    target shorter than n_k + 1 raises ConfigError.  The solve takes
+    h = target * U^-1 mod p, with U = E4^(a_k + 3 n_k) E6^(b_k) from E4 and
+    E6 mod p (``eisenstein_mod``) and its inverse from
+    ``series_inverse_mod``, then peels the digits C_i of h = sum C_i t^i,
+    one per step, multiplying the tail by S = q j mod p; c_l = C_(n_k - l).
+    Nothing divides, so any prime p will do, p <= n_k included, up to the
+    kernels' bound (n_k + 1) p^2 < 2^63, past which ValueError is raised.
     """
     w = weight_indices(k)
     _require_dimension(w, len(target))
@@ -248,13 +266,68 @@ def coordinates_mod_p(target, k: int, p: int) -> list[int]:
 
 @lru_cache(maxsize=2)  # the last two residue targets: P(1) follows P(E_(p-1))
 def _solve_mod_p(h: tuple, w: WeightIndices, p: int) -> tuple:
-    # the two products below are exact under the kernel's bound for this m and p
+    # the products below are exact under the kernel's bound for this m and p,
+    # which series_pow_mod checks first
     m = len(h)
     u = series_pow_mod(eisenstein_mod(4, m, p), w.a + 3 * w.n, m, p)
     if w.b:
         u = np.convolve(u, eisenstein_mod(6, m, p))[:m] % p
     h = np.convolve(h, series_inverse_mod(u, m, p))[:m] % p
-    return tuple(_back_substitute(h.tolist(), p))
+    return tuple(_peel_digits(h, _q_j_mod(m - 1, p), p)[::-1])
+
+
+# S = q j = E4^3 / prod_(k>=1) (1 - q^k)^24 to q^(len - 1), in ints: the
+# mod-p solve's multiplier.  Shared by every prime and only ever extended.
+_Q_J: list[int] = [1]
+
+
+def _q_j_mod(m: int, p: int) -> list[int]:
+    """The residues mod p of S = q j = 1 + 744q + 196884q^2 + ... to q^(m-1).
+
+    Reduced from the shared exact coefficients, built on first use and
+    regrown to the least power of two, at least 16, that holds m terms, so a
+    sweep of rising weights rebuilds them a handful of times, not once per
+    weight.
+    """
+    if m > len(_Q_J):
+        order = max(16, 1 << (m - 1).bit_length())
+        s = eisenstein(4, order) ** 3 * pow_rational(euler_product(order), -24)
+        _Q_J.extend(s.coeffs[len(_Q_J) :])
+    return [c % p for c in _Q_J[:m]]
+
+
+def _peel_digits(h: np.ndarray, s: list[int], p: int) -> list[int]:
+    """The digits C_0..C_(m-1) of h = sum C_i t^i mod (q^m, p), for h the
+    residues of q^0..q^(m-1) and s those of S = q j to q^(m-2).
+
+    C_0 = h_0, and (h - C_0) j = h[1:] * S drops one digit.  Two such steps
+    are taken at once: t = q + O(q^2) makes C_1 = h_1, and
+    (h - C_0 - C_1 t) j^2 = (h[1:] * S^2 - C_1 S) / q, so each step takes two
+    digits and multiplies the tail by S^2 once.  Above 8 terms the steps run
+    on int64 arrays, exact under the kernel's bound m p^2 < 2^63; up to 8
+    they are summed term by term, where that is cheaper than numpy's
+    per-call cost.
+    """
+    digits = []
+    if len(h) > 8:
+        s = np.array(s, dtype=np.int64)
+        s2 = np.convolve(s, s)[: len(s)] % p
+        while len(h) > 2:
+            c1 = int(h[1])
+            digits += (int(h[0]), c1)
+            n = len(h) - 2
+            h = (np.convolve(h[1:], s2[: n + 1])[1 : n + 1] - c1 * s[1 : n + 1]) % p
+        return digits + h.tolist()
+    h = h.tolist()
+    s2 = [sum(map(mul, s[: e + 1], reversed(s[: e + 1]))) % p for e in range(len(s))]
+    while len(h) > 2:
+        c1 = h[1]
+        digits += h[:2]
+        h = [
+            (sum(map(mul, h[1 : e + 3], reversed(s2[: e + 2]))) - c1 * s[e + 1]) % p
+            for e in range(len(h) - 2)
+        ]
+    return digits + h
 
 
 def series_in_t(coeffs, order: int) -> QSeries:

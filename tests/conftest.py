@@ -24,13 +24,15 @@ else:
 def fresh_series_caches(monkeypatch):
     """Empty shared exact-series caches for one test, restored afterwards.
 
-    The exact hypergeometric streams (``hyperpoly._STREAMS``) and the table
-    of powers of t = 1/j (``modforms._T_POWERS``) are module-level and only
-    ever extended, so a stream a test plants, or a table it grows, would
+    The exact hypergeometric streams (``hyperpoly._STREAMS``), the table of
+    powers of t = 1/j (``modforms._T_POWERS``) and the coefficients of
+    q j that the mod-p solve reads (``modforms._Q_J``) are module-level and
+    only ever extended, so a stream a test plants, or a table it grows, would
     reach every later reader.  The fixture swaps in fresh ones through
-    ``monkeypatch`` and returns them as (streams, t_powers).
+    ``monkeypatch`` and returns them as (streams, t_powers, q_j).
     """
-    streams, t_powers = {}, [[1]]
+    streams, t_powers, q_j = {}, [[1]], [1]
     monkeypatch.setattr(hyperpoly, "_STREAMS", streams)
     monkeypatch.setattr(modforms, "_T_POWERS", t_powers)
-    return streams, t_powers
+    monkeypatch.setattr(modforms, "_Q_J", q_j)
+    return streams, t_powers, q_j

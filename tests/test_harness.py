@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 from pathlib import Path
 
@@ -365,6 +366,23 @@ def test_large_lanes_never_extend_the_exact_bernoulli_table(monkeypatch, fresh_s
     assert len(exact_arith._BERNOULLI_CACHE) <= 3
 
 
+def test_verify_lanes_never_touch_the_exact_t_table(monkeypatch, fresh_series_caches):
+    # the mod-p solve peels digits in base 1/j with the residues of S = q j;
+    # the exact table of powers of t serves series_in_t, the exact solve,
+    # show and the tests only
+    _, t_powers, q_j = fresh_series_caches
+    monkeypatch.setattr(modforms, "_solve_mod_p", lru_cache(maxsize=2)(modforms._solve_mod_p.__wrapped__))
+    for lane in (cmd_verify_theta_z, cmd_verify_theta_hex, cmd_verify_background):
+        rows = lane(SweepConfig(p_min=5, p_max=199))
+        assert rows and all(r.status != "fail" for r in rows)
+    rows = cmd_verify_background(SweepConfig(p_min=600, p_max=700))
+    assert any(r.check_id == "bg_congruence" and r.status == "pass" for r in rows)
+    assert all(r.status != "fail" for r in rows)
+    assert modforms._T_POWERS is t_powers and t_powers == [[1]]
+    # the largest solve there has 58 terms: S to q^56, held to the next power of two
+    assert len(q_j) == 64
+
+
 def test_extremal_row_fails_where_the_background_residues_are_perturbed(monkeypatch):
     bad_p = 101
     real = harness.eisenstein_mod
@@ -383,8 +401,8 @@ def test_extremal_row_fails_where_the_background_residues_are_perturbed(monkeypa
 
 
 def test_lanes_solve_without_the_basis(monkeypatch):
-    # every P(j) mod p comes from the mod-p solve against the shared t-table;
-    # basis() and the exact solve serve show, the tests and tracing
+    # every P(j) mod p comes from the mod-p solve's digit peel; basis() and
+    # the exact solve serve show, the tests and tracing
     for module, name in (
         (modforms, "basis"),
         (modforms, "basis_coordinates"),
@@ -589,6 +607,35 @@ def test_hessian_row_fails_when_a_sampled_cubic_is_wrong(monkeypatch, capsys):
     assert others == [r for r in clean if (r["check_id"], r["p"]) != ("hessian_set", bad_p)]
 
 
+def test_congruence_row_fails_where_the_peel_multiplier_is_perturbed(monkeypatch, capsys):
+    # one wrong residue of S = q j (its q^1 coefficient, 744) at one prime
+    # whose solve has m = 3 terms, so the peel reads it: that prime's P(j)
+    # changes and its congruence row fails, while every other prime's rows
+    # are the clean run's
+    bad_p = 47
+    assert modforms.weight_indices((bad_p + 1) // 2).n + 1 == 3
+    argv = ["verify", "theta-z", "--p-max", "79", "--format", "json"]
+    assert main(argv) == 0
+    clean = json.loads(capsys.readouterr().out)
+    real = modforms._q_j_mod
+
+    def planted(m, p):
+        out = real(m, p)
+        if p == bad_p:
+            out[1] = (out[1] + 1) % p
+        return out
+
+    monkeypatch.setattr(modforms, "_q_j_mod", planted)
+    monkeypatch.setattr(modforms, "_solve_mod_p", lru_cache(maxsize=2)(modforms._solve_mod_p.__wrapped__))
+    assert main(argv) == 1
+    rows = json.loads(capsys.readouterr().out)
+    failed = [r for r in rows if r["status"] == "fail"]
+    assert {r["p"] for r in failed} == {bad_p}
+    (congruence,) = [r for r in failed if r["check_id"] == "theta_z_congruence"]
+    assert re.fullmatch(r"x\^\d+: \d+ != \d+", congruence["witness"])
+    assert [r for r in rows if r["p"] != bad_p] == [r for r in clean if r["p"] != bad_p]
+
+
 _IDENTITIES_ARGV = ["verify", "identities", "--p-max", "13", "--order", "20", "--format", "json"]
 
 # (family, prime, stream index): among the lane's eight admissible primes of
@@ -601,7 +648,7 @@ _PLANTED_WINDOW_COEFFICIENTS = [("W0", 127, 25), ("W1", 131, 25), ("V0", 131, 40
 def test_vanishing_row_fails_where_a_window_coefficient_is_a_unit(
     tag, bad_p, m, fresh_series_caches, capsys
 ):
-    streams, _ = fresh_series_caches
+    streams, _, _ = fresh_series_caches
     assert main(_IDENTITIES_ARGV) == 0
     clean = json.loads(capsys.readouterr().out)
     cs = streams[hyperpoly.FAMILY_PARAMS[tag]]
@@ -829,7 +876,7 @@ def test_identities_run_composes_twice_and_extends_the_t_table_once(
     # the three F(...; 1728/j) rows read the one t-table, grown once to the
     # q^63 they compare to; only the cubic-transform and degenerate-evaluation
     # rows compose
-    _, t_powers = fresh_series_caches
+    _, t_powers, _ = fresh_series_caches
     composed, sizes = [], []
     compose, t_table = hyperpoly.compose, modforms._t_powers
 

@@ -485,6 +485,40 @@ def test_solve_mod_p_at_p_not_above_n_is_the_reduced_exact_solve(k, p):
     assert coordinates_mod_p(f.coeffs, k, p) == want
 
 
+_ROUND_TRIP_PRIMES = (3, 5, 7, 11, 101, 997, 10007)
+
+
+@pytest.mark.parametrize("k", [4, 6, 14, 52, 108, 500, 998])
+def test_solve_mod_p_round_trips_random_targets(k):
+    # random integer targets, not only the lanes' forms, at primes on both
+    # sides of n_k: the digit peel is the exact solve reduced mod p
+    m = weight_indices(k).n + 1
+    rng = random.Random(k)
+    for _ in range(2):
+        h = [rng.randint(-10**12, 10**12) for _ in range(m)]
+        exact = basis_coordinates(QSeries(h), k).coords
+        for p in _ROUND_TRIP_PRIMES:
+            assert coordinates_mod_p(h, k, p) == [c % p for c in exact], (k, p)
+
+
+def test_solve_mod_p_refuses_primes_past_the_int64_bound():
+    # m p^2 < 2^63 holds for m = 2 at p = 2^31 - 1 and fails for m = 3
+    p = 2**31 - 1
+    assert [weight_indices(k).n + 1 for k in (16, 24)] == [2, 3]
+    f = theta_Z(3)
+    assert coordinates_mod_p(f.coeffs, 16, p) == [c % p for c in basis_coordinates(f, 16).coords]
+    with pytest.raises(ValueError, match="overflows int64"):
+        coordinates_mod_p(f.coeffs, 24, p)
+
+
+def test_peel_multiplier_is_q_times_j():
+    # S = q j = 1 + 744q + 196884q^2 + ..., read off the Laurent series of j
+    j = j_invariant(40)
+    assert j.shift == -1 and j.coeffs[:3] == [1, 744, 196884]
+    for p in (5, 691, 10007):
+        assert modforms._q_j_mod(38, p) == [int(c) % p for c in j.coeffs[:38]]
+
+
 def test_solve_rejects_order_below_dimension():
     with pytest.raises(ConfigError, match="below dimension 5"):
         basis_coordinates(theta_Z(4), 52)
