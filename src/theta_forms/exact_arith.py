@@ -13,13 +13,12 @@ benchmark's layer tracer wraps; no module of the package calls them.
 
 Exact Bernoulli numbers come from the integer tangent-number table
 (``bernoulli``).  The Eisenstein factor -2k/B_k mod p needs no such table
-when k - 1 < p: ``eisenstein_factor_mod`` reads the tangent number T_(k/2)
-mod p^2 from the series inverse of cos, and reduces the exact B_k only past
-that bound or where p^2 cannot decide.
+when k < p: ``eisenstein_factor_mod`` reads p B_k mod p^2 from Faulhaber's
+sum of a^k over a = 1..p-1, and reduces the exact B_k only past that bound.
 
 ``series_inverse_mod`` and ``series_pow_mod`` are the package's one kernel
 for truncated power series mod q on int64 arrays, where its int64 bound is
-stated; the tangent numbers, ``fppoly`` and ``modforms`` use it.
+stated; ``fppoly`` and ``modforms`` use it.
 
 Nothing here ever touches floating point.
 """
@@ -160,64 +159,35 @@ def series_pow_mod(c, e: int, m: int, q: int) -> np.ndarray:
     return r if e else np.eye(1, m, dtype=np.int64)[0]
 
 
-def _tangent_mod(m: int, q: int) -> int:
-    """T_m mod q = (2m-1)! [x^(2m-1)] sin x / cos x, for q with (2m-1)! a unit.
-
-    In y = x^2, tan x = x S(y)/C(y) with C = sum (-1)^j y^j/(2j)! and
-    S = sum (-1)^j y^j/(2j+1)!, so T_m/(2m-1)! is [y^(m-1)] S/C, with 1/C
-    from ``series_inverse_mod``.  The inverse factorials come from one
-    modular inverse.
-    """
-    n = 2 * m
-    fact = 1
-    for j in range(2, n):
-        fact = fact * j % q
-    inv = [0] * n
-    inv[-1] = f = pow(fact, -1, q)
-    for j in range(n - 1, 0, -1):
-        f = f * j % q
-        inv[j - 1] = f
-    signed = [q - x if j & 2 else x for j, x in enumerate(inv)]  # x^(2i), x^(2i+1) for odd i
-    cos, sin = signed[0::2], signed[1::2]
-    g = series_inverse_mod(cos, m, q).tolist()
-    return sum(map(mul, sin, reversed(g))) % q * fact % q
-
-
-def _valuation_below_2(x: int, p: int) -> int:
-    """nu_p(x) read from x mod p^2: 0, 1, or 2 for "at least 2"."""
-    return 0 if x % p else 1 if x else 2
-
-
 def eisenstein_factor_mod(k: int, p: int) -> int:
     """-2k/B_k mod p, the coefficient of q in E_k, for even k >= 2 and prime p.
 
-    With m = k/2 and T_m the m-th tangent number,
-    B_2m = (-1)^(m-1) 2m T_m / (4^m (4^m - 1)), so
-    -2k/B_k = (-1)^m 2 4^m (4^m - 1) / T_m, where 2 4^m is a unit.  For
-    k - 1 < p, T_m and 4^m - 1 are read mod p^2 (``_tangent_mod``) and their
-    p-adic valuations compared: p divides the denominator of -2k/B_k
-    (ValueError, as ``rat_mod`` raises) when T_m has the larger one, the
-    residue is 0 when 4^m - 1 has it (k = p - 1: E_(p-1) = 1 mod p), and the
-    unit quotient otherwise.  When either valuation reaches 2 (undecidable
-    mod p^2; 4^m - 1 at k = p - 1 for a Wieferich prime such as 1093), when
-    k - 1 >= p, or when m and p^2 fail the series kernel's int64 bound, the
-    exact ``bernoulli`` is reduced instead.
+    For an odd prime p, even k <= p - 1 and p^4 < 2^63 (p <= 55,108) it is
+    read from Faulhaber's sum s = sum_(a=1..p-1) a^k = p B_k mod p^2, one
+    square-and-multiply over the int64 array a = 1..p-1, exact since every
+    product of residues stays below p^4.  The p-adic valuation of s decides:
+    0 means p B_k is a p-unit, so p sits in B_k's denominator and the residue
+    is 0 (k = p - 1: E_(p-1) = 1 mod p, computed rather than assumed, also at
+    a Wieferich prime such as 1093); 1 gives -2k (s/p)^-1, since B_k = s/p
+    mod p; s = 0 mod p^2 means p divides B_k, so p divides the denominator
+    of -2k/B_k (ValueError, as ``rat_mod`` raises; the irregular pairs such
+    as (32, 37)).  Otherwise the exact ``bernoulli`` is reduced.
     """
     if k < 2 or k % 2:
         raise ValueError(f"weight must be even and >= 2, got {k}")
-    m = k // 2
     q = p * p
-    if k - 1 < p and _fits_int64(m, q) and p % 2 and is_prime(p):
-        t = _tangent_mod(m, q)
-        f = pow(4, m, q) - 1
-        vt, vf = _valuation_below_2(t, p), _valuation_below_2(f, p)
-        if vt < 2 and vf < 2:
-            if vt > vf:
-                raise ValueError(f"p = {p} divides a denominator (-2k/B_k at k = {k})")
-            if vt < vf:
-                return 0
-            r = 2 * (f + 1) * (f // p**vf) * pow(t // p**vt, -1, p) % p
-            return -r % p if m % 2 else r
+    if k < p and _fits_int64(1, q) and p % 2 and is_prime(p):
+        a = r = np.arange(1, p, dtype=np.int64)
+        for bit in bin(k)[3:]:
+            r = r * r % q
+            if bit == "1":
+                r = r * a % q
+        s = int(r.sum()) % q
+        if s % p:
+            return 0
+        if not s:
+            raise ValueError(f"p = {p} divides a denominator (-2k/B_k at k = {k})")
+        return -2 * k * pow(s // p, -1, p) % p
     return rat_mod(Fraction(-2 * k) / bernoulli(k), p)
 
 

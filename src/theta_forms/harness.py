@@ -15,17 +15,19 @@ and emits machine-readable reports.  The four lanes are:
   polynomial facts (reciprocity, root products, power sums, vanishing
   windows, residue constants).
 
-Every row comes from one runner, ``_check``.  Per-prime artefacts (f = P mod
-p for the form's P(j), the factor pattern of f, G_p) are built once, by the
-first row that needs them, so a row's ``ms`` covers its check plus any
-artefact it is first to need.  No lane builds P(j) over Q: f is solved mod p
-(``modforms.coordinates_mod_p``) from the residues of the form's q^0..q^n,
-all the solve reads.  The solve peels P's coefficients one at a time as
-digits in base 1/j, multiplying by the residues of q j, so no lane reads
-the exact table of powers of 1/j.  The background lane takes E_{p-1}'s
-residues from -2k/B_k mod p (``eisenstein_mod``), read from the tangent
-number T_((p-1)/2) mod p^2 and from the exact Bernoulli number only where
-p^2 cannot decide.
+Every row comes from one runner, ``_check``.  Per-prime artefacts (n_k of
+the form's weight, f = P mod p for the form's P(j), the factor pattern of f,
+G_p) are built once, by the first row that needs them, so a row's ``ms``
+covers its check plus any artefact it is first to need, and an artefact that
+raises fails the rows that need it.  No lane builds P(j) over Q: f is solved
+mod p (``modforms.coordinates_mod_p``) from the residues of the form's
+q^0..q^n, all the solve reads.  The solve divides by E4^(a+3n) E6^b through
+the residues of the exact 1/E4 and 1/E6, then peels P's coefficients as
+digits in base 1/j, multiplying by the residues of q j, so no lane reads the
+exact table of powers of 1/j.  The background lane takes E_{p-1}'s residues from
+-2k/B_k mod p (``eisenstein_mod``), read from Faulhaber's sum of a^(p-1)
+over a < p mod p^2, so the per-prime lanes build no exact Bernoulli
+number past B_6.
 The congruence rows compare f with the family's truncated hypergeometric
 polynomial from the mod-p stream (``truncated_poly_mod``).  Two witnesses
 answer the remaining polynomial rows: the shape rows read the factor
@@ -243,13 +245,13 @@ def _theta_z_prime(p: int, curve_cap: int) -> list[VerificationReport]:
         reason = "p = 1 mod 4: weight (p+1)/2 is odd, outside the even-weight setting"
         return [_check(cid, p, None, None, reason) for cid in THETA_Z_CHECKS]
     k = (p + 1) // 2
-    n = weight_indices(k).n
+    n = cache(lambda: weight_indices(k).n)
     fam = "W0" if p % 24 in (7, 23) else "W1"
-    f = cache(lambda: FpPoly(coordinates_mod_p(theta_Z(n + 1).coeffs, k, p), p))
+    f = cache(lambda: FpPoly(coordinates_mod_p(theta_Z(n() + 1).coeffs, k, p), p))
     pattern = cache(lambda: factor_pattern(f()))
     capped = None if p <= curve_cap else f"curve sweep capped at {curve_cap}"
     return [
-        _check("theta_z_congruence", p, k, lambda: _congruence_witness(f(), truncated_poly_mod(fam, n, p))),
+        _check("theta_z_congruence", p, k, lambda: _congruence_witness(f(), truncated_poly_mod(fam, n(), p))),
         _check("theta_z_splits", p, k, lambda: _splits_witness(pattern(), 1)),
         _check("theta_z_curve_set", p, k,
                lambda: _product_witness(f(), two_torsion_only_j_set(p)), capped),
@@ -275,15 +277,15 @@ def _hex_pattern_witness(f: FpPoly, pattern: FactorPattern, n: int) -> str | Non
 
 def _theta_hex_prime(p: int, hessian_cap: int) -> list[VerificationReport]:
     k = p + 1
-    n = weight_indices(k).n
+    n = cache(lambda: weight_indices(k).n)
     fam = "V0" if p % 12 == 11 else "V1"
-    f = cache(lambda: FpPoly(coordinates_mod_p(theta_H(n + 1).coeffs, k, p), p))
+    f = cache(lambda: FpPoly(coordinates_mod_p(theta_H(n() + 1).coeffs, k, p), p))
     pattern = cache(lambda: factor_pattern(f()))
     capped = None if p <= hessian_cap else f"Hessian sweep capped at {hessian_cap}"
     return [
-        _check("hex_congruence", p, k, lambda: _congruence_witness(f(), truncated_poly_mod(fam, n, p))),
+        _check("hex_congruence", p, k, lambda: _congruence_witness(f(), truncated_poly_mod(fam, n(), p))),
         _check("hex_splits_fp2", p, k, lambda: _splits_witness(pattern(), 2)),
-        _check("hex_factor_pattern", p, k, lambda: _hex_pattern_witness(f(), pattern(), n)),
+        _check("hex_factor_pattern", p, k, lambda: _hex_pattern_witness(f(), pattern(), n())),
         _check("hex_zero_set", p, k, lambda: _product_witness(f(), hex_zero_set(p))),
         _check("hessian_set", p, k,
                lambda: None if check_hessian_matches_hex(p) else "Hessian image or 3-torsion mismatch",
@@ -302,19 +304,19 @@ def _factor_degrees_witness(pattern: FactorPattern) -> str | None:
 
 def _background_prime(p: int, ss_cap: int) -> list[VerificationReport]:
     k = p - 1
-    n = weight_indices(k).n
+    n = cache(lambda: weight_indices(k).n)
     fam = "U0" if p % 12 in (1, 5) else "U1"
-    f = cache(lambda: FpPoly(coordinates_mod_p(eisenstein_mod(k, n + 1, p), k, p), p))
+    f = cache(lambda: FpPoly(coordinates_mod_p(eisenstein_mod(k, n() + 1, p), k, p), p))
     pattern = cache(lambda: factor_pattern(f()))
     capped = None if p <= ss_cap else f"supersingular sweep capped at {ss_cap}"
     return [
-        _check("bg_congruence", p, k, lambda: _congruence_witness(f(), truncated_poly_mod(fam, n, p))),
+        _check("bg_congruence", p, k, lambda: _congruence_witness(f(), truncated_poly_mod(fam, n(), p))),
         _check("bg_factor_degrees", p, k, lambda: _factor_degrees_witness(pattern())),
         _check("bg_supersingular_set", p, k, lambda: _product_witness(
             f(), supersingular_j_set(p) - {(0, 0), (1728 % p, 0)}), capped),
         _check("bg_extremal_congruence", p, k,
                lambda: _congruence_witness(
-                   FpPoly(coordinates_mod_p(QSeries.one(n + 1).coeffs, k, p), p), f())),
+                   FpPoly(coordinates_mod_p(QSeries.one(n() + 1).coeffs, k, p), p), f())),
     ]
 
 

@@ -24,19 +24,19 @@ since E4^3 / Delta = j.
 
 The verify lanes read P(j) only mod p, so they call ``coordinates_mod_p``,
 which solves in residues from the target's residues of q^0..q^(n_k) and
-never reads the t-table.  It takes h = target * U^-1 mod p, with U^-1 a
-series inverse on int64 arrays, and then peels h's digits in base t = 1/j:
-h = sum C_i t^i gives C_0 = h_0, and (h - C_0) j = h[1:] * S for
-S = q j = E4^3 / prod (1 - q^k)^24 = 1 + 744q + ..., so each step takes the
-constant term and multiplies the tail by S mod p.  U^-1 and S have integer
-coefficients and nothing divides, so the solve is exact for every prime p,
-p <= n_k included; S's residues come from one shared exact series, built on
-first use.  The solve is cached on the target's residues, so P(1) and
-P(E_(p-1)), whose residues agree since E_(p-1) = 1 mod p, are solved once
-per prime.  The t-table's readers are ``series_in_t`` (with ``combination``
-and the identity rows), the exact solve (``basis_coordinates``, with
-``pf_polynomial`` and ``constructor`` reading its coordinates), ``show`` and
-the tests.
+never reads the t-table.  It takes h = target * U^-1 mod p, with
+U^-1 = (1/E4)^(a_k + 3 n_k) (1/E6)^(b_k) powered on int64 arrays, and then
+peels h's digits in base t = 1/j: h = sum C_i t^i gives C_0 = h_0, and
+(h - C_0) j = h[1:] * S for S = q j = E4^3 / prod (1 - q^k)^24 = 1 + 744q
++ ..., so each step takes the constant term and multiplies the tail by S mod
+p.  1/E4, 1/E6 and S have integer coefficients and nothing divides, so the
+solve is exact for every prime p, p <= n_k included; their residues are
+reduced from shared exact series, built on first use.  The solve is cached
+on the target's residues, so P(1) and P(E_(p-1)), whose residues agree since
+E_(p-1) = 1 mod p, are solved once per prime.  The t-table's readers are
+``series_in_t`` (with ``combination`` and the identity rows), the exact
+solve (``basis_coordinates``, with ``pf_polynomial`` and ``constructor``
+reading its coordinates), ``show`` and the tests.
 """
 
 from __future__ import annotations
@@ -49,15 +49,15 @@ from operator import mul
 
 import numpy as np
 
-from .exact_arith import rat_mod, series_inverse_mod, series_pow_mod
+from .exact_arith import rat_mod, series_pow_mod
 from .qseries import (
     QSeries,
     _cleared,
     _divided,
     delta,
     eisenstein,
-    eisenstein_mod,
     euler_product,
+    invert_unit,
     pow_rational,
 )
 
@@ -252,10 +252,10 @@ def coordinates_mod_p(target, k: int, p: int) -> list[int]:
     first n_k + 1 are read, each through ``rat_mod``, so residues pass
     unchanged and a Fraction with p in its denominator raises ValueError.  A
     target shorter than n_k + 1 raises ConfigError.  The solve takes
-    h = target * U^-1 mod p, with U = E4^(a_k + 3 n_k) E6^(b_k) from E4 and
-    E6 mod p (``eisenstein_mod``) and its inverse from
-    ``series_inverse_mod``, then peels the digits C_i of h = sum C_i t^i,
-    one per step, multiplying the tail by S = q j mod p; c_l = C_(n_k - l).
+    h = target * U^-1 mod p, with U^-1 = (1/E4)^(a_k + 3 n_k) (1/E6)^(b_k)
+    from the residues of the exact 1/E4 and 1/E6, then peels the digits C_i
+    of h = sum C_i t^i, multiplying the tail by S = q j mod p;
+    c_l = C_(n_k - l).
     Nothing divides, so any prime p will do, p <= n_k included, up to the
     kernels' bound (n_k + 1) p^2 < 2^63, past which ValueError is raised.
     """
@@ -269,31 +269,43 @@ def _solve_mod_p(h: tuple, w: WeightIndices, p: int) -> tuple:
     # the products below are exact under the kernel's bound for this m and p,
     # which series_pow_mod checks first
     m = len(h)
-    u = series_pow_mod(eisenstein_mod(4, m, p), w.a + 3 * w.n, m, p)
+    u_inv = series_pow_mod(_inverse_eisenstein_mod(4, m, p), w.a + 3 * w.n, m, p)
     if w.b:
-        u = np.convolve(u, eisenstein_mod(6, m, p))[:m] % p
-    h = np.convolve(h, series_inverse_mod(u, m, p))[:m] % p
+        u_inv = np.convolve(u_inv, _inverse_eisenstein_mod(6, m, p))[:m] % p
+    h = np.convolve(h, u_inv)[:m] % p
     return tuple(_peel_digits(h, _q_j_mod(m - 1, p), p)[::-1])
 
 
-# S = q j = E4^3 / prod_(k>=1) (1 - q^k)^24 to q^(len - 1), in ints: the
-# mod-p solve's multiplier.  Shared by every prime and only ever extended.
+# The exact integer series the mod-p solve reduces, each to q^(len - 1):
+# S = q j = E4^3 / prod_(k>=1) (1 - q^k)^24, the peel's multiplier, and 1/E4
+# and 1/E6, integral since E4 and E6 lie in 1 + qZ[[q]], whose powers make
+# U^-1.  Shared by every prime and only ever extended.
 _Q_J: list[int] = [1]
+_INVERSE_EISENSTEIN: dict[int, list[int]] = {4: [1], 6: [1]}
+
+
+def _residues(series: list[int], m: int, p: int, build) -> list[int]:
+    """The residues mod p of the exact ``series`` to q^(m-1).
+
+    A series too short is first extended from ``build(order)``, for the
+    least power of two, at least 16, that holds m terms, so a sweep of rising
+    weights rebuilds it a handful of times, not once per weight.
+    """
+    if m > len(series):
+        series.extend(build(max(16, 1 << (m - 1).bit_length()))[len(series) :])
+    return [c % p for c in series[:m]]
 
 
 def _q_j_mod(m: int, p: int) -> list[int]:
-    """The residues mod p of S = q j = 1 + 744q + 196884q^2 + ... to q^(m-1).
+    """The residues mod p of S = q j = 1 + 744q + 196884q^2 + ... to q^(m-1)."""
+    return _residues(_Q_J, m, p, lambda order: (
+        eisenstein(4, order) ** 3 * pow_rational(euler_product(order), -24)).coeffs)
 
-    Reduced from the shared exact coefficients, built on first use and
-    regrown to the least power of two, at least 16, that holds m terms, so a
-    sweep of rising weights rebuilds them a handful of times, not once per
-    weight.
-    """
-    if m > len(_Q_J):
-        order = max(16, 1 << (m - 1).bit_length())
-        s = eisenstein(4, order) ** 3 * pow_rational(euler_product(order), -24)
-        _Q_J.extend(s.coeffs[len(_Q_J) :])
-    return [c % p for c in _Q_J[:m]]
+
+def _inverse_eisenstein_mod(k: int, m: int, p: int) -> list[int]:
+    """The residues mod p of 1/E_k to q^(m-1), for k = 4 or 6."""
+    return _residues(_INVERSE_EISENSTEIN[k], m, p,
+                     lambda order: invert_unit(eisenstein(k, order)).coeffs)
 
 
 def _peel_digits(h: np.ndarray, s: list[int], p: int) -> list[int]:

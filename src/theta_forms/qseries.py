@@ -9,7 +9,9 @@ shift -1, giving a single Laurent object without a general Laurent type.
 
 Coefficients are Python ints or Fractions; nothing is ever rounded.  The one
 function that leaves QSeries, ``eisenstein_mod``, lists E_k's coefficients as
-residues mod p.
+residues mod p, with -2k/B_k mod p from Faulhaber's sum (no exact Bernoulli
+number when k < p).  The mod-p solve reduces its exact 1/E4 and 1/E6 from
+``invert_unit``.
 """
 
 from __future__ import annotations
@@ -353,17 +355,20 @@ def eisenstein(k: int, n: int) -> QSeries:
 def eisenstein_mod(k: int, n: int, p: int) -> list[int]:
     """The coefficients of q^0..q^(n-1) of E_k, reduced mod p.
 
-    -2k/B_k mod p comes once from ``eisenstein_factor_mod``, which reads the
-    tangent number T_(k/2) mod p^2 for k - 1 < p and reduces the exact B_k
-    only past that, or where p^2 cannot decide; p in the denominator of
-    -2k/B_k raises ValueError.  For k = p - 1 the factor comes out 0, computed
-    rather than assumed: 4^(k/2) - 1 = 2^(p-1) - 1 carries one more factor p
-    than T_(k/2), the p that von Staudt-Clausen puts in the denominator of
-    B_(p-1).  Each sigma_(k-1)(m) is summed from d^(k-1) mod p.
+    -2k/B_k mod p comes once from ``eisenstein_factor_mod``, which reads
+    p B_k mod p^2 from Faulhaber's sum of a^k over a < p for k < p and
+    reduces the exact B_k only past that; p in the denominator of -2k/B_k
+    raises ValueError.  For k = p - 1 the factor comes out 0, computed rather
+    than assumed: the sum is -1 mod p, so p B_(p-1) is a p-unit, the p that
+    von Staudt-Clausen puts in the denominator of B_(p-1).  A zero factor
+    gives 1 with no sigma sums; otherwise each sigma_(k-1)(m) is summed from
+    d^(k-1) mod p.
     """
     if k < 4 or k % 2:
         raise ValueError(f"weight must be even and >= 4, got {k}")
     factor = eisenstein_factor_mod(k, p)
+    if not factor:
+        return [1] + [0] * (n - 1)
     sig = [0] * n
     for d in range(1, n):
         dk = pow(d, k - 1, p)

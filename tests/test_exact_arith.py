@@ -4,6 +4,7 @@ and F_{p^2} benchmark hooks and the tests' reference element class."""
 import math
 import random
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 import pytest
@@ -137,39 +138,99 @@ def _factor(k, p):
         return "raises"
 
 
+def _tangent_mod(m: int, q: int) -> int:
+    """T_m mod q = (2m-1)! [x^(2m-1)] sin x / cos x, for q with (2m-1)! a unit.
+
+    In y = x^2, tan x = x S(y)/C(y) with C = sum (-1)^j y^j/(2j)! and
+    S = sum (-1)^j y^j/(2j+1)!, so T_m/(2m-1)! is [y^(m-1)] S/C, with 1/C
+    from ``series_inverse_mod``.  The inverse factorials come from one
+    modular inverse.
+    """
+    n = 2 * m
+    fact = 1
+    for j in range(2, n):
+        fact = fact * j % q
+    inv = [0] * n
+    inv[-1] = f = pow(fact, -1, q)
+    for j in range(n - 1, 0, -1):
+        f = f * j % q
+        inv[j - 1] = f
+    signed = [q - x if j & 2 else x for j, x in enumerate(inv)]  # x^(2i), x^(2i+1) for odd i
+    cos, sin = signed[0::2], signed[1::2]
+    g = series_inverse_mod(cos, m, q).tolist()
+    return sum(map(mul, sin, reversed(g))) % q * fact % q
+
+
+def _tangent_factor(k, p):
+    """-2k/B_k mod p from the tangent number T_m mod p^2 (m = k/2), or "raises".
+
+    B_2m = (-1)^(m-1) 2m T_m / (4^m (4^m - 1)), so -2k/B_k is
+    (-1)^m 2 4^m (4^m - 1) / T_m, decided by the p-adic valuations of T_m and
+    4^m - 1 while both stay below 2 (every odd p < 1093 and k < p).
+    """
+    m, q = k // 2, p * p
+    t, f = _tangent_mod(m, q), pow(4, m, q) - 1
+    vt, vf = (0 if x % p else 1 if x else 2 for x in (t, f))
+    assert vt < 2 and vf < 2, (k, p)
+    if vt != vf:
+        return "raises" if vt > vf else 0
+    r = 2 * (f + 1) * (f // p**vf) * pow(t // p**vt, -1, p) % p
+    return -r % p if m % 2 else r
+
+
 def test_eisenstein_factor_mod_is_the_reduced_exact_factor_below_p():
-    # every even k with k - 1 < p, where the factor comes from T_(k/2) mod p^2;
-    # p divides the denominator exactly at the irregular pairs (p | B_k)
+    # every odd prime p < 400 and even k < p, where the factor comes from
+    # Faulhaber's sum mod p^2; it equals both the exact factor and the tangent
+    # number reference, and p divides the denominator exactly at the
+    # irregular pairs (p | B_k)
     raising = []
-    for p in primes_in_range(2, 211):
-        for k in range(2, p + 1, 2):
+    for p in primes_in_range(3, 400):
+        for k in range(2, p, 2):
             want = _exact_factor(k, p)
-            assert _factor(k, p) == want, (k, p)
+            assert _factor(k, p) == _tangent_factor(k, p) == want, (k, p)
             if want == "raises":
                 raising.append((k, p))
     assert raising == [(32, 37), (44, 59), (58, 67), (68, 101), (24, 103),
-                       (22, 131), (130, 149), (62, 157), (110, 157)]
+                       (22, 131), (130, 149), (62, 157), (110, 157), (84, 233),
+                       (164, 257), (100, 263), (84, 271), (20, 283), (156, 293),
+                       (88, 307), (292, 311), (280, 347), (186, 353), (300, 353),
+                       (100, 379), (174, 379), (200, 389)]
 
 
 def test_eisenstein_factor_mod_is_0_at_p_minus_1():
-    # E_(p-1) = 1 mod p: 2^(p-1) - 1 carries one more p than T_((p-1)/2)
+    # E_(p-1) = 1 mod p: the sum of a^(p-1) over a < p is -1 mod p, so
+    # p B_(p-1) is a p-unit
     for p in primes_in_range(3, 1000):
         assert _factor(p - 1, p) == _exact_factor(p - 1, p) == 0, p
 
 
 def test_eisenstein_factor_mod_falls_back_where_p_squared_cannot_decide(monkeypatch):
-    # 1093 is a Wieferich prime: 2^1092 - 1 = 0 mod 1093^2, so both
-    # valuations may be 2 or more and the exact B_1092 is reduced instead
+    # 1093 is a Wieferich prime: 2^1092 - 1 = 0 mod 1093^2, where the tangent
+    # numbers could not decide; Faulhaber's sum is -1 mod 1093, so the
+    # factor is 0 with no exact Bernoulli number built
     k, p = 1092, 1093
     assert pow(4, k // 2, p * p) == 1
     monkeypatch.setattr(exact_arith, "_BERNOULLI_CACHE", [])
     monkeypatch.setattr(exact_arith, "_TANGENT_COLUMN", [])
-    got = eisenstein_factor_mod(k, p)
-    assert len(exact_arith._BERNOULLI_CACHE) == k // 2 + 1
-    assert got == _exact_factor(k, p) == 0
-    # and past k - 1 < p, where (k - 1)! is no unit mod p
+    assert eisenstein_factor_mod(k, p) == 0
+    assert exact_arith._BERNOULLI_CACHE == []
+    assert _exact_factor(k, p) == 0
+    # the exact B_k is reduced where the sum cannot decide: past k < p, where
+    # the congruence fails, and from the least prime with p^4 >= 2^63 on
     for k, p in ((12, 7), (20, 11), (26, 13)):
         assert eisenstein_factor_mod(k, p) == _exact_factor(k, p), (k, p)
+    exact = []
+    real = exact_arith.bernoulli
+    monkeypatch.setattr(exact_arith, "bernoulli", lambda k: exact.append(k) or real(k))
+    inside, past = 55103, 55109
+    assert primes_in_range(inside + 1, past - 1) == [] and is_prime(inside) and is_prime(past)
+    assert inside**4 < 2**63 <= past**4
+    for k in (4, 6, 12):
+        assert eisenstein_factor_mod(k, inside) == _exact_factor(k, inside), k
+        assert exact == [], k
+        assert eisenstein_factor_mod(k, past) == _exact_factor(k, past), k
+        assert exact == [k], k
+        exact.clear()
 
 
 def test_eisenstein_factor_mod_rejects_odd_or_small_weights():
@@ -194,7 +255,7 @@ def _series_inverse_ref(c, m, q):
 @pytest.mark.parametrize("p", [5, 103, 997])
 @pytest.mark.parametrize("square", [False, True])
 def test_series_inverse_mod_matches_the_term_by_term_reference(p, square):
-    # m = 498 at q = 997^2 is the largest inverse the tangent route takes below 1000 (k = 996)
+    # m = 498 at q = 997^2 is the largest inverse the tangent reference would take below 1000 (k = 996)
     q = p * p if square else p
     rng = random.Random(q)
     for m in (1, 15, 16, 17, 85, 498):

@@ -16,7 +16,8 @@ run compares them in full, reruns the top prime of each lane's residue
 classes with the caps raised and compares those rows, and checks the
 supersingular anchors at every prime up to 1000.  The agreements with the
 slow references at every prime up to 1000 run only when
-THETA_FORMS_FULL_RANGE=1 is set: the mod-p solve with the exact one, the
+THETA_FORMS_FULL_RANGE=1 is set: the mod-p solve with the exact one,
+Faulhaber's Eisenstein factor with the tangent-number one, the
 supersingular walk with the FFT reference, the Legendre 4-torsion classes
 with ``n_torsion_structure``, and the theta-hex oracles with their sweeps
 over all of F_{p^2}.
@@ -29,6 +30,7 @@ from pathlib import Path
 
 import pytest
 from test_curves import check_fp2_oracles_match_grid_sweeps, supersingular_j_set_fft
+from test_exact_arith import _factor, _tangent_factor
 from test_modforms import check_solve_mod_p_matches_exact
 
 from theta_forms.curves import (
@@ -101,6 +103,13 @@ def test_supersingular_anchors_to_1000():
 def test_solve_mod_p_matches_exact_to_1000():
     for p in primes_in_range(5, 1000):
         check_solve_mod_p_matches_exact(p)
+
+
+@full_range_only
+def test_eisenstein_factor_matches_tangent_numbers_to_1000():
+    for p in primes_in_range(3, 1000):
+        for k in range(2, p, 2):
+            assert _factor(k, p) == _tangent_factor(k, p), (k, p)
 
 
 @full_range_only

@@ -20,7 +20,7 @@ import pytest
 
 import theta_forms
 
-from theta_forms import exact_arith, fppoly, harness, hyperpoly, modforms
+from theta_forms import exact_arith, fppoly, harness, hyperpoly, modforms, qseries
 from theta_forms import curves
 from theta_forms.exact_arith import (
     Fp,
@@ -355,22 +355,44 @@ def test_background_solves_once_per_prime():
 
 
 def test_large_lanes_never_extend_the_exact_bernoulli_table(monkeypatch, fresh_series_caches):
-    # E_(p-1)'s -2k/B_k mod p comes from tangent numbers mod p^2; the exact
-    # table holds only what exact E4 needs (B_0, B_2, B_4), not B_(p-1)
+    # E_(p-1)'s -2k/B_k mod p comes from Faulhaber's sum mod p^2; the exact
+    # table holds only what exact E4 and E6 need (B_0..B_6), not B_(p-1)
     monkeypatch.setattr(exact_arith, "_BERNOULLI_CACHE", [])
     monkeypatch.setattr(exact_arith, "_TANGENT_COLUMN", [])
     rows = cmd_verify_background(SweepConfig(p_min=600, p_max=700, supersingular_cap=103))
     rows += cmd_verify_theta_z(SweepConfig(p_min=600, p_max=1000, curve_cap=103))
     assert all(r.status != "fail" for r in rows)
     assert any(r.check_id == "bg_extremal_congruence" and r.status == "pass" for r in rows)
-    assert len(exact_arith._BERNOULLI_CACHE) <= 3
+    assert len(exact_arith._BERNOULLI_CACHE) <= 4
+
+
+def test_lanes_take_e4_and_e6_from_the_exact_inverse_cache(monkeypatch, fresh_series_caches):
+    # the solve reduces the cached exact 1/E4 and 1/E6, so the only factor
+    # -2k/B_k mod p a lane asks for is E_(p-1)'s, and the background lane
+    # builds no exact Bernoulli number past B_6
+    *_, inverse_eisenstein = fresh_series_caches
+    monkeypatch.setattr(modforms, "_solve_mod_p", lru_cache(maxsize=2)(modforms._solve_mod_p.__wrapped__))
+    calls = []
+    real = qseries.eisenstein_factor_mod
+    monkeypatch.setattr(qseries, "eisenstein_factor_mod", lambda k, p: calls.append((k, p)) or real(k, p))
+    monkeypatch.setattr(exact_arith, "_BERNOULLI_CACHE", [])
+    monkeypatch.setattr(exact_arith, "_TANGENT_COLUMN", [])
+    rows = cmd_verify_background(SweepConfig(p_min=5, p_max=199))
+    assert len(exact_arith._BERNOULLI_CACHE) <= 4
+    for lane in (cmd_verify_theta_z, cmd_verify_theta_hex, cmd_verify_identities):
+        rows += lane(SweepConfig(p_min=5, p_max=199))
+    assert rows and all(r.status != "fail" for r in rows)
+    # E4 and E6 are E_(p-1) at p = 5 and 7 only
+    assert sorted(calls) == [(p - 1, p) for p in primes_in_range(5, 199)]
+    # theta-hex at 197 solves the most terms, 17: held to the next power of two
+    assert [len(inverse_eisenstein[k]) for k in (4, 6)] == [32, 32]
 
 
 def test_verify_lanes_never_touch_the_exact_t_table(monkeypatch, fresh_series_caches):
     # the mod-p solve peels digits in base 1/j with the residues of S = q j;
     # the exact table of powers of t serves series_in_t, the exact solve,
     # show and the tests only
-    _, t_powers, q_j = fresh_series_caches
+    _, t_powers, q_j, _ = fresh_series_caches
     monkeypatch.setattr(modforms, "_solve_mod_p", lru_cache(maxsize=2)(modforms._solve_mod_p.__wrapped__))
     for lane in (cmd_verify_theta_z, cmd_verify_theta_hex, cmd_verify_background):
         rows = lane(SweepConfig(p_min=5, p_max=199))
@@ -538,6 +560,39 @@ def test_root_set_row_fails_when_oracle_drops_a_value(
     assert bad["witness"].startswith("degree ")
 
 
+@pytest.mark.parametrize("lane, row, oracle, bad_p, p_max", _ROOT_SET_ROWS)
+def test_root_set_row_fails_when_oracle_swaps_a_value_for_a_non_root(
+    lane, row, oracle, bad_p, p_max, monkeypatch, capsys
+):
+    # the set keeps its size, so the degree and leading-coefficient checks
+    # pass and only the evaluation at the stranger can fail
+    argv = ["verify", lane, "--p-max", str(p_max), "--format", "json"]
+    assert main(argv) == 0
+    clean = json.loads(capsys.readouterr().out)
+    orig = getattr(harness, oracle)
+    swapped = []
+
+    def swapping(p):
+        values = orig(p)
+        if p != bad_p:
+            return values
+        ends = ((0, 0), (1728 % p, 0))  # the supersingular row drops these
+        victim = min((z for z in values if z not in ends), key=str)
+        pairs = isinstance(victim, tuple)
+        field = [(c0, c1) for c1 in range(p) for c0 in range(p)] if pairs else range(p)
+        stranger = next(z for z in field if z not in values and z not in ends)
+        swapped.append(fp2_str(stranger) if pairs else stranger)
+        return type(values)(stranger if z == victim else z for z in values)
+
+    monkeypatch.setattr(harness, oracle, swapping)
+    assert main(argv) == 1
+    rows = json.loads(capsys.readouterr().out)
+    failed = [(r["check_id"], r["p"], r["witness"]) for r in rows if r["status"] == "fail"]
+    assert failed == [(row, bad_p, f"f({swapped[0]}) != 0")]
+    others = [r for r in rows if (r["check_id"], r["p"]) != (row, bad_p)]
+    assert others == [r for r in clean if (r["check_id"], r["p"]) != (row, bad_p)]
+
+
 _ORACLE_PRIME = lambda p: p
 _SOLVE_PRIME = lambda target, k, p: p
 
@@ -553,6 +608,9 @@ _RAISING = [
     # the solve's too-short-series guard is a check failure like any other
     ("theta-z", "coordinates_mod_p", _SOLVE_PRIME, 23, 31, list(harness.THETA_Z_CHECKS),
      modforms.ConfigError),
+    # so is the weight's n_k, computed inside the rows: weight 12 is p = 23's
+    ("theta-z", "weight_indices", lambda k: 2 * k - 1, 23, 31, list(harness.THETA_Z_CHECKS),
+     RuntimeError),
 ]
 
 
@@ -607,25 +665,24 @@ def test_hessian_row_fails_when_a_sampled_cubic_is_wrong(monkeypatch, capsys):
     assert others == [r for r in clean if (r["check_id"], r["p"]) != ("hessian_set", bad_p)]
 
 
-def test_congruence_row_fails_where_the_peel_multiplier_is_perturbed(monkeypatch, capsys):
-    # one wrong residue of S = q j (its q^1 coefficient, 744) at one prime
-    # whose solve has m = 3 terms, so the peel reads it: that prime's P(j)
-    # changes and its congruence row fails, while every other prime's rows
-    # are the clean run's
-    bad_p = 47
+def _assert_only_the_prime_fails(monkeypatch, capsys, name, bad_p, planted_residue):
+    """Plant a wrong residue through ``modforms.<name>`` at bad_p, whose
+    theta-z solve has m = 3 terms, so the solve reads it: that prime's P(j)
+    changes and its congruence row fails, while every other prime's rows are
+    the clean run's."""
     assert modforms.weight_indices((bad_p + 1) // 2).n + 1 == 3
     argv = ["verify", "theta-z", "--p-max", "79", "--format", "json"]
     assert main(argv) == 0
     clean = json.loads(capsys.readouterr().out)
-    real = modforms._q_j_mod
+    real = getattr(modforms, name)
 
-    def planted(m, p):
-        out = real(m, p)
-        if p == bad_p:
-            out[1] = (out[1] + 1) % p
+    def planted(*args):
+        out = real(*args)
+        if args[-1] == bad_p:
+            planted_residue(args, out)
         return out
 
-    monkeypatch.setattr(modforms, "_q_j_mod", planted)
+    monkeypatch.setattr(modforms, name, planted)
     monkeypatch.setattr(modforms, "_solve_mod_p", lru_cache(maxsize=2)(modforms._solve_mod_p.__wrapped__))
     assert main(argv) == 1
     rows = json.loads(capsys.readouterr().out)
@@ -634,6 +691,25 @@ def test_congruence_row_fails_where_the_peel_multiplier_is_perturbed(monkeypatch
     (congruence,) = [r for r in failed if r["check_id"] == "theta_z_congruence"]
     assert re.fullmatch(r"x\^\d+: \d+ != \d+", congruence["witness"])
     assert [r for r in rows if r["p"] != bad_p] == [r for r in clean if r["p"] != bad_p]
+
+
+def test_congruence_row_fails_where_the_peel_multiplier_is_perturbed(monkeypatch, capsys):
+    # one wrong residue of S = q j: its q^1 coefficient, 744
+    def bump(args, out):
+        out[1] = (out[1] + 1) % args[-1]
+
+    _assert_only_the_prime_fails(monkeypatch, capsys, "_q_j_mod", 47, bump)
+
+
+def test_congruence_row_fails_where_the_inverse_e4_is_perturbed(monkeypatch, capsys):
+    # one wrong residue of 1/E4: its q^1 coefficient, -240; weight 24 has
+    # U^-1 = (1/E4)^6, so the solve reads it
+    def bump(args, out):
+        k, _, p = args
+        if k == 4:
+            out[1] = (out[1] + 1) % p
+
+    _assert_only_the_prime_fails(monkeypatch, capsys, "_inverse_eisenstein_mod", 47, bump)
 
 
 _IDENTITIES_ARGV = ["verify", "identities", "--p-max", "13", "--order", "20", "--format", "json"]
@@ -648,7 +724,7 @@ _PLANTED_WINDOW_COEFFICIENTS = [("W0", 127, 25), ("W1", 131, 25), ("V0", 131, 40
 def test_vanishing_row_fails_where_a_window_coefficient_is_a_unit(
     tag, bad_p, m, fresh_series_caches, capsys
 ):
-    streams, _, _ = fresh_series_caches
+    streams, _, _, _ = fresh_series_caches
     assert main(_IDENTITIES_ARGV) == 0
     clean = json.loads(capsys.readouterr().out)
     cs = streams[hyperpoly.FAMILY_PARAMS[tag]]
@@ -688,6 +764,23 @@ def test_delta_row_fails_where_e4_has_a_wrong_coefficient(monkeypatch, capsys):
     assert failed == [("id_delta_from_eisenstein", None, f"first mismatch at exponent {e}")]
     others = [r for r in rows if r["check_id"] != "id_delta_from_eisenstein"]
     assert others == [r for r in clean if r["check_id"] != "id_delta_from_eisenstein"]
+
+
+def test_neg4_cube_root_row_fails_where_the_cube_root_has_the_wrong_sign(monkeypatch, capsys):
+    # -2^(1/3) in place of 2^(1/3) at p = 11, the lane's one prime = 11 mod 12
+    bad_p = 11
+    assert main(_IDENTITIES_ARGV) == 0
+    clean = json.loads(capsys.readouterr().out)
+    orig = harness.cube_root_of_2
+    monkeypatch.setattr(harness, "cube_root_of_2", lambda p: -orig(p) % p if p == bad_p else orig(p))
+    assert main(_IDENTITIES_ARGV) == 1
+    rows = json.loads(capsys.readouterr().out)
+    row = ("neg4_cube_root", bad_p)
+    got, want = orig(bad_p), -orig(bad_p) % bad_p
+    failed = [(r["check_id"], r["p"], r["witness"]) for r in rows if r["status"] == "fail"]
+    assert failed == [(*row, f"(-4)^((p+1)/12) = {got} != 2^(1/3) = {want}")]
+    others = [r for r in rows if (r["check_id"], r["p"]) != row]
+    assert others == [r for r in clean if (r["check_id"], r["p"]) != row]
 
 
 def test_process_pool_bounded_by_primes(monkeypatch):
@@ -876,7 +969,7 @@ def test_identities_run_composes_twice_and_extends_the_t_table_once(
     # the three F(...; 1728/j) rows read the one t-table, grown once to the
     # q^63 they compare to; only the cubic-transform and degenerate-evaluation
     # rows compose
-    _, t_powers, _ = fresh_series_caches
+    _, t_powers, _, _ = fresh_series_caches
     composed, sizes = [], []
     compose, t_table = hyperpoly.compose, modforms._t_powers
 

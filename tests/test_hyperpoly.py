@@ -269,7 +269,7 @@ def _read_orders(cases):
 def test_vanishing_window_shared_stream_matches_fresh_streams_below_1000(fresh_series_caches):
     # ascending primes extend the shared stream, descending ones slice it,
     # interleaved ones do both in turn
-    streams, _, _ = fresh_series_caches
+    streams, _, _, _ = fresh_series_caches
     cases = [
         (tag, p)
         for tag, (residues, modulus) in _WINDOW_RULES.items()
@@ -285,7 +285,7 @@ def test_vanishing_window_shared_stream_matches_fresh_streams_below_1000(fresh_s
 
 def test_shared_streams_match_fresh_streams_in_any_read_order(fresh_series_caches):
     # every reader of one triple's stream, each family and G_p interleaved
-    streams, _, _ = fresh_series_caches
+    streams, _, _, _ = fresh_series_caches
     q = 1000003
     cases = [(tag, m) for m in range(0, 70, 3) for tag in [*FAMILY_PARAMS, _GP_PARAMS]]
     for order in _read_orders(cases).values():
@@ -314,7 +314,7 @@ def test_f21_coefficients_returns_a_copy(fresh_series_caches):
 def test_vanishing_window_reads_exactly_the_open_window(fresh_series_caches):
     # a planted stream that is nonzero mod p at one index only fails the
     # check exactly when that index lies strictly between lo and hi
-    streams, _, _ = fresh_series_caches
+    streams, _, _, _ = fresh_series_caches
     tag, p = "V1", 29
     lo, hi = _window_bounds(tag, p)
     for m in range(hi + 2):
