@@ -5,8 +5,13 @@ trailing zeros (the zero polynomial is the empty list).  There is one
 factoring algorithm, ``factor_pattern`` (distinct-degree splitting alone,
 peeling repeated factors off as it goes); the squarefree test
 ``is_squarefree`` and the splitting tests ``splits_into_linears`` and
-``splits_over_fp2`` are queries on its result, so all four share its bound
-p <= 10^4.
+``splits_over_fp2`` are queries on its result.  One question needs no
+factoring: ``divides_frobenius(f, d)`` says whether f divides x^(p^d) - x,
+that is whether f is squarefree with every factor degree dividing d, from
+x^(p^d) mod f alone.  The verify lanes' split rows (theta-z over F_p, the
+background lane's degrees within {1, 2}) ask it and factor only to word a
+failure; theta-hex reads the factor pattern, whose counts its pattern row
+needs.  All five share the bound p <= 10^4 and raise the same errors.
 Besides that: one Horner ``evaluate`` at an F_p point (an int) or an F_{p^2}
 point (a pair (c0, c1) for c0 + c1 w, w^2 the least non-residue), brute-force
 root scans, and power sums for the mod-p reductions of the j-polynomials; all
@@ -244,6 +249,14 @@ def _pow_mod(base: FpPoly, e: int, g: FpPoly, ginv: np.ndarray) -> FpPoly:
 # factor degree patterns
 
 
+def _require_factorable(f: FpPoly) -> None:
+    """The guard of ``factor_pattern`` and ``divides_frobenius``."""
+    if f.is_zero():
+        raise ValueError("zero polynomial")
+    if f.p > 10**4:
+        raise ValueError(f"p = {f.p} beyond the desk-scale bound 10^4")
+
+
 @dataclass(frozen=True)
 class FactorPattern:
     """Multiset of (degree, multiplicity) over the monic irreducible factors."""
@@ -267,11 +280,8 @@ def factor_pattern(f: FpPoly) -> FactorPattern:
     left is one irreducible factor of multiplicity 1: two factors, equal or
     not, would need degree at least 2d.
     """
-    if f.is_zero():
-        raise ValueError("zero polynomial")
+    _require_factorable(f)
     p = f.p
-    if p > 10**4:
-        raise ValueError(f"p = {p} beyond the desk-scale bound 10^4")
     pairs: Counter = Counter()
     g = f.monic()
     x = FpPoly.x(p)
@@ -296,6 +306,26 @@ def factor_pattern(f: FpPoly) -> FactorPattern:
         if mult:
             ginv = series_inverse_mod(g.coeffs[::-1], g.degree, p)
     return FactorPattern(tuple(sorted(pairs.items())))
+
+
+def divides_frobenius(f: FpPoly, d: int) -> bool:
+    """Whether monic f divides x^(p^d) - x, for d >= 1.
+
+    That holds exactly when f is squarefree and the degree of every
+    irreducible factor divides d; a nonzero constant divides everything.
+    x^(p^d) mod f takes d powerings by p on the arrays of ``factor_pattern``
+    and no gcd, under the same guard.
+    """
+    _require_factorable(f)
+    g = f.monic()
+    if g.degree < 1:
+        return True
+    x = FpPoly.x(f.p) % g
+    ginv = series_inverse_mod(g.coeffs[::-1], g.degree, f.p)
+    frob = x
+    for _ in range(d):
+        frob = _pow_mod(frob, f.p, g, ginv)
+    return frob == x
 
 
 # ---------------------------------------------------------------------------

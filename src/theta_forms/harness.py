@@ -16,10 +16,10 @@ and emits machine-readable reports.  The four lanes are:
   windows, residue constants).
 
 Every row comes from one runner, ``_check``.  Per-prime artefacts (n_k of
-the form's weight, f = P mod p for the form's P(j), the factor pattern of f,
-G_p) are built once, by the first row that needs them, so a row's ``ms``
-covers its check plus any artefact it is first to need, and an artefact that
-raises fails the rows that need it.  No lane builds P(j) over Q: f is solved
+the form's weight, f = P mod p for the form's P(j), theta-hex's factor
+pattern of f, G_p) are built once, by the first row that needs them, so a
+row's ``ms`` covers its check plus any artefact it is first to need, and an
+artefact that raises fails the rows that need it.  No lane builds P(j) over Q: f is solved
 mod p (``modforms.coordinates_mod_p``) from the residues of the form's
 q^0..q^n, all the solve reads.  The solve divides by E4^(a+3n) E6^b through
 the residues of the exact 1/E4 and 1/E6, then peels P's coefficients as
@@ -29,10 +29,14 @@ exact table of powers of 1/j.  The background lane takes E_{p-1}'s residues from
 over a < p mod p^2, so the per-prime lanes build no exact Bernoulli
 number past B_6.
 The congruence rows compare f with the family's truncated hypergeometric
-polynomial from the mod-p stream (``truncated_poly_mod``).  Two witnesses
-answer the remaining polynomial rows: the shape rows read the factor
-pattern, and the root-set rows check that the polynomial is the monic
-product of (x - t) over the oracle's targets t.
+polynomial from the mod-p stream (``truncated_poly_mod``).  The two split
+rows ask one divisibility question: ``theta_z_splits`` whether f divides
+x^p - x, ``bg_factor_degrees`` whether it divides x^(p^2) - x
+(``divides_frobenius``); only a row that fails it factors f, to word its
+witness, so a non-squarefree background f of degrees 1 and 2 still passes.
+The theta-hex shape rows read f's factor pattern, and the root-set rows
+check that the polynomial is the monic product of (x - t) over the
+oracle's targets t.
 Reports are deterministic: JSON and CSV output is canonical (rows sorted by
 (check_id, p), wall times zeroed, keys sorted), so re-running a sweep yields
 a bit-identical file.  The table format keeps measured times for humans.
@@ -75,6 +79,7 @@ from .exact_arith import (
 from .fppoly import (
     FactorPattern,
     FpPoly,
+    divides_frobenius,
     factor_pattern,
     is_reciprocal,
     power_sums,
@@ -248,11 +253,11 @@ def _theta_z_prime(p: int, curve_cap: int) -> list[VerificationReport]:
     n = cache(lambda: weight_indices(k).n)
     fam = "W0" if p % 24 in (7, 23) else "W1"
     f = cache(lambda: FpPoly(coordinates_mod_p(theta_Z(n() + 1).coeffs, k, p), p))
-    pattern = cache(lambda: factor_pattern(f()))
     capped = None if p <= curve_cap else f"curve sweep capped at {curve_cap}"
     return [
         _check("theta_z_congruence", p, k, lambda: _congruence_witness(f(), truncated_poly_mod(fam, n(), p))),
-        _check("theta_z_splits", p, k, lambda: _splits_witness(pattern(), 1)),
+        _check("theta_z_splits", p, k,
+               lambda: None if divides_frobenius(f(), 1) else _splits_witness(factor_pattern(f()), 1)),
         _check("theta_z_curve_set", p, k,
                lambda: _product_witness(f(), two_torsion_only_j_set(p)), capped),
         _check("theta_z_legendre_set", p, k, lambda: _product_witness(f(), legendre_image_j_set(p))),
@@ -307,11 +312,11 @@ def _background_prime(p: int, ss_cap: int) -> list[VerificationReport]:
     n = cache(lambda: weight_indices(k).n)
     fam = "U0" if p % 12 in (1, 5) else "U1"
     f = cache(lambda: FpPoly(coordinates_mod_p(eisenstein_mod(k, n() + 1, p), k, p), p))
-    pattern = cache(lambda: factor_pattern(f()))
     capped = None if p <= ss_cap else f"supersingular sweep capped at {ss_cap}"
     return [
         _check("bg_congruence", p, k, lambda: _congruence_witness(f(), truncated_poly_mod(fam, n(), p))),
-        _check("bg_factor_degrees", p, k, lambda: _factor_degrees_witness(pattern())),
+        _check("bg_factor_degrees", p, k,
+               lambda: None if divides_frobenius(f(), 2) else _factor_degrees_witness(factor_pattern(f()))),
         _check("bg_supersingular_set", p, k, lambda: _product_witness(
             f(), supersingular_j_set(p) - {(0, 0), (1728 % p, 0)}), capped),
         _check("bg_extremal_congruence", p, k,

@@ -56,7 +56,6 @@ from .qseries import (
     _divided,
     delta,
     eisenstein,
-    euler_product,
     invert_unit,
     pow_rational,
 )
@@ -299,7 +298,23 @@ def _residues(series: list[int], m: int, p: int, build) -> list[int]:
 def _q_j_mod(m: int, p: int) -> list[int]:
     """The residues mod p of S = q j = 1 + 744q + 196884q^2 + ... to q^(m-1)."""
     return _residues(_Q_J, m, p, lambda order: (
-        eisenstein(4, order) ** 3 * pow_rational(euler_product(order), -24)).coeffs)
+        eisenstein(4, order) ** 3 * QSeries(_inverse_euler_24(order))).coeffs)
+
+
+def _inverse_euler_24(order: int) -> list[int]:
+    """prod_(k>=1) (1 - q^k)^-24 to q^(order-1), in plain ints.
+
+    Its logarithmic derivative gives n F_n = 24 sum_(k=1..n) sigma(k) F_(n-k),
+    sigma(k) the sum of the divisors of k, so no Fraction or power arises.
+    """
+    sigma = [0] * order
+    for d in range(1, order):
+        for m in range(d, order, d):
+            sigma[m] += d
+    out = [1]
+    for n in range(1, order):
+        out.append(24 * sum(map(mul, sigma[1 : n + 1], reversed(out))) // n)
+    return out
 
 
 def _inverse_eisenstein_mod(k: int, m: int, p: int) -> list[int]:

@@ -10,6 +10,7 @@ from theta_forms.exact_arith import least_nonresidue, series_inverse_mod
 from theta_forms.fppoly import (
     FpPoly,
     _pow_mod,
+    divides_frobenius,
     factor_pattern,
     gcd,
     is_reciprocal,
@@ -267,6 +268,50 @@ def test_factor_pattern_rejects_p_beyond_bound():
     assert is_squarefree(FpPoly([1, 0, 1], 9973))
     with pytest.raises(ValueError, match="10\\^4"):
         is_squarefree(FpPoly([1, 0, 1], 10007))
+
+
+def _divides_frobenius_by_pattern(f: FpPoly, d: int) -> bool:
+    """Reference: f | x^(p^d) - x iff f is squarefree and every factor degree divides d."""
+    pattern = factor_pattern(f)
+    return pattern.multiplicities() <= {1} and all(d % e == 0 for e in pattern.degrees())
+
+
+def test_divides_frobenius_matches_the_pattern_criterion():
+    rng = random.Random(61)
+    seen = Counter()
+    for p in (2, 3, 5, 7, 11, 13, 31):
+        cases = [_random_poly(rng, p, rng.randrange(0, 9)) for _ in range(40)]
+        for _ in range(15):  # planted squared factors
+            g = _random_poly(rng, p, rng.randrange(1, 3))
+            cases.append(_random_poly(rng, p, rng.randrange(0, 5)) * g * g)
+        a = rng.randrange(1, p)
+        cases += [
+            FpPoly([-a] + [0] * (p - 1) + [1], p),  # x^p - a = (x - a)^p
+            FpPoly([-a, 0, 1], p) * FpPoly([0] * p + [1], p),  # x^p (x^2 - a)
+            FpPoly([rng.randrange(1, p)], p),  # a nonzero constant
+            FpPoly([rng.randrange(p), rng.randrange(1, p)], p),  # degree 1
+            FpPoly([0, 1], p),
+            FpPoly([-least_nonresidue(p) if p > 2 else 1, 0 if p > 2 else 1, 1], p),  # irreducible quadratic
+        ]
+        for f in cases:
+            for d in (1, 2):
+                want = _divides_frobenius_by_pattern(f, d)
+                assert divides_frobenius(f, d) == want, (p, d, f)
+                seen[d, want] += 1
+    # both answers came up for both d, on every kind of case
+    assert min(seen.values()) >= 20, seen
+
+
+def test_divides_frobenius_raises_as_factor_pattern_does():
+    for f in (FpPoly([], 7), FpPoly([1, 0, 1], 10007)):
+        with pytest.raises(ValueError) as pattern_error:
+            factor_pattern(f)
+        for d in (1, 2):
+            with pytest.raises(ValueError) as query_error:
+                divides_frobenius(f, d)
+            assert str(query_error.value) == str(pattern_error.value)
+    assert str(pattern_error.value) == "p = 10007 beyond the desk-scale bound 10^4"
+    assert divides_frobenius(FpPoly([1, 0, 1], 9973), 1)  # 9973 = 1 mod 4
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,9 @@ slow references at every prime up to 1000 run only when
 THETA_FORMS_FULL_RANGE=1 is set: the mod-p solve with the exact one,
 Faulhaber's Eisenstein factor with the tangent-number one, the
 supersingular walk with the FFT reference, the Legendre 4-torsion classes
-with ``n_torsion_structure``, and the theta-hex oracles with their sweeps
-over all of F_{p^2}.
+with ``n_torsion_structure``, the theta-hex oracles with their sweeps
+over all of F_{p^2}, and the split rows' Frobenius divisibility test with
+the factor pattern on each lane's P mod p.
 """
 
 import json
@@ -31,8 +32,10 @@ from pathlib import Path
 import pytest
 from test_curves import check_fp2_oracles_match_grid_sweeps, supersingular_j_set_fft
 from test_exact_arith import _factor, _tangent_factor
+from test_fppoly import _divides_frobenius_by_pattern
 from test_modforms import check_solve_mod_p_matches_exact
 
+from theta_forms import harness
 from theta_forms.curves import (
     TorsionStructure,
     n_torsion_structure,
@@ -40,6 +43,7 @@ from theta_forms.curves import (
     two_torsion_only_lambdas,
 )
 from theta_forms.exact_arith import primes_in_range
+from theta_forms.fppoly import divides_frobenius
 from theta_forms.harness import (
     SweepConfig,
     cmd_verify_background,
@@ -135,3 +139,35 @@ def test_fp2_oracles_match_grid_sweeps_to_1000():
     primes = [p for p in primes_in_range(5, 1000) if p % 12 in (5, 11)]
     assert len(primes) == 86
     assert sum(check_fp2_oracles_match_grid_sweeps(p) for p in primes) == 258
+
+
+@full_range_only
+def test_divides_frobenius_matches_the_pattern_on_every_lane_f_to_1000(monkeypatch):
+    # each lane's f at every prime to 1000, caught where its shape row reads
+    # it, asked both questions: d = 1 (theta-z's; false wherever f has a
+    # quadratic factor) and d = 2 (background's, and the shape theta-hex checks)
+    lanes = (
+        (cmd_verify_theta_z, "divides_frobenius"),
+        (cmd_verify_theta_hex, "factor_pattern"),
+        (cmd_verify_background, "divides_frobenius"),
+    )
+    answers = set()
+    for verify, name in lanes:
+        seen = []
+        real = getattr(harness, name)
+
+        def recording(f, *rest, _real=real):
+            seen.append(f)
+            return _real(f, *rest)
+
+        monkeypatch.setattr(harness, name, recording)
+        reports = verify(SweepConfig(p_min=5, p_max=1000))
+        monkeypatch.setattr(harness, name, real)
+        assert all(r.status != "fail" for r in reports)
+        assert sorted(f.p for f in seen) == sorted({r.p for r in reports if r.k is not None})
+        for f in seen:
+            for d in (1, 2):
+                want = _divides_frobenius_by_pattern(f, d)
+                assert divides_frobenius(f, d) == want, (f.p, d)
+                answers.add((d, want))
+    assert answers == {(1, True), (1, False), (2, True)}

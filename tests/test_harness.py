@@ -305,26 +305,36 @@ def test_show_examples_build_no_field_objects(monkeypatch):
     _assert_field_values_are_residues()
 
 
-def test_factor_pattern_runs_once_per_prime(monkeypatch):
-    calls = _count_calls(monkeypatch, "factor_pattern")
+def test_split_rows_ask_frobenius_and_hex_factors_once_per_prime(monkeypatch):
+    factored = _count_calls(monkeypatch, "factor_pattern")
+    asked = _count_calls(monkeypatch, "divides_frobenius")
     for name in _UNUSED_BY_LANES:
         def refuse(*args, name=name):
             raise AssertionError(f"a lane called {name}")
 
         monkeypatch.setattr(fppoly, name, refuse)
         monkeypatch.setattr(harness, name, refuse, raising=False)
+    # (lane, its primes, the d of its divisibility question, None for theta-hex)
     lanes = (
-        (cmd_verify_theta_z, [p for p in primes_in_range(5, 59) if p % 4 == 3]),
-        (cmd_verify_theta_hex, [p for p in primes_in_range(5, 59) if p % 12 in (5, 11)]),
-        (cmd_verify_background, primes_in_range(5, 31)),
+        (cmd_verify_theta_z, [p for p in primes_in_range(5, 59) if p % 4 == 3], 1),
+        (cmd_verify_theta_hex, [p for p in primes_in_range(5, 59) if p % 12 in (5, 11)], None),
+        (cmd_verify_background, primes_in_range(5, 31), 2),
     )
-    for lane, primes in lanes:
-        calls.clear()
+    for lane, primes, d in lanes:
+        factored.clear()
+        asked.clear()
         reports = lane(SweepConfig(p_min=5, p_max=max(primes)))
         assert all(r.status != "fail" for r in reports)
-        # one factorization per prime, shared by every shape row of that prime
-        assert sorted(f.p for (f,) in calls) == primes
-        assert any(f.degree >= 1 for (f,) in calls)
+        if d is None:
+            # one factorization per prime, shared by both shape rows of that prime
+            assert sorted(f.p for (f,) in factored) == primes
+            assert not asked
+        else:
+            # a green split row asks once and never factors
+            assert not factored
+            assert sorted(f.p for f, _ in asked) == primes
+            assert {e for _, e in asked} == {d}
+        assert any(f.degree >= 1 for f, *_ in factored + asked)
     reports = cmd_verify_identities(SweepConfig(p_min=5, p_max=23))
     assert all(r.status != "fail" for r in reports)
 
@@ -524,6 +534,73 @@ def test_splits_witness_failure_paths():
     )
     assert harness._splits_witness(factor_pattern(quad * lin), 2) is None
     assert harness._splits_witness(factor_pattern(FpPoly([1], p)), 1) is None
+
+
+def _irreducible_cubic(p: int) -> FpPoly:
+    return next(
+        c for c in (FpPoly([c0, 1, 0, 1], p) for c0 in range(p))
+        if factor_pattern(c).pairs == (((3, 1), 1),)
+    )
+
+
+# (lane, prime, p_max, fault, {failing row: its witness, None for x^i: a != b}):
+# the lane's P mod p at that prime, whose factor degrees are {1} (theta-z)
+# and {1, 2} (background), is multiplied by (x - 1)^2 or by an irreducible
+# cubic.  The root-set rows see a wrong degree and the congruence rows a
+# wrong coefficient; the extremal row's P(1) takes the same fault, so it
+# passes.  A square of degrees {1, 2} still passes bg_factor_degrees: it is
+# the row that falls back to the factor pattern after the Frobenius test.
+_SQUARE = lambda p: FpPoly([-1, 1], p) * FpPoly([-1, 1], p)
+_PLANTED_SHAPES = [
+    ("theta-z", 47, 59, _SQUARE, {
+        "theta_z_congruence": None,
+        "theta_z_splits": "polynomial is not squarefree",
+        "theta_z_curve_set": "degree 4 != target set size 2",
+        "theta_z_legendre_set": "degree 4 != target set size 2",
+    }),
+    ("theta-z", 47, 59, _irreducible_cubic, {
+        "theta_z_congruence": None,
+        "theta_z_splits": "polynomial does not split over F_p",
+        "theta_z_curve_set": "degree 5 != target set size 2",
+        "theta_z_legendre_set": "degree 5 != target set size 2",
+    }),
+    ("background", 37, 43, _SQUARE, {
+        "bg_congruence": None,
+        "bg_supersingular_set": "degree 5 != target set size 3",
+    }),
+    ("background", 37, 43, _irreducible_cubic, {
+        "bg_congruence": None,
+        "bg_factor_degrees": "factor degrees [1, 2, 3] not within {1, 2}",
+        "bg_supersingular_set": "degree 6 != target set size 3",
+    }),
+]
+
+
+@pytest.mark.parametrize("lane, bad_p, p_max, fault, failing", _PLANTED_SHAPES)
+def test_split_rows_fail_where_p_mod_p_takes_a_planted_factor(
+    lane, bad_p, p_max, fault, failing, monkeypatch, capsys
+):
+    argv = ["verify", lane, "--p-max", str(p_max), "--format", "json"]
+    assert main(argv) == 0
+    clean = json.loads(capsys.readouterr().out)
+    real = harness.coordinates_mod_p
+
+    def planted(target, k, p):
+        coords = real(target, k, p)
+        return (FpPoly(coords, p) * fault(p)).coeffs if p == bad_p else coords
+
+    monkeypatch.setattr(harness, "coordinates_mod_p", planted)
+    assert main(argv) == 1
+    rows = json.loads(capsys.readouterr().out)
+    failed = {(r["check_id"], r["p"]): r["witness"] for r in rows if r["status"] == "fail"}
+    assert set(failed) == {(row, bad_p) for row in failing}
+    for row, witness in failing.items():
+        if witness is None:
+            assert re.fullmatch(r"x\^\d+: \d+ != \d+", failed[row, bad_p])
+        else:
+            assert failed[row, bad_p] == witness
+    others = [r for r in rows if (r["check_id"], r["p"]) not in failed]
+    assert others == [r for r in clean if (r["check_id"], r["p"]) not in failed]
 
 
 # (lane, row, oracle name in harness, the prime whose oracle loses a value, p_max)

@@ -29,7 +29,9 @@ from theta_forms.qseries import (
     delta,
     eisenstein,
     eisenstein_mod,
+    euler_product,
     j_invariant,
+    pow_rational,
     theta_H,
     theta_Z,
 )
@@ -517,6 +519,16 @@ def test_peel_multiplier_is_q_times_j():
     assert j.shift == -1 and j.coeffs[:3] == [1, 744, 196884]
     for p in (5, 691, 10007):
         assert modforms._q_j_mod(38, p) == [int(c) % p for c in j.coeffs[:38]]
+
+
+def test_inverse_euler_recurrence_matches_the_rational_power():
+    # prod (1 - q^k)^-24 from n F_n = 24 sum sigma(k) F_(n-k), against the
+    # binomial-series power of the pentagonal product it replaced, to 256 terms
+    want = pow_rational(euler_product(256), -24).coeffs
+    assert modforms._inverse_euler_24(256) == want
+    assert want[:4] == [1, 24, 324, 3200]  # partitions of n into parts of 24 colours
+    for order in (1, 2, 3, 17):
+        assert modforms._inverse_euler_24(order) == want[:order]
 
 
 def test_solve_rejects_order_below_dimension():
