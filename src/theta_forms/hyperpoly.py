@@ -9,8 +9,11 @@ lambda-side polynomial G_p.
 
 Two versions of the ratio recurrence
 c_(m+1) = c_m (alpha+m)(beta+m) / ((gamma+m)(m+1)) run here.  The exact one
-runs in Fractions, so p-divisibility can be inspected honestly: the
-vanishing windows and the residue constant read it.  Each parameter triple
+yields Fractions, so p-divisibility can be inspected honestly: the
+vanishing windows and the residue constant read it.  It steps in integers,
+over the common denominator L of the parameters: each term's numerator and
+denominator are the last term's times (A + mL)(B + mL) and (G + mL)(m + 1) L,
+reduced once into one Fraction.  Each parameter triple
 has one exact stream (``_STREAMS``), extended in place as readers ask for
 more terms; ``f21_coefficients`` hands out copies of its prefixes, and the
 other readers index it.  The identity rows expand F(...; 1728/j) as
@@ -25,13 +28,14 @@ otherwise, even where the exact value is p-integral because the p cancels.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact_arith import Rat, is_prime, padic_valuation, rat_mod
 from .fppoly import FpPoly
 from .modforms import RatPoly, series_in_t, weight_indices
-from .qseries import QSeries, compose, eisenstein, invert_unit, pow_rational, theta_H, theta_Z
+from .qseries import QSeries, compose, eisenstein, pow_rational, theta_H, theta_Z
 
 
 @dataclass(frozen=True)
@@ -94,12 +98,21 @@ _STREAMS: dict[HGParams, list[Rat]] = {}
 
 def _stream(params, m_max: int) -> list[Rat]:
     """The shared exact stream of ``params``, extended to at least c_m_max
-    by the ratio recurrence."""
+    by the ratio recurrence.
+
+    With L the common denominator of the parameters and A, B, G their
+    numerators over it, c_(m+1) = c_m (A + mL)(B + mL) / ((G + mL)(m + 1) L):
+    one integer product for each of the last term's numerator and
+    denominator, and one Fraction, reduced once, per new term.
+    """
     hp = _resolve_params(params)
     cs = _STREAMS.setdefault(hp, [Fraction(1)])
-    a, b, g = hp.alpha, hp.beta, hp.gamma
+    L = math.lcm(hp.alpha.denominator, hp.beta.denominator, hp.gamma.denominator)
+    a, b, g = (int(x * L) for x in (hp.alpha, hp.beta, hp.gamma))
     for m in range(len(cs) - 1, m_max):
-        cs.append(cs[-1] * (a + m) * (b + m) / ((g + m) * (m + 1)))
+        c, mL = cs[-1], m * L
+        cs.append(Fraction(c.numerator * (a + mL) * (b + mL),
+                           c.denominator * (g + mL) * (m + 1) * L))
     return cs
 
 
@@ -245,9 +258,7 @@ def cubic_transform_mismatch(order: int) -> int | None:
     lam = QSeries([0, 1] + [0] * (n - 2))
     one = QSeries.one(n)
     poly = one - lam + lam * lam
-    num = (lam * lam) * ((lam - 1) ** 2) * 27
-    den = (poly ** 3) * 4
-    inner = num * invert_unit(den)
+    inner = (lam * lam) * ((lam - 1) ** 2) * poly ** -3 * Fraction(27, 4)
     lhs = compose(f21_coefficients("W0", n), inner)
     front = pow_rational(poly, Fraction(-1, 8))
     rhs = front * QSeries(f21_coefficients(_GP_PARAMS, n - 1))
@@ -258,9 +269,7 @@ def degenerate_eval_mismatch(order: int) -> int | None:
     """F(V0; y(y+4)^3 / (4 (2y-1)^3)) against (1-2y)^(-1/4) as series in y."""
     n = order
     y = QSeries([0, 1] + [0] * (n - 2))
-    num = y * ((y + 4) ** 3)
-    den = ((y * 2 - 1) ** 3) * 4
-    inner = num * invert_unit(den)
+    inner = y * ((y + 4) ** 3) * (y * 2 - 1) ** -3 * Fraction(1, 4)
     lhs = compose(f21_coefficients("V0", n), inner)
     rhs = pow_rational(y * -2 + 1, Fraction(-1, 4))
     return lhs.first_mismatch(rhs, upto=n)

@@ -31,12 +31,14 @@ peels h's digits in base t = 1/j: h = sum C_i t^i gives C_0 = h_0, and
 + ..., so each step takes the constant term and multiplies the tail by S mod
 p.  1/E4, 1/E6 and S have integer coefficients and nothing divides, so the
 solve is exact for every prime p, p <= n_k included; their residues are
-reduced from shared exact series, built on first use.  The solve is cached
-on the target's residues, so P(1) and P(E_(p-1)), whose residues agree since
-E_(p-1) = 1 mod p, are solved once per prime.  The t-table's readers are
-``series_in_t`` (with ``combination`` and the identity rows), the exact
-solve (``basis_coordinates``, with ``pf_polynomial`` and ``constructor``
-reading its coordinates), ``show`` and the tests.
+reduced from shared exact series, built on first use.  S is
+E4^3 prod (1 - q^k)^-24: two integer powers by the series power recurrence
+(the second on the sparse pentagonal series) and one product.  The solve is
+cached on the target's residues, so P(1) and P(E_(p-1)), whose residues
+agree since E_(p-1) = 1 mod p, are solved once per prime.  The t-table's
+readers are ``series_in_t`` (with ``combination`` and the identity rows),
+the exact solve (``basis_coordinates``, with ``pf_polynomial`` and
+``constructor`` reading its coordinates), ``show`` and the tests.
 """
 
 from __future__ import annotations
@@ -56,8 +58,8 @@ from .qseries import (
     _divided,
     delta,
     eisenstein,
+    euler_product,
     invert_unit,
-    pow_rational,
 )
 
 
@@ -166,7 +168,7 @@ def _t_powers(order: int) -> list[list[int]]:
     rows = _T_POWERS
     if order <= len(rows):
         return rows
-    t = (delta(order) * pow_rational(eisenstein(4, order), -3)).coeffs
+    t = (delta(order) * eisenstein(4, order) ** -3).coeffs
     rows[0].extend([0] * (order - len(rows[0])))
     for i in range(1, order):
         if i == len(rows):
@@ -186,9 +188,9 @@ def _unit(w: WeightIndices, order: int, sign: int) -> QSeries:
     two calls, so repeated exact solves and combinations of one weight share
     U^-1 and U.  Callers only multiply the result, never mutate it.
     """
-    u = pow_rational(eisenstein(4, order), sign * (w.a + 3 * w.n))
+    u = eisenstein(4, order) ** (sign * (w.a + 3 * w.n))
     if w.b:
-        u = u * pow_rational(eisenstein(6, order), sign)
+        u = u * eisenstein(6, order) ** sign
     return u
 
 
@@ -298,23 +300,7 @@ def _residues(series: list[int], m: int, p: int, build) -> list[int]:
 def _q_j_mod(m: int, p: int) -> list[int]:
     """The residues mod p of S = q j = 1 + 744q + 196884q^2 + ... to q^(m-1)."""
     return _residues(_Q_J, m, p, lambda order: (
-        eisenstein(4, order) ** 3 * QSeries(_inverse_euler_24(order))).coeffs)
-
-
-def _inverse_euler_24(order: int) -> list[int]:
-    """prod_(k>=1) (1 - q^k)^-24 to q^(order-1), in plain ints.
-
-    Its logarithmic derivative gives n F_n = 24 sum_(k=1..n) sigma(k) F_(n-k),
-    sigma(k) the sum of the divisors of k, so no Fraction or power arises.
-    """
-    sigma = [0] * order
-    for d in range(1, order):
-        for m in range(d, order, d):
-            sigma[m] += d
-    out = [1]
-    for n in range(1, order):
-        out.append(24 * sum(map(mul, sigma[1 : n + 1], reversed(out))) // n)
-    return out
+        eisenstein(4, order) ** 3 * euler_product(order) ** -24).coeffs)
 
 
 def _inverse_eisenstein_mod(k: int, m: int, p: int) -> list[int]:

@@ -7,17 +7,25 @@ claims precision beyond what the inputs support.  The shift is 0 for every
 ordinary series; only the j-function (and quotients that produce it) carry
 shift -1, giving a single Laurent object without a general Laurent type.
 
-Coefficients are Python ints or Fractions; nothing is ever rounded.  The one
-function that leaves QSeries, ``eisenstein_mod``, lists E_k's coefficients as
-residues mod p, with -2k/B_k mod p from Faulhaber's sum (no exact Bernoulli
-number when k < p).  The mod-p solve reduces its exact 1/E4 and 1/E6 from
-``invert_unit``.
+Coefficients are Python ints or Fractions; nothing is ever rounded.  Integer
+powers have one kernel, ``_power``: J. C. P. Miller's recurrence on the
+cleared integers, over the base's nonzero terms, with one exact division per
+coefficient.  Delta, j, the eta quotients and the mod-p solve's S = q j take
+their Euler-product factors prod (1 - q^(mk))^e from it, for either sign of
+e, so the sparse pentagonal series is powered in O(n sqrt n) with no product
+and no inversion.
+
+The one function that leaves QSeries, ``eisenstein_mod``, lists E_k's
+coefficients as residues mod p, with -2k/B_k mod p from Faulhaber's sum (no
+exact Bernoulli number when k < p).  The mod-p solve reduces its exact 1/E4
+and 1/E6 from ``invert_unit``.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
 from operator import mul
 
 from .exact_arith import Rat, bernoulli, eisenstein_factor_mod
@@ -134,24 +142,36 @@ class QSeries:
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "QSeries":
-        """self^e by left-to-right binary powering.
+        """self^e for any integer e, on the window repeated products give.
 
-        Starts from the top set bit of e, so it costs bit_length(e) - 1
-        squarings plus popcount(e) - 1 products by self.
+        The valuation is factored out first: self = q^v u with u(0) != 0.
+        For e >= 2 the result keeps self's window length at shift e * shift,
+        so it is 0 below q^(e v) and u^e fills the rest; a zero window stays
+        zero.  For e < 0 it is u^e at shift e v, on u's window.  u^e comes
+        from ``_power`` on u's cleared integers whenever it is integral: every
+        e >= 0, and e < 0 when u has int coefficients and u(0) = +-1.  Any
+        other negative power is (1/self)^(-e).
         """
-        if e < 0:
-            return self._invert() ** (-e)
+        n = len(self.coeffs)
         if e == 0:
-            return QSeries.one(len(self.coeffs))
-        result = QSeries(self.coeffs, self.shift)
-        for bit in bin(e)[3:]:
-            result = result * result
-            if bit == "1":
-                result = result * self
-        return result
+            return QSeries.one(n)
+        if e == 1:
+            return QSeries(self.coeffs, self.shift)
+        if e > 0 and not any(self.coeffs):
+            return QSeries([0] * n, e * self.shift)
+        v = self.valuation() - self.shift
+        U, D = _cleared(self.coeffs[v:])
+        if e < 0:
+            if D != 1 or U[0] not in (1, -1):
+                return self._invert() ** -e
+            return QSeries(_power(U, e, n - v), e * (self.shift + v))
+        zeros = min(e * v, n)
+        out = [0] * zeros + _power(U, e, n - zeros)
+        return QSeries(out if D == 1 else _divided(out, [D**e] * n), e * self.shift)
 
     def _invert(self) -> "QSeries":
-        """Inverse allowing positive valuation (internal; used for 1/Delta).
+        """Inverse allowing positive valuation (internal; used by ``/``,
+        ``invert_unit`` and the negative powers ``_power`` cannot take).
 
         Runs in denominator-cleared ints: with the unit part u = U/D and
         u0 = U_0, the integers B_0 = 1, B_k = -sum_{i=1..k} U_i u0^(i-1) B_(k-i)
@@ -217,6 +237,28 @@ class QSeries:
 # inversion, rational powers and composition
 
 
+def _power(U: list[int], e: int, n: int) -> list[int]:
+    """The integers G_0..G_(n-1) of (sum U_i q^i)^e, for U_0 != 0, n <= len(U).
+
+    J. C. P. Miller's recurrence (Knuth, TAOCP Vol. 2, 4.7):
+    k U_0 G_k = sum_{i=1..k} ((e+1) i - k) U_i G_(k-i), with G_0 = U_0^e.
+    The sum runs over U's nonzero terms only, so a sparse base such as the
+    pentagonal series costs O(n * terms).  Each division by k U_0 is exact
+    when the power is integral: e >= 0, or U_0 = +-1.
+    """
+    u0 = U[0]
+    terms = [(i, (e + 1) * i * x, x) for i, x in enumerate(U[:n]) if i and x]
+    G = [u0 ** abs(e)]  # U_0^e, as U_0 = +-1 when e < 0
+    for k in range(1, n):
+        acc = 0
+        for i, a, x in terms:
+            if i > k:
+                break
+            acc += (a - k * x) * G[k - i]
+        G.append(acc // (k * u0))
+    return G[:n]
+
+
 def invert_unit(f: QSeries) -> QSeries:
     """Inverse of a series with invertible constant term."""
     if f.shift != 0 or not f.coeffs[0]:
@@ -279,9 +321,12 @@ def pow_rational(f: QSeries, r: Rat | int) -> QSeries:
 def compose(outer, inner: QSeries) -> QSeries:
     """Substitute `inner` (constant term 0) into `outer` (series in x).
 
-    `outer` may be a QSeries with shift 0 or a plain coefficient list; only
-    its first `inner.order` coefficients can matter.  Result precision equals
-    inner's precision.
+    `outer` may be a plain coefficient list, read as an exact polynomial,
+    or a QSeries with shift 0, known to x^(N-1) for N = outer.order; only
+    its first `inner.order` coefficients can matter.  With a list the result
+    precision is inner's precision.  With a QSeries the unknown x^N term
+    enters at q^(vN), v the inner's valuation, so the result stops at order
+    min(inner.order, v N).
 
     The sum runs in denominator-cleared ints: with outer = C/D and the inner
     window I/E (shift 0, so I_0 = 0), outer(inner) = sum_m C_m E^(N-m) I^m /
@@ -293,17 +338,19 @@ def compose(outer, inner: QSeries) -> QSeries:
         raise ValueError("inner series must be an ordinary power series, not a Laurent window")
     if inner.constant_term() != 0:
         raise ValueError("inner series must have zero constant term")
+    n = inner.order
     if isinstance(outer, QSeries):
         if outer.shift != 0:
             raise ValueError("outer series must be an ordinary power series")
         outer_coeffs = outer.coeffs
+        v = inner.valuation() if any(inner.coeffs) else n
+        n = min(n, v * outer.order)
     else:
         outer_coeffs = list(outer)
-    n = inner.order
     if not outer_coeffs:
         return QSeries.zero(n)
     C, D = _cleared(outer_coeffs[:n])
-    I, E = _cleared([0] * inner.shift + inner.coeffs)
+    I, E = _cleared(([0] * inner.shift + inner.coeffs)[:n])
     terms = [(j, x) for j, x in enumerate(I) if x]
     N = len(C) - 1
     e_pows = [1] * (N + 1)  # E^0 .. E^N
@@ -407,12 +454,14 @@ def delta(n: int) -> QSeries:
 
 
 def j_invariant(n: int) -> QSeries:
-    """j = E_4^3 / Delta as the one Laurent object (window q^-1 .. q^(n-2))."""
+    """j = E_4^3 / Delta as the one Laurent object (window q^-1 .. q^(n-2)).
+
+    Built as q^-1 E_4^3 prod (1 - q^m)^-24, two powers by ``_power`` and one
+    product, so Delta is never inverted as a Laurent series.
+    """
     if n < 1:
         raise ValueError("order must be >= 1")
-    m = n + 1
-    e4 = eisenstein(4, m)
-    return (e4 ** 3) / delta(m)
+    return QSeries((eisenstein(4, n) ** 3 * euler_product(n) ** -24).coeffs, -1)
 
 
 def theta_Z(n: int) -> QSeries:
@@ -441,22 +490,17 @@ def theta_H(n: int) -> QSeries:
 def _eta_quotient(parts: list[tuple[int, int]], n: int) -> QSeries:
     """prod over (m, e) of eta(m*tau)^e, with the total shift folded in.
 
-    Requires the combined fractional exponent sum(m*e)/24 to be a
-    non-negative integer; the result is an ordinary series with that
-    valuation.
+    Each factor prod (1 - q^(mk))^e is one ``_power`` of the sparse
+    pentagonal series, for either sign of e.  Requires the combined
+    fractional exponent sum(m*e)/24 to be a non-negative integer; the result
+    is an ordinary series with that valuation.
     """
     shift = Fraction(sum(m * e for m, e in parts), 24)
     if shift.denominator != 1 or shift < 0:
         raise ValueError(f"eta quotient has non-integral shift {shift}")
     shift = int(shift)
     work = n + shift
-    acc = QSeries.one(work)
-    for m, e in parts:
-        factor = euler_product(work, step=m) ** abs(e)
-        if e > 0:
-            acc = acc * factor
-        else:
-            acc = acc * invert_unit(factor)
+    acc = reduce(mul, [euler_product(work, step=m) ** e for m, e in parts])
     if shift == 0:
         return acc.truncate(n)
     return QSeries([0] * shift + acc.coeffs[: n - shift])
@@ -504,8 +548,8 @@ def hauptmodul_mismatch(which: str, n: int) -> int | None:
         work = n + 4
         lam = lambda_eta_quotient(work)
         j2 = j_invariant(work // 2 + 2).dilate(2)
-        lhs = j2 * (lam ** 2) * ((lam - 1) ** 2)
-        one = QSeries.one(work)
-        rhs = (one - lam + lam ** 2) ** 3 * 256
+        lam2 = lam ** 2
+        lhs = j2 * lam2 * ((lam - 1) ** 2)
+        rhs = (QSeries.one(work) - lam + lam2) ** 3 * 256
         return lhs.first_mismatch(rhs, upto=n)
     raise ValueError(f"unknown hauptmodul relation {which!r}")

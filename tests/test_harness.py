@@ -843,6 +843,72 @@ def test_delta_row_fails_where_e4_has_a_wrong_coefficient(monkeypatch, capsys):
     assert others == [r for r in clean if r["check_id"] != "id_delta_from_eisenstein"]
 
 
+def _bump_euler_product(bad_step):
+    """A fault raising the q^e coefficient of prod (1 - q^(bad_step k)) by 1."""
+
+    def plant(monkeypatch, streams, e):
+        orig = qseries.euler_product
+
+        def planted(n, step=1):
+            f = orig(n, step)
+            if step == bad_step:
+                f.coeffs[e] += 1
+            return f
+
+        monkeypatch.setattr(qseries, "euler_product", planted)
+
+    return plant
+
+
+def _bump_theta_z(monkeypatch, streams, e):
+    orig = hyperpoly.theta_Z
+
+    def planted(n):
+        f = orig(n)
+        f.coeffs[e] += 1
+        return f
+
+    monkeypatch.setattr(hyperpoly, "theta_Z", planted)
+
+
+def _bump_w1_stream(monkeypatch, streams, e):
+    # c_e of W1 lies past every vanishing window the lane reads, so only the
+    # Euler transform row reads it
+    cs = streams[hyperpoly.FAMILY_PARAMS["W1"]]
+    windows = [hyperpoly._window_bounds("W1", p) for p in hyperpoly.admissible_vanishing_primes("W1", 8)]
+    assert max(hi for _, hi in windows) <= e < len(cs)
+    cs[e] += 1
+
+
+# (row, --order, fault, the exponent its witness names): each fault perturbs
+# an input of one identity only.  The step-3 product feeds t3 alone and the
+# step-4 product the lambda quotient alone; either moves its relation first
+# at the perturbed exponent, since j's pole lowers the change in t by one.
+_PLANTED_IDENTITY_FAULTS = [
+    ("id_hauptmodul_cubic", 20, _bump_euler_product(3), 5),
+    ("id_hauptmodul_legendre", 20, _bump_euler_product(4), 8),
+    ("id_theta_int_hypergeometric", 20, _bump_theta_z, 7),
+    ("id_euler_transform", 40, _bump_w1_stream, 30),
+]
+
+
+@pytest.mark.parametrize("row, order, plant, e", _PLANTED_IDENTITY_FAULTS,
+                         ids=[f[0] for f in _PLANTED_IDENTITY_FAULTS])
+def test_identity_row_fails_where_one_input_is_perturbed(
+    row, order, plant, e, monkeypatch, fresh_series_caches, capsys
+):
+    streams, _, _, _ = fresh_series_caches
+    argv = ["verify", "identities", "--p-max", "13", "--order", str(order), "--format", "json"]
+    assert main(argv) == 0
+    clean = json.loads(capsys.readouterr().out)
+    plant(monkeypatch, streams, e)
+    assert main(argv) == 1
+    rows = json.loads(capsys.readouterr().out)
+    failed = [(r["check_id"], r["p"], r["witness"]) for r in rows if r["status"] == "fail"]
+    assert failed == [(row, None, f"first mismatch at exponent {e}")]
+    assert [r for r in rows if r["check_id"] != row] == [r for r in clean if r["check_id"] != row]
+
+
 def test_neg4_cube_root_row_fails_where_the_cube_root_has_the_wrong_sign(monkeypatch, capsys):
     # -2^(1/3) in place of 2^(1/3) at p = 11, the lane's one prime = 11 mod 12
     bad_p = 11

@@ -522,13 +522,16 @@ def test_peel_multiplier_is_q_times_j():
 
 
 def test_inverse_euler_recurrence_matches_the_rational_power():
-    # prod (1 - q^k)^-24 from n F_n = 24 sum sigma(k) F_(n-k), against the
-    # binomial-series power of the pentagonal product it replaced, to 256 terms
+    # prod (1 - q^k)^-24, the factor of S = q j, from the integer power
+    # recurrence on the sparse pentagonal series, against the binomial-series
+    # power, to 256 terms and at short orders
     want = pow_rational(euler_product(256), -24).coeffs
-    assert modforms._inverse_euler_24(256) == want
+    got = euler_product(256) ** -24
+    assert got.shift == 0 and got.coeffs == want
+    assert all(type(c) is int for c in got.coeffs)
     assert want[:4] == [1, 24, 324, 3200]  # partitions of n into parts of 24 colours
     for order in (1, 2, 3, 17):
-        assert modforms._inverse_euler_24(order) == want[:order]
+        assert (euler_product(order) ** -24).coeffs == want[:order]
 
 
 def test_solve_rejects_order_below_dimension():

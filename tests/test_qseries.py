@@ -46,6 +46,14 @@ def _poly_pow(a, e, n):
     return out
 
 
+def _poly_inverse(a, n):
+    """1/a to n terms for a[0] != 0, solving a * b = 1 term by term in Fractions."""
+    b = [Fraction(1) / a[0]]
+    for k in range(1, n):
+        b.append(-sum(a[i] * b[k - i] for i in range(1, min(k, len(a) - 1) + 1)) / a[0])
+    return b
+
+
 def _euler_product_naive(n):
     acc = [1] + [0] * (n - 1)
     for m in range(1, n):
@@ -204,6 +212,21 @@ def test_compose_geometric():
     assert sq.coeffs == [0, 0, 1, 2, 1]
 
 
+def test_compose_with_a_truncated_outer_stops_where_its_tail_enters():
+    # outer known to x^2 only: its unknown x^3 term enters at q^(3v), v the
+    # inner's valuation, so the result is known to order min(inner.order, 3v)
+    outer = QSeries([1, 1, 1])
+    got = compose(outer, QSeries([0, 1, 0, 0, 0, 0]))
+    assert got.order == 3 and got.coeffs == [1, 1, 1]
+    got = compose(outer, QSeries([0, 0, 1, 0, 0, 0, 0, 0]))
+    assert got.order == 6 and got.coeffs == [1, 0, 1, 0, 1, 0]
+    got = compose(outer, QSeries([1, 1], shift=1))
+    assert got.order == 3 and got.coeffs == [1, 1, 2]
+    assert compose(outer, QSeries([0, 0, 0, 1, 1])).order == 5
+    # a plain list is an exact polynomial: the inner's order stands
+    assert compose([1, 1, 1], QSeries([0, 1, 0, 0, 0, 0])).coeffs == [1, 1, 1, 0, 0, 0]
+
+
 def test_compose_rejects_nonzero_constant():
     with pytest.raises(ValueError):
         compose([1, 1], QSeries([1, 1]))
@@ -279,36 +302,59 @@ def test_integer_pow_matches_repeated_mul():
 
 
 def test_integer_pow_matches_naive_lists():
+    # a negative power is a power of the inverse of the unit part, on the
+    # unit part's window, at shift e times the valuation
     windows = [
         QSeries([2, -1, 3, 0, 1, 1, -2, 0]),
         QSeries([Fraction(1, 2), Fraction(-3, 5), 0, Fraction(7, 3), 1, Fraction(-1, 4)]),
+        QSeries([-1, 0, 0, 4, 0, -2, 1]),
+        QSeries([0, 0, 3, -1, 0, 2, 0, 1], shift=-1),
         j_invariant(6),
     ]
     for f in windows:
         n = len(f.coeffs)
+        v = next(i for i, c in enumerate(f.coeffs) if c)
+        inverse = _poly_inverse(f.coeffs[v:], n - v)
+        for e in range(-12, 41):
+            got = f**e
+            if e >= 0:
+                assert got.shift == e * f.shift, (f, e)
+                assert got.coeffs == _poly_pow(f.coeffs, e, n), (f, e)
+            else:
+                assert got.shift == e * (f.shift + v), (f, e)
+                assert got.coeffs == _poly_pow(inverse, -e, n - v), (f, e)
+    # zero windows: 0^0 = 1, 0^e stays a zero window, and 0^-e is undefined
+    for f in (QSeries([0, 0, 0]), QSeries([0, 0], shift=-1), QSeries([Fraction(0)])):
+        n = len(f.coeffs)
         for e in range(41):
             got = f**e
-            assert got.shift == e * f.shift, (f, e)
+            assert got.shift == (e * f.shift if e > 0 else 0), (f, e)
             assert got.coeffs == _poly_pow(f.coeffs, e, n), (f, e)
+        for e in (-1, -24):
+            with pytest.raises(ValueError, match="valuation undefined"):
+                f**e
 
 
-def test_integer_pow_product_count(monkeypatch):
-    calls = []
-    mul = QSeries.__mul__
+@pytest.mark.parametrize("step", [1, 2, 3, 4])
+def test_euler_product_powers_take_no_products_or_inversions(monkeypatch, step):
+    # prod (1 - q^(step k))^e is one power recurrence on the sparse
+    # pentagonal series, for either sign of e
+    n = 40
+    base = euler_product(n, step)
+    want = {}
+    for e in (24, 12, 8, 16):
+        want[e] = _poly_pow(base.coeffs, e, n)
+        want[-e] = invert_unit(QSeries(want[e])).coeffs
 
-    def counting_mul(self, other):
-        calls.append(other)
-        return mul(self, other)
+    def refuse(*args):
+        raise AssertionError("a series product or inversion was taken")
 
-    monkeypatch.setattr(QSeries, "__mul__", counting_mul)
-    f = QSeries([1, 2, 3, 4])
-    for e in range(1, 65):
-        calls.clear()
-        f**e
-        assert len(calls) == e.bit_length() - 1 + bin(e).count("1") - 1, e
-    calls.clear()
-    f**24
-    assert len(calls) == 5
+    monkeypatch.setattr(QSeries, "__mul__", refuse)
+    monkeypatch.setattr(QSeries, "_invert", refuse)
+    for e in (24, -24, 12, -12, 8, 16):
+        got = euler_product(n, step) ** e
+        assert got.shift == 0 and got.coeffs == want[e], (step, e)
+        assert all(type(c) is int for c in got.coeffs)
 
 
 def test_integer_pow_one_is_a_copy():
